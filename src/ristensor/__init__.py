@@ -53,7 +53,6 @@ from .tensor_ops import (
     crandn,
     dft_matrix,
     khatri_rao,
-    kronecker,
     pinv_left,
     pinv_right,
     row_diag,

@@ -86,14 +86,17 @@ def _print_aggregate_table(aggregates, stream):
         print(f"failures excluded from means: {failures}", file=stream)
 
 
-def _cmd_run(args):
-    cfg = _apply_overrides(load_config(args.config), args)
+def _run_and_report(cfg):
     records = run_experiment(cfg)
     _print_aggregate_table(aggregate_records(records), sys.stdout)
     if cfg.output_path:
         emit_results(records, cfg.output_path, cfg.output_format, config=cfg)
         print(f"wrote {len(records)} records to {cfg.output_path}")
     return 0
+
+
+def _cmd_run(args):
+    return _run_and_report(_apply_overrides(load_config(args.config), args))
 
 
 def _cmd_demo(args):
@@ -102,12 +105,7 @@ def _cmd_demo(args):
         f"default scenario: {cfg.system.m_ap} AP antennas, {cfg.system.k_users} users, "
         f"{cfg.system.n_ris} RIS elements, {cfg.trials} trials per SNR"
     )
-    records = run_experiment(cfg)
-    _print_aggregate_table(aggregate_records(records), sys.stdout)
-    if cfg.output_path:
-        emit_results(records, cfg.output_path, cfg.output_format, config=cfg)
-        print(f"wrote {len(records)} records to {cfg.output_path}")
-    return 0
+    return _run_and_report(cfg)
 
 
 def _cmd_complexity(args):

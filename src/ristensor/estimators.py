@@ -151,7 +151,7 @@ def als_ris(q, sched, cfg, rng=None):
                 break
         h_ur = z @ pinv_right(x, cfg.pinv_tol)
         ops += _pinv_cost(k, l) + n * l * k
-    except SingularMatrixError as err:
+    except np.linalg.LinAlgError as err:
         return _failure(err, it, ops, trace)
 
     return ChannelEstimate(
@@ -176,7 +176,7 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
     k, l_off = sched.off_pilots.shape
     try:
         h_ua = ls_direct_path(recv.off_stage, sched.off_pilots, cfg.pinv_tol)
-    except SingularMatrixError as err:
+    except np.linalg.LinAlgError as err:
         return _failure(err, 0, 0, [])
     ops = _pinv_cost(k, l_off) + m * l_off * k
 
@@ -245,7 +245,7 @@ def e_als_estimate(recv, sched, cfg, rng=None):
                 break
         h_ur = z @ pinv_right(x, cfg.pinv_tol)
         ops += _pinv_cost(k, l) + n * l * k
-    except SingularMatrixError as err:
+    except np.linalg.LinAlgError as err:
         return _failure(err, it, ops, trace)
 
     return ChannelEstimate(
@@ -259,13 +259,30 @@ def e_als_estimate(recv, sched, cfg, rng=None):
     )
 
 
-class StackedLsSolver:
-    """Cached factorization of the stacked training regressor for ls_baseline.
+def _factor_pinv(a):
+    """Moore-Penrose pseudoinverse of a tall factor and its sigma_min/sigma_max.
 
-    The regressor rows are assembled one (block, pilot column) pair at a time
-    — an M-row block [x_l^T (x) I_M | psi_b^T (x) x_l^T (x) I_M] — and the
-    SVD-based pseudoinverse is computed once, so repeated trials under the
-    same schedule only pay the apply cost.
+    A factor with fewer rows than columns cannot have full column rank, so
+    its ratio is 0 and no pseudoinverse is returned.
+    """
+    if a.shape[0] < a.shape[1]:
+        return None, 0.0
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        return None, 0.0
+    return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
+
+
+class StackedLsSolver:
+    """Cached left pseudoinverse of the stacked training regressor for ls_baseline.
+
+    The regressor is kron(kron([1 | Psi], X^T), I_M) — block rows b, pilot
+    columns l, antennas m — so its pseudoinverse is the Kronecker product of
+    the two small factor pseudoinverses, and solve applies them as mode
+    products on the (M, L, B) frame without forming either product.  The
+    singular-value ratio of the whole regressor is the product of the
+    factors' ratios (I_M contributes 1), and that product is what pinv_tol
+    bounds.
     """
 
     def __init__(self, sched, m, tol=1e-12):
@@ -277,23 +294,27 @@ class StackedLsSolver:
         cols = m * k * (n + 1)
         if rows < cols:
             raise ValueError(f"stacked LS needs M*L*B >= M*K*(N+1), got {rows} < {cols}")
-        a = np.empty((rows, cols), dtype=complex)
-        eye = np.eye(m)
-        r = 0
-        for blk in range(b):
-            for col in range(l):
-                p0 = np.kron(x[:, col][None, :], eye)
-                a[r : r + m, : m * k] = p0
-                a[r : r + m, m * k :] = np.kron(psi[blk][None, :], p0)
-                r += m
+        p_phase, phase_ratio = _factor_pinv(np.hstack([np.ones((b, 1)), psi]))
+        p_pilot, pilot_ratio = _factor_pinv(x.T)
+        ratio = phase_ratio * pilot_ratio
+        if not (ratio > 0.0 and ratio >= tol):
+            raise SingularMatrixError(
+                f"stacked LS regressor {rows}x{cols}: "
+                f"singular value ratio {ratio:.3e} below tol {tol:.1e}"
+            )
         self.rows = rows
         self.cols = cols
-        self.pinv = pinv_left(a, tol)
+        self.p_phase = p_phase      # (N+1, B)
+        self.p_pilot = p_pilot      # (K, L)
+        # block mode product, then pilot mode product
+        self.apply_ops = m * l * b * (n + 1) + m * k * l * (n + 1)
 
     def solve(self, recv):
-        # vec of the frame in time order: antenna fastest, then pilot, then block
-        y_vec = np.asarray(recv.tensor).reshape(-1, order="F")
-        return self.pinv @ y_vec
+        # theta[m, k, j] = sum_{l, b} P_pilot[k, l] P_phase[j, b] Y[m, l, b],
+        # flattened antenna fastest, then user, then [direct | RIS element]
+        y = np.asarray(recv.tensor)
+        theta = self.p_pilot @ (y @ self.p_phase.T)
+        return theta.reshape(-1, order="F")
 
 
 def ls_baseline(recv, sched, cfg, solver=None):
@@ -301,19 +322,22 @@ def ls_baseline(recv, sched, cfg, solver=None):
 
     Returns the parameter vector only: the cascaded block is the Khatri-Rao
     stacking of per-user cascaded matrices and is not decoupled into separate
-    RIS-path factors.
+    RIS-path factors.  A non-finite theta (from a non-finite frame) is
+    reported as a failed estimate.
     """
     try:
         if solver is None:
             solver = StackedLsSolver(sched, recv.tensor.shape[0], cfg.pinv_tol)
         theta = solver.solve(recv)
-    except SingularMatrixError as err:
+    except np.linalg.LinAlgError as err:
         return _failure(err, 0, 0, [])
+    if not np.all(np.isfinite(theta)):
+        return _failure("non-finite parameter estimate", 0, solver.apply_ops, [])
     return ChannelEstimate(
         theta=theta,
         iterations=0,
         converged=True,
-        op_count=solver.cols * solver.rows,
+        op_count=solver.apply_ops,
     )
 
 

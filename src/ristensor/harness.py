@@ -171,24 +171,24 @@ def _score(name, est, channels, system, snr_db, trial_index, wall, chash):
         return TrialRecord(failure_flag=True, iterations=est.iterations, converged=False, **base)
     if name == "ls":
         # no decoupled factors: only the stacked parameter vector is scored
-        return TrialRecord(
-            nmse_aggregate=aggregate_vector_nmse(est, channels),
-            iterations=0,
-            converged=True,
-            **base,
+        scores = dict(
+            nmse_aggregate=aggregate_vector_nmse(est, channels), iterations=0, converged=True
         )
-    resolved = resolve_scaling(est, channels)
-    return TrialRecord(
-        nmse_aggregate=aggregate_vector_nmse(est, channels),
-        nmse_h_ua=nmse(est.h_ua, channels.h_ua),
-        nmse_h_ur=nmse(resolved.h_ur, channels.h_ur),
-        nmse_h_ra=nmse(resolved.h_ra, channels.h_ra),
-        nmse_cascade=nmse(est.cascade, channels.cascade),
-        iterations=est.iterations,
-        converged=est.converged,
-        analytic_ops=complexity_formula(name, system).total(est.iterations),
-        **base,
-    )
+    else:
+        resolved = resolve_scaling(est, channels)
+        scores = dict(
+            nmse_aggregate=aggregate_vector_nmse(est, channels),
+            nmse_h_ua=nmse(est.h_ua, channels.h_ua),
+            nmse_h_ur=nmse(resolved.h_ur, channels.h_ur),
+            nmse_h_ra=nmse(resolved.h_ra, channels.h_ra),
+            nmse_cascade=nmse(est.cascade, channels.cascade),
+            iterations=est.iterations,
+            converged=est.converged,
+            analytic_ops=complexity_formula(name, system).total(est.iterations),
+        )
+    # a non-finite score is a failed estimate, kept out of the aggregate means
+    finite = all(math.isfinite(v) for key, v in scores.items() if key.startswith("nmse_"))
+    return TrialRecord(failure_flag=not finite, **scores, **base)
 
 
 def _trial_streams(cfg, snr_index, trial_index):
@@ -204,8 +204,8 @@ def _init_rng(cfg, snr_index, trial_index, name):
     return np.random.default_rng(seq)
 
 
-def run_trial(cfg, snr_index, trial_index, ls_solver=None, details=False):
-    """Run every enabled estimator on one shared (channel, noise) realization."""
+def _snr_setup(cfg, snr_index, ls_solver=None):
+    """Per-SNR-point work shared by all its trials: system, schedules, LS solver."""
     system = dataclasses.replace(cfg.system, snr_db=cfg.snr_grid_db[snr_index])
     schedules = {}
     if "two_stage" in cfg.estimators_enabled:
@@ -214,6 +214,12 @@ def run_trial(cfg, snr_index, trial_index, ls_solver=None, details=False):
         schedules["e_als"] = make_schedule(system, "e_als")
     if "ls" in cfg.estimators_enabled and ls_solver is None:
         ls_solver = StackedLsSolver(schedules["e_als"], system.m_ap, cfg.estimator.pinv_tol)
+    return system, schedules, ls_solver
+
+
+def run_trial(cfg, snr_index, trial_index, ls_solver=None, details=False):
+    """Run every enabled estimator on one shared (channel, noise) realization."""
+    system, schedules, ls_solver = _snr_setup(cfg, snr_index, ls_solver)
     return _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, details)
 
 
@@ -263,15 +269,7 @@ def _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, detail
 
 
 def _run_chunk(cfg, snr_index, start, stop):
-    system = dataclasses.replace(cfg.system, snr_db=cfg.snr_grid_db[snr_index])
-    schedules = {}
-    if "two_stage" in cfg.estimators_enabled:
-        schedules["two_stage"] = make_schedule(system, "two_stage")
-    if "e_als" in cfg.estimators_enabled or "ls" in cfg.estimators_enabled:
-        schedules["e_als"] = make_schedule(system, "e_als")
-    ls_solver = None
-    if "ls" in cfg.estimators_enabled:
-        ls_solver = StackedLsSolver(schedules["e_als"], system.m_ap, cfg.estimator.pinv_tol)
+    system, schedules, ls_solver = _snr_setup(cfg, snr_index)
     records = []
     for trial in range(start, stop):
         records.extend(_run_trial(cfg, system, schedules, ls_solver, snr_index, trial))

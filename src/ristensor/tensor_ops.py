@@ -28,11 +28,6 @@ def khatri_rao(a, b):
     return scipy.linalg.khatri_rao(a, b)
 
 
-def kronecker(a, b):
-    """Kronecker product; kept as a named op for symmetry with khatri_rao."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def unfold_mode1(t):
     """Mode-1 unfolding of (M, L, B): frontal slices side by side, M x (L*B)."""
     t = np.asarray(t)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ristensor.channels import ChannelModelConfig, ChannelSet, draw_channels
 from ristensor.estimators import (
@@ -16,8 +18,15 @@ from ristensor.estimators import (
     two_stage_estimate,
 )
 from ristensor.metrics import aggregate_vector_nmse, nmse, stacked_parameter_vector
-from ristensor.signals import SystemConfig, TrainingSchedule, make_pilots, make_schedule, synthesize
-from ristensor.tensor_ops import crandn
+from ristensor.signals import (
+    ReceiveTensor,
+    SystemConfig,
+    TrainingSchedule,
+    make_pilots,
+    make_schedule,
+    synthesize,
+)
+from ristensor.tensor_ops import SingularMatrixError, crandn
 
 DIMS = (4, 8, 25)
 
@@ -216,6 +225,108 @@ def test_ls_baseline_requires_enough_observations():
     short = TrainingSchedule(pilots=sched.pilots, ris_phases=sched.ris_phases[:3])
     with pytest.raises(ValueError, match="M\\*L\\*B"):
         StackedLsSolver(short, cfg.m_ap)
+
+
+def dense_stacked_regressor(sched, m):
+    # reference implementation: the regressor StackedLsSolver never forms
+    phase = np.hstack([np.ones((sched.ris_phases.shape[0], 1)), sched.ris_phases])
+    return np.kron(np.kron(phase, sched.pilots.T), np.eye(m))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 2),
+    n=st.integers(1, 3),
+    extra_b=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ls_solver_matches_dense_pinv(m, k, extra_l, n, extra_b, seed):
+    rng = np.random.default_rng(seed)
+    l, b = k + extra_l, n + 1 + extra_b
+    sched = TrainingSchedule(pilots=crandn(rng, (k, l)), ris_phases=crandn(rng, (b, n)))
+    dense = dense_stacked_regressor(sched, m)
+    assume(np.linalg.cond(dense) < 1e6)
+    recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
+    theta = StackedLsSolver(sched, m).solve(recv)
+    expected = np.linalg.pinv(dense) @ recv.tensor.reshape(-1, order="F")
+    assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_ls_solver_rank_deficient_phase_schedule():
+    # a Psi column of all ones repeats the direct-path column of [1 | Psi]
+    cfg = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
+    sched = make_schedule(cfg, "e_als")
+    psi = sched.ris_phases.copy()
+    psi[:, 1] = 1.0
+    singular = TrainingSchedule(pilots=sched.pilots, ris_phases=psi)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        StackedLsSolver(singular, cfg.m_ap)
+    recv = ReceiveTensor(tensor=crandn(np.random.default_rng(29), (2, 2, psi.shape[0])))
+    est = ls_baseline(recv, singular, EstimatorConfig())
+    assert est.failed
+    assert est.theta is None
+    assert "singular" in est.failure_reason
+
+
+def test_ls_solver_fewer_pilots_than_users_is_singular():
+    # M*L*B >= M*K*(N+1) holds, but X^T (L x K) cannot have full column rank
+    sched = TrainingSchedule(
+        pilots=np.array([[1.0], [1.0j]]), ris_phases=np.array([[1.0], [-1.0], [1.0j], [-1.0j]])
+    )
+    assert np.linalg.matrix_rank(dense_stacked_regressor(sched, 1)) < 4
+    with pytest.raises(SingularMatrixError, match="singular"):
+        StackedLsSolver(sched, 1)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-7])
+def test_ls_solver_singular_check_is_on_the_whole_regressor(tol):
+    # each factor has singular value ratio 1e-3; the regressor has 1e-6
+    sched = TrainingSchedule(
+        pilots=np.diag([1.0, 1e-3]).astype(complex), ris_phases=np.array([[1e-3], [-1e-3]])
+    )
+    s = np.linalg.svd(dense_stacked_regressor(sched, 2), compute_uv=False)
+    assert s[-1] / s[0] == pytest.approx(1e-6)
+    if s[-1] / s[0] < tol:
+        with pytest.raises(SingularMatrixError):
+            StackedLsSolver(sched, 2, tol)
+    else:
+        StackedLsSolver(sched, 2, tol)
+
+
+def test_ls_solver_stores_only_the_factor_pseudoinverses():
+    cfg = SystemConfig()
+    sched = make_schedule(cfg, "e_als")
+    solver = StackedLsSolver(sched, cfg.m_ap)
+    b, n = sched.ris_phases.shape
+    k, l = sched.pilots.shape
+    assert max(np.size(v) for v in vars(solver).values()) <= b * (n + 1) + k * l
+
+
+def with_nan(recv, field="tensor"):
+    poisoned = getattr(recv, field).copy()
+    poisoned[(0,) * poisoned.ndim] = np.nan
+    return dataclasses.replace(recv, **{field: poisoned})
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [("two_stage", "tensor"), ("two_stage", "off_stage"), ("e_als", "tensor"), ("ls", "tensor")],
+)
+def test_nan_frame_is_a_failed_estimate(name, field):
+    mode = "two_stage" if name == "two_stage" else "e_als"
+    _, _, sched, recv = noisy_setup(mode, seed=30)
+    recv = with_nan(recv, field)
+    cfg = EstimatorConfig()
+    if name == "two_stage":
+        est = two_stage_estimate(recv, sched, cfg, np.random.default_rng(31))
+    elif name == "e_als":
+        est = e_als_estimate(recv, sched, cfg, np.random.default_rng(31))
+    else:
+        est = ls_baseline(recv, sched, cfg)
+    assert est.failed
+    assert est.failure_reason
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

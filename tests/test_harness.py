@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from ristensor.channels import ChannelModelConfig
+import ristensor.harness
+from ristensor.estimators import ChannelEstimate
 from ristensor.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -312,3 +315,36 @@ def test_json_round_trip(tmp_path):
 def test_emit_rejects_empty_records(tmp_path):
     with pytest.raises(ValueError, match="no records"):
         emit_results([], tmp_path / "x.csv")
+
+
+# ---------------------------------------------------------------------------
+# non-finite frames and scores
+
+
+def test_run_trial_on_nan_frame_records_failures(monkeypatch):
+    synthesize = ristensor.harness.synthesize
+
+    def nan_frame(*args, **kwargs):
+        recv = synthesize(*args, **kwargs)
+        tensor = recv.tensor.copy()
+        tensor[0, 0, 0] = np.nan
+        return dataclasses.replace(recv, tensor=tensor)
+
+    monkeypatch.setattr(ristensor.harness, "synthesize", nan_frame)
+    cfg = tiny_config()
+    records = run_trial(cfg, 0, 0)
+    assert [r.estimator_name for r in records] == list(cfg.estimators_enabled)
+    assert all(r.failure_flag for r in records)
+    assert aggregate_records(records)[0]["mean_nmse_aggregate"] is None
+
+
+def test_score_flags_a_non_finite_nmse():
+    cfg = tiny_config()
+    _, estimates, channels = run_trial(cfg, 0, 0, details=True)
+    theta = estimates["ls"].theta.copy()
+    theta[0] = np.inf
+    record = ristensor.harness._score(
+        "ls", ChannelEstimate(theta=theta), channels, cfg.system, 10.0, 0, 0.0, ""
+    )
+    assert record.failure_flag
+    assert not math.isfinite(record.nmse_aggregate)

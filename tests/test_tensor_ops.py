@@ -7,7 +7,6 @@ from ristensor.tensor_ops import (
     crandn,
     dft_matrix,
     khatri_rao,
-    kronecker,
     pinv_left,
     pinv_right,
     row_diag,
@@ -44,20 +43,6 @@ def test_khatri_rao_matches_elementwise_definition():
 def test_khatri_rao_column_mismatch():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         khatri_rao(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_kronecker_cases():
-    np.testing.assert_array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
-    np.testing.assert_array_equal(
-        kronecker(np.array([[1, 2]]), np.array([[0], [1]])), [[0, 0], [1, 2]]
-    )
-    rng = np.random.default_rng(1)
-    a = crandn(rng, (2, 3))
-    b = crandn(rng, (3, 2))
-    out = kronecker(a, b)
-    for i in range(2):
-        for j in range(3):
-            np.testing.assert_array_equal(out[3 * i : 3 * i + 3, 2 * j : 2 * j + 2], a[i, j] * b)
 
 
 def test_unfold_mode1_slice_concatenation():
