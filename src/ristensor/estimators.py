@@ -3,7 +3,8 @@
 Three approaches over the same training frame:
 
 * two_stage_estimate — LS on the RIS-OFF stage for the direct path, then
-  alternating LS on the direct-path-removed tensor for the RIS-path factors.
+  alternating LS on the direct-path-removed tensor for the RIS-path factors:
+  the e_als sweep with its direct block emptied.
 * e_als_estimate — joint alternating LS that refits the direct path and the
   RIS->AP factor together every sweep, using the all-blocks frame.
 * ls_baseline — one stacked linear LS solve for the vectorized direct and
@@ -24,6 +25,7 @@ from .tensor_ops import (
     khatri_rao,
     pinv_left,
     pinv_right,
+    pinv_with_ratio,
     unfold_mode1,
     unfold_mode2,
 )
@@ -103,49 +105,60 @@ def ls_direct_path(v, x_bar, tol=1e-12):
     return v @ pinv_right(x_bar, tol)
 
 
-def als_ris(q, sched, cfg, rng=None):
-    """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
+def _alternating_fit(y, sched, direct_pilots, cfg, rng):
+    """Alternating LS over the frame y with a direct block of pilots X_d.
 
-    Per sweep: refit the RIS->AP factor from the mode-1 unfolding, then the
-    effective pilot-domain factor Z from the mode-2 unfolding.  Stops when the
-    squared relative change of both factors drops to conv_threshold, or after
-    max_iters sweeps (converged=False, not an error).  The user->RIS channel
-    is recovered from Z on exit.
+    Per sweep: one right-pinv solve refits the direct and RIS->AP channels
+    together against the stacked regressor [direct block | RIS block], then
+    the effective pilot-domain factor Z is refit from the mode-2 unfolding
+    with the direct contribution removed.  Stops when the squared relative
+    change of every factor drops to conv_threshold, or after max_iters
+    sweeps (converged=False, not an error).  The user->RIS channel is
+    recovered from Z on exit.  A 0 x L X_d empties the direct block: h_ua
+    is then M x 0, counts as converged, and the sweep is the RIS-path fit.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.init_seed)
-    q = np.asarray(q)
-    m, l, b = q.shape
+    y = np.asarray(y)
+    m, l, b = y.shape
     psi = sched.ris_phases
     n = psi.shape[1]
     x = sched.pilots
     k = x.shape[0]
+    k_d = direct_pilots.shape[0]
 
-    q1 = unfold_mode1(q)
-    q2 = unfold_mode2(q)
+    y1 = unfold_mode1(y)
+    y2 = unfold_mode2(y)
+    w1 = khatri_rao(np.ones((b, k_d)), direct_pilots.T)    # direct regressor block, (B*L, K_d)
 
+    h_ua = crandn(rng, (m, k_d))
     h_ra = crandn(rng, (m, n))
     z = crandn(rng, (n, k)) @ x
+    f = khatri_rao(psi, z.T)                                 # (B*L, N)
 
-    ops = 0
+    ops = n * b * l
     trace = []
     converged = False
     it = 0
     try:
         for it in range(1, cfg.max_iters + 1):
-            h_ra_prev, z_prev = h_ra, z
+            prev = (h_ua, h_ra, z)
 
-            f1 = khatri_rao(psi, z.T)                       # (B*L, N)
-            h_ra = q1 @ pinv_right(f1.T, cfg.pinv_tol)
-            ops += n * b * l + _pinv_cost(n, b * l) + m * b * l * n
+            joint = y1 @ pinv_right(np.hstack([w1, f]).T, cfg.pinv_tol)
+            h_ua, h_ra = joint[:, :k_d], joint[:, k_d:]
+            ops += _pinv_cost(n + k_d, b * l) + m * b * l * (n + k_d)
 
-            f2 = khatri_rao(psi, h_ra)                      # (B*M, N)
-            z = pinv_left(f2, cfg.pinv_tol) @ q2.T
-            ops += n * b * m + _pinv_cost(n, b * m) + n * b * m * l
+            direct = np.tile(h_ua, (b, 1)) @ direct_pilots  # (1 (x) H_ua) X_d, (B*M, L)
+            f2 = khatri_rao(psi, h_ra)                       # (B*M, N)
+            z = pinv_left(f2, cfg.pinv_tol) @ (y2.T - direct)
+            ops += b * m * k_d * l + n * b * m + _pinv_cost(n, b * m) + n * b * m * l
 
-            trace.append(_sqnorm(q2 - z.T @ f2.T))
-            if _small_change(h_ra - h_ra_prev, h_ra, cfg.conv_threshold) and _small_change(
-                z - z_prev, z, cfg.conv_threshold
+            f = khatri_rao(psi, z.T)
+            ops += n * b * l
+            trace.append(_sqnorm(y1 - h_ua @ w1.T - h_ra @ f.T))
+            if all(
+                _small_change(new - old, new, cfg.conv_threshold)
+                for new, old in zip((h_ua, h_ra, z), prev)
             ):
                 converged = True
                 break
@@ -155,6 +168,7 @@ def als_ris(q, sched, cfg, rng=None):
         return _failure(err, it, ops, trace)
 
     return ChannelEstimate(
+        h_ua=h_ua,
         h_ur=h_ur,
         h_ra=h_ra,
         iterations=it,
@@ -162,6 +176,15 @@ def als_ris(q, sched, cfg, rng=None):
         op_count=ops,
         residual_trace=tuple(trace),
     )
+
+
+def als_ris(q, sched, cfg, rng=None):
+    """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
+
+    The joint sweep of e_als_estimate with the direct block left empty.
+    """
+    no_direct = np.empty((0, sched.pilots.shape[1]))
+    return dataclasses.replace(_alternating_fit(q, sched, no_direct, cfg, rng), h_ua=None)
 
 
 def two_stage_estimate(recv, sched, cfg, rng=None):
@@ -190,87 +213,14 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
 def e_als_estimate(recv, sched, cfg, rng=None):
     """Joint alternating estimator over the full frame.
 
-    Per sweep: one right-pinv solve refits the direct and RIS->AP channels
-    together against the stacked regressor [pilot block | RIS block], then Z
-    is refit from the mode-2 unfolding with the direct contribution removed.
-    Terminates when the squared relative changes of all three factors drop to
-    conv_threshold.
+    The direct channel is refit together with the RIS->AP factor every sweep,
+    its regressor block built from the frame's own pilots.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.init_seed)
-    y = np.asarray(recv.tensor)
-    m, l, b = y.shape
-    psi = sched.ris_phases
-    n = psi.shape[1]
-    x = sched.pilots
-    k = x.shape[0]
+    b, n = sched.ris_phases.shape
+    k, l = sched.pilots.shape
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
-
-    y1 = unfold_mode1(y)
-    y2 = unfold_mode2(y)
-    w1 = khatri_rao(np.ones((b, k)), x.T)       # direct-path regressor block, (B*L, K)
-
-    h_ua = crandn(rng, (m, k))
-    h_ra = crandn(rng, (m, n))
-    z = crandn(rng, (n, k)) @ x
-    f = khatri_rao(psi, z.T)
-
-    ops = n * b * l
-    trace = []
-    converged = False
-    it = 0
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            h_ua_prev, h_ra_prev, z_prev = h_ua, h_ra, z
-
-            joint = y1 @ pinv_right(np.hstack([w1, f]).T, cfg.pinv_tol)
-            h_ua, h_ra = joint[:, :k], joint[:, k:]
-            ops += _pinv_cost(n + k, b * l) + m * b * l * (n + k)
-
-            direct = np.tile(h_ua, (b, 1)) @ x      # (1 (x) H_ua) X, (B*M, L)
-            f2 = khatri_rao(psi, h_ra)
-            z = pinv_left(f2, cfg.pinv_tol) @ (y2.T - direct)
-            ops += b * m * k * l + n * b * m + _pinv_cost(n, b * m) + n * b * m * l
-
-            f = khatri_rao(psi, z.T)
-            ops += n * b * l
-            trace.append(_sqnorm(y1 - h_ua @ w1.T - h_ra @ f.T))
-            if (
-                _small_change(h_ua - h_ua_prev, h_ua, cfg.conv_threshold)
-                and _small_change(h_ra - h_ra_prev, h_ra, cfg.conv_threshold)
-                and _small_change(z - z_prev, z, cfg.conv_threshold)
-            ):
-                converged = True
-                break
-        h_ur = z @ pinv_right(x, cfg.pinv_tol)
-        ops += _pinv_cost(k, l) + n * l * k
-    except np.linalg.LinAlgError as err:
-        return _failure(err, it, ops, trace)
-
-    return ChannelEstimate(
-        h_ua=h_ua,
-        h_ur=h_ur,
-        h_ra=h_ra,
-        iterations=it,
-        converged=converged,
-        op_count=ops,
-        residual_trace=tuple(trace),
-    )
-
-
-def _factor_pinv(a):
-    """Moore-Penrose pseudoinverse of a tall factor and its sigma_min/sigma_max.
-
-    A factor with fewer rows than columns cannot have full column rank, so
-    its ratio is 0 and no pseudoinverse is returned.
-    """
-    if a.shape[0] < a.shape[1]:
-        return None, 0.0
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
-        return None, 0.0
-    return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
+    return _alternating_fit(recv.tensor, sched, sched.pilots, cfg, rng)
 
 
 class StackedLsSolver:
@@ -294,9 +244,10 @@ class StackedLsSolver:
         cols = m * k * (n + 1)
         if rows < cols:
             raise ValueError(f"stacked LS needs M*L*B >= M*K*(N+1), got {rows} < {cols}")
-        p_phase, phase_ratio = _factor_pinv(np.hstack([np.ones((b, 1)), psi]))
-        p_pilot, pilot_ratio = _factor_pinv(x.T)
-        ratio = phase_ratio * pilot_ratio
+        p_phase, phase_ratio = pinv_with_ratio(np.hstack([np.ones((b, 1)), psi]))
+        p_pilot, pilot_ratio = pinv_with_ratio(x.T)
+        # a factor with fewer rows than columns cannot have full column rank
+        ratio = phase_ratio * pilot_ratio if b >= n + 1 and l >= k else 0.0
         if not (ratio > 0.0 and ratio >= tol):
             raise SingularMatrixError(
                 f"stacked LS regressor {rows}x{cols}: "

@@ -204,7 +204,7 @@ def _init_rng(cfg, snr_index, trial_index, name):
     return np.random.default_rng(seq)
 
 
-def _snr_setup(cfg, snr_index, ls_solver=None):
+def _snr_setup(cfg, snr_index):
     """Per-SNR-point work shared by all its trials: system, schedules, LS solver."""
     system = dataclasses.replace(cfg.system, snr_db=cfg.snr_grid_db[snr_index])
     schedules = {}
@@ -212,14 +212,15 @@ def _snr_setup(cfg, snr_index, ls_solver=None):
         schedules["two_stage"] = make_schedule(system, "two_stage")
     if "e_als" in cfg.estimators_enabled or "ls" in cfg.estimators_enabled:
         schedules["e_als"] = make_schedule(system, "e_als")
-    if "ls" in cfg.estimators_enabled and ls_solver is None:
+    ls_solver = None
+    if "ls" in cfg.estimators_enabled:
         ls_solver = StackedLsSolver(schedules["e_als"], system.m_ap, cfg.estimator.pinv_tol)
     return system, schedules, ls_solver
 
 
-def run_trial(cfg, snr_index, trial_index, ls_solver=None, details=False):
+def run_trial(cfg, snr_index, trial_index, details=False):
     """Run every enabled estimator on one shared (channel, noise) realization."""
-    system, schedules, ls_solver = _snr_setup(cfg, snr_index, ls_solver)
+    system, schedules, ls_solver = _snr_setup(cfg, snr_index)
     return _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, details)
 
 
@@ -278,7 +279,9 @@ def _run_chunk(cfg, snr_index, start, stop):
 
 def run_experiment(cfg):
     """All (snr, trial) pairs for every enabled estimator, sorted deterministically."""
-    chunk = max(1, math.ceil(cfg.trials / max(1, cfg.workers * 4)))
+    # one chunk per SNR point per worker, so each chunk's set-up is shared by
+    # as many trials as possible
+    chunk = math.ceil(cfg.trials / cfg.workers)
     tasks = [
         (snr_index, start, min(start + chunk, cfg.trials))
         for snr_index in range(len(cfg.snr_grid_db))

@@ -46,17 +46,28 @@ def unfold_mode2(t):
     return t.transpose(1, 0, 2).reshape(l, m * b, order="F")
 
 
+def pinv_with_ratio(a):
+    """SVD pseudoinverse of a matrix and its singular value ratio sigma_min/sigma_max.
+
+    An all-zero matrix has ratio 0 and no pseudoinverse (None).
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        return None, 0.0
+    return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
+
+
 def _svd_pinv(a, tol, side):
     a = np.asarray(a)
     if a.ndim != 2:
         raise ShapeError(f"pinv_{side} expects a matrix, got shape {a.shape}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < tol * s[0]:
+    pinv, ratio = pinv_with_ratio(a)
+    if ratio == 0.0 or ratio < tol:
         raise SingularMatrixError(
             f"pinv_{side} of {a.shape[0]}x{a.shape[1]} matrix: "
-            f"singular value ratio {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e} below tol {tol:.1e}"
+            f"singular value ratio {ratio:.3e} below tol {tol:.1e}"
         )
-    return (vh.conj().T / s) @ u.conj().T
+    return pinv
 
 
 def pinv_right(a, tol=1e-12):

@@ -329,6 +329,51 @@ def test_nan_frame_is_a_failed_estimate(name, field):
     assert est.failure_reason
 
 
+TINY = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
+FRAME_KINDS = ("synthesized", "random", "one_nan", "one_inf", "zero", "scaled_up", "scaled_down")
+
+
+def tiny_frame(kind, sched, seed):
+    rng = np.random.default_rng(seed)
+    ch = draw_channels(ChannelModelConfig(ris_rows=2, ris_cols=2), (2, 2, 4), rng)
+    recv = synthesize(ch, sched, TINY, rng)
+    if kind == "synthesized":
+        return recv
+    if kind in ("one_nan", "one_inf"):
+        tensor = recv.tensor.copy()
+        tensor.flat[rng.integers(tensor.size)] = np.nan if kind == "one_nan" else np.inf
+        return dataclasses.replace(recv, tensor=tensor)
+
+    def change(a):
+        if a is None:
+            return None
+        if kind == "random":
+            return crandn(rng, a.shape)
+        if kind == "zero":
+            return np.zeros_like(a)
+        return a * (1e150 if kind == "scaled_up" else 1e-150)
+
+    return ReceiveTensor(tensor=change(recv.tensor), off_stage=change(recv.off_stage))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(FRAME_KINDS))
+def test_no_frame_makes_an_estimator_raise(seed, kind):
+    cfg = EstimatorConfig()
+    for name in ("two_stage", "e_als", "ls"):
+        sched = make_schedule(TINY, "two_stage" if name == "two_stage" else "e_als")
+        recv = tiny_frame(kind, sched, seed)
+        if name == "two_stage":
+            est = two_stage_estimate(recv, sched, cfg, np.random.default_rng(seed))
+        elif name == "e_als":
+            est = e_als_estimate(recv, sched, cfg, np.random.default_rng(seed))
+        else:
+            est = ls_baseline(recv, sched, cfg)
+        if not est.failed:
+            for part in (est.h_ua, est.h_ur, est.h_ra, est.theta):
+                assert part is None or np.all(np.isfinite(part)), (name, kind)
+
+
 def test_resolve_scaling_inverts_synthetic_ambiguity():
     rng = np.random.default_rng(24)
     ch = draw_channels(ChannelModelConfig(), DIMS, rng)

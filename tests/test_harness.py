@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import importlib.util
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +209,25 @@ def test_worker_count_does_not_change_records():
     assert serial == parallel
 
 
+def test_serial_run_sets_up_once_per_snr_point(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ristensor.harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("StackedLsSolver", "make_schedule"):
+        monkeypatch.setattr(ristensor.harness, name, counted(name))
+    run_experiment(tiny_config(snr_grid_db=(0.0, 10.0, 20.0), trials=8))
+    # one LS solver and the two schedules per SNR point
+    assert calls == {"StackedLsSolver": 3, "make_schedule": 6}
+
+
 def test_estimator_subset_runs_alone():
     cfg = tiny_config(estimators_enabled=("ls",))
     records = run_experiment(cfg)
@@ -348,3 +370,19 @@ def test_score_flags_a_non_finite_nmse():
     )
     assert record.failure_flag
     assert not math.isfinite(record.nmse_aggregate)
+
+
+# ---------------------------------------------------------------------------
+# benchmark contract
+
+
+def test_benchmark_span_targets_resolve_to_callables():
+    # perfbench wraps these names on every call, traced or not: one that no
+    # longer resolves makes every benchmark call fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
