@@ -1,7 +1,7 @@
 """Two-term structure of the received training tensor.
 
-The noiseless frame is built block by block as (H_UA + H_RA diag(psi_b) H_UR) X,
-yet its unfoldings collapse into two Khatri-Rao factor products — one for the
+Block b of the noiseless frame is (H_UA + H_RA diag(psi_b) H_UR) X, and its
+unfoldings collapse into two Khatri-Rao factor products — one for the
 direct path, one for the reflected path. This script checks both identities on
 a random scene and prints the relative errors.
 """

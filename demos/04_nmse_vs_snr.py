@@ -8,7 +8,7 @@ aggregate metric, and e_als below two_stage on each individual channel.
 
 from ristensor import ExperimentConfig, aggregate_records, run_experiment
 
-cfg = ExperimentConfig(trials=40, workers=4, master_seed=2024)
+cfg = ExperimentConfig(trials=40, workers=1, master_seed=2024)
 print(
     f"{cfg.system.m_ap} antennas, {cfg.system.k_users} users, {cfg.system.n_ris} RIS elements; "
     f"{cfg.trials} paired trials per SNR point"

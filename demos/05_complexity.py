@@ -21,7 +21,7 @@ for method in ("two_stage", "e_als"):
         print(f"  {update:<14}{count:>12,d}   per sweep")
     print(f"  {'total':<14}{tally.per_iteration_total:>12,d}   per sweep")
 
-cfg = ExperimentConfig(trials=20, workers=4, master_seed=51, estimators_enabled=("two_stage", "e_als"))
+cfg = ExperimentConfig(trials=20, workers=1, master_seed=51, estimators_enabled=("two_stage", "e_als"))
 records = run_experiment(cfg)
 
 def mean(name, field, snr=None):

@@ -55,7 +55,6 @@ from .tensor_ops import (
     khatri_rao,
     pinv_left,
     pinv_right,
-    row_diag,
     unfold_mode1,
     unfold_mode2,
 )

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_ops import crandn
+from .validation import check_field_types
 
 LINKS = ("ua", "ra", "ur")
 
@@ -34,6 +35,7 @@ class ChannelModelConfig:
     normalize_to_direct: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.ris_rows < 1 or self.ris_cols < 1:
@@ -88,8 +90,8 @@ def link_gains(cfg):
 
 
 def steer_ula(m, theta, spacing=0.5):
-    """Length-m ULA response, entry p = exp(2i*pi*spacing*p*sin(theta))."""
-    return np.exp(2j * np.pi * spacing * np.arange(m) * np.sin(theta))
+    """ULA response, entry p = exp(2i*pi*spacing*p*sin(theta)); shape (m, *theta.shape)."""
+    return np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(m), np.sin(theta)))
 
 
 def steer_ura(grid, theta, psi, spacing=0.5):
@@ -97,12 +99,13 @@ def steer_ura(grid, theta, psi, spacing=0.5):
 
     Column index varies fastest: the response is kron(a_rows, a_cols) with
     row phases along sin(theta)sin(psi) and column phases along
-    sin(theta)cos(psi).
+    sin(theta)cos(psi).  Equal-shape angle arrays give one column per angle.
     """
     rows, cols = grid
-    a_y = np.exp(2j * np.pi * spacing * np.arange(rows) * np.sin(theta) * np.sin(psi))
-    a_x = np.exp(2j * np.pi * spacing * np.arange(cols) * np.sin(theta) * np.cos(psi))
-    return np.kron(a_y, a_x)
+    sin_el = np.sin(theta)
+    a_y = np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(rows), sin_el) * np.sin(psi))
+    a_x = np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(cols), sin_el) * np.cos(psi))
+    return (a_y[:, None] * a_x).reshape((rows * cols,) + np.shape(theta))
 
 
 def draw_geometry(cfg, dims, rng):
@@ -133,23 +136,14 @@ def channels_from_geometry(cfg, dims, geom, rng):
     alpha_ua = crandn(rng, (k, r))
     alpha_ur = crandn(rng, (k, r))
 
-    h_ra = np.zeros((m, n), dtype=complex)
-    for i in range(r):
-        ap = steer_ula(m, geom.ra_ap[i], cfg.spacing)
-        ris = steer_ura(grid, geom.ra_el[i], geom.ra_az[i], cfg.spacing)
-        h_ra += alpha_ra[i] * np.outer(ap, ris.conj())
-    h_ra *= np.sqrt(gains["ra"])
-
-    h_ua = np.zeros((m, k), dtype=complex)
-    h_ur = np.zeros((n, k), dtype=complex)
-    for user in range(k):
-        for i in range(r):
-            h_ua[:, user] += alpha_ua[user, i] * steer_ula(m, geom.ua_ap[user, i], cfg.spacing)
-            h_ur[:, user] += alpha_ur[user, i] * steer_ura(
-                grid, geom.ur_el[user, i], geom.ur_az[user, i], cfg.spacing
-            )
-    h_ua *= np.sqrt(gains["ua"])
-    h_ur *= np.sqrt(gains["ur"])
+    # steering arrays hold one column per path: (M, R), (N, R), (M, K, R), (N, K, R)
+    a_ra = steer_ula(m, geom.ra_ap, cfg.spacing)
+    b_ra = steer_ura(grid, geom.ra_el, geom.ra_az, cfg.spacing)
+    a_ua = steer_ula(m, geom.ua_ap, cfg.spacing)
+    b_ur = steer_ura(grid, geom.ur_el, geom.ur_az, cfg.spacing)
+    h_ra = np.sqrt(gains["ra"]) * ((a_ra * alpha_ra) @ b_ra.conj().T)
+    h_ua = np.sqrt(gains["ua"]) * np.einsum("mkr,kr->mk", a_ua, alpha_ua)
+    h_ur = np.sqrt(gains["ur"]) * np.einsum("nkr,kr->nk", b_ur, alpha_ur)
 
     return ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
 

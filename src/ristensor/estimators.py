@@ -29,6 +29,7 @@ from .tensor_ops import (
     unfold_mode1,
     unfold_mode2,
 )
+from .validation import check_field_types
 
 
 @dataclass
@@ -39,10 +40,13 @@ class EstimatorConfig:
     init_seed: int = 0             # used when no generator is passed in
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.conv_threshold <= 0:
             raise ValueError("conv_threshold must be positive")
+        if not 0 <= self.pinv_tol < 1:
+            raise ValueError("pinv_tol must be in [0, 1)")
 
 
 @dataclass

@@ -29,6 +29,7 @@ from .estimators import (
 )
 from .metrics import aggregate_vector_nmse, complexity_formula, nmse
 from .signals import SystemConfig, make_schedule, synthesize
+from .validation import check_field_types
 
 ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
 
@@ -56,12 +57,16 @@ class ExperimentConfig:
     fixed_geometry: bool = False
 
     def __post_init__(self):
+        check_field_types(self, ConfigError)
+        for name in ("snr_grid_db", "estimators_enabled"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
         self.estimators_enabled = tuple(self.estimators_enabled)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db must not be empty")
+        if not self.snr_grid_db or not all(map(math.isfinite, self.snr_grid_db)):
+            raise ConfigError(f"snr_grid_db must be non-empty and finite, got {self.snr_grid_db}")
         if not self.estimators_enabled:
             raise ConfigError("estimators_enabled must not be empty")
         for name in self.estimators_enabled:
@@ -97,15 +102,7 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
-_FLOAT_COLUMNS = {
-    "snr_db",
-    "nmse_aggregate",
-    "nmse_h_ua",
-    "nmse_h_ur",
-    "nmse_h_ra",
-    "nmse_cascade",
-    "wall_time_seconds",
-}
+_FLOAT_COLUMNS = {f.name for f in dataclasses.fields(TrialRecord) if f.type is float}
 
 _KEY_ALIASES = {"estimators": "estimators_enabled", "output": "output_path", "format": "output_format"}
 _SECTION_TYPES = {"system": SystemConfig, "channel": ChannelModelConfig, "estimator": EstimatorConfig}

@@ -3,7 +3,8 @@
 A training frame is B blocks of L pilot symbols; the RIS holds one phase
 pattern per block.  The two-stage scheme prepends a RIS-OFF stage of length
 off_stage_len, the joint scheme keeps the RIS on for all B = N + 1 blocks.
-Block b of the noiseless frame is (H_ua + H_ra * diag(psi_b) * H_ur) @ X.
+The noiseless (M, L, B) frame is [[H_ua, X^T, 1_B]] + [[H_ra, Z^T, Psi]] with
+Z = H_ur X: block b is (H_ua + H_ra * diag(psi_b) * H_ur) @ X.
 """
 
 import dataclasses
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import crandn, dft_matrix, khatri_rao, row_diag
+from .tensor_ops import crandn, dft_matrix, khatri_rao
+from .validation import check_field_types
 
 MODES = ("two_stage", "e_als")
 
@@ -27,6 +29,7 @@ class SystemConfig:
     noise_var: float = 1.0     # sigma^2; SNR is swept through the pilot power
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("m_ap", "k_users", "n_ris", "pilot_len", "off_stage_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -125,22 +128,15 @@ def synthesize(channels, sched, cfg, rng):
     if sched.ris_phases.shape[1] != cfg.n_ris or x.shape != (cfg.k_users, l):
         raise ValueError("schedule shapes do not match config")
 
-    t_total = (sched.off_pilots.shape[1] if sched.off_pilots is not None else 0) + b * l
-    noise = np.sqrt(cfg.noise_var) * crandn(rng, (m, t_total))
-
-    off = None
-    cursor = 0
-    if sched.off_pilots is not None:
-        l_off = sched.off_pilots.shape[1]
-        off = channels.h_ua @ sched.off_pilots + noise[:, :l_off]
-        cursor = l_off
-
-    tensor = np.empty((m, l, b), dtype=complex)
-    direct = channels.h_ua @ x
-    for blk in range(b):
-        ris_part = channels.h_ra @ row_diag(sched.ris_phases, blk) @ channels.h_ur @ x
-        tensor[:, :, blk] = direct + ris_part + noise[:, cursor : cursor + l]
-        cursor += l
+    l_off = 0 if sched.off_pilots is None else sched.off_pilots.shape[1]
+    noise = np.sqrt(cfg.noise_var) * crandn(rng, (m, l_off + b * l))
+    off = None if sched.off_pilots is None else channels.h_ua @ sched.off_pilots + noise[:, :l_off]
+    # direct + RIS term over (H_ra, Psi, Z = H_ur X) + noise column l_off + b*L + i at [:, i, b]
+    tensor = (
+        (channels.h_ua @ x)[:, :, None]
+        + np.einsum("mn,bn,nl->mlb", channels.h_ra, sched.ris_phases, channels.h_ur @ x)
+        + noise[:, l_off:].reshape(m, l, b, order="F")
+    )
     return ReceiveTensor(tensor=tensor, off_stage=off)
 
 

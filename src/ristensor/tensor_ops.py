@@ -87,14 +87,6 @@ def dft_matrix(n):
     return scipy.linalg.dft(n)
 
 
-def row_diag(a, i):
-    """Diagonal matrix built from row i of a."""
-    a = np.asarray(a)
-    if not 0 <= i < a.shape[0]:
-        raise IndexError(f"row {i} out of range for {a.shape[0]}x{a.shape[1]} matrix")
-    return np.diag(a[i, :])
-
-
 def crandn(rng, shape):
     """Circularly-symmetric complex normal CN(0, 1) samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ristensor.channels import (
     ChannelModelConfig,
@@ -64,6 +66,30 @@ def test_steer_ura_kron_layout():
             )
             assert a[q * 3 + p] == pytest.approx(expected)
     np.testing.assert_allclose(np.abs(a), 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+    m=st.integers(1, 5),
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    spacing=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steering_on_angle_arrays_stacks_scalar_calls(shape, m, grid, spacing, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi / 2, shape)
+    psi = rng.uniform(0.0, np.pi, shape)
+    ula = steer_ula(m, theta, spacing)
+    ura = steer_ura(grid, theta, psi, spacing)
+    assert ula.shape == (m,) + shape
+    assert ura.shape == (grid[0] * grid[1],) + shape
+    for idx in np.ndindex(shape):
+        np.testing.assert_allclose(ula[(slice(None),) + idx], steer_ula(m, theta[idx], spacing),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(ura[(slice(None),) + idx],
+                                   steer_ura(grid, theta[idx], psi[idx], spacing),
+                                   rtol=1e-14, atol=0)
 
 
 def test_ris_to_ap_channel_rank_bounded_by_paths():

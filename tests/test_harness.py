@@ -135,11 +135,30 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(workers=0), "workers"),
         (dict(master_seed=-1), "master_seed"),
         (dict(snr_grid_db=()), "snr_grid_db"),
+        (dict(trials=2.5), "trials"),
+        (dict(workers=1.5), "workers"),
+        (dict(master_seed=True), "master_seed"),
+        (dict(snr_grid_db=(0.0, math.nan)), "snr_grid_db"),
+        (dict(snr_grid_db=10.0), "snr_grid_db"),
+        (dict(estimators_enabled="two_stage"), "estimators_enabled"),
+        (dict(estimator=dict(max_iters=2.5)), "max_iters"),
+        (dict(estimator=dict(conv_threshold=math.nan)), "conv_threshold"),
+        (dict(estimator=dict(pinv_tol=math.nan)), "pinv_tol"),
+        (dict(estimator=dict(pinv_tol=1.0)), "pinv_tol"),
+        (dict(system=dict(noise_var=math.nan)), "noise_var"),
+        (dict(system=dict(snr_db=math.inf)), "snr_db"),
+        (dict(channel=dict(n_paths="2")), "n_paths"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
+    # a section given as a mapping is built the way load_config builds it
+    harness = ristensor.harness
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(**kwargs)
+        ExperimentConfig(**{
+            key: harness._build_section(harness._SECTION_TYPES[key], value, key)
+            if isinstance(value, dict) else value
+            for key, value in kwargs.items()
+        })
 
 
 # ---------------------------------------------------------------------------

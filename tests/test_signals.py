@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ristensor.channels import ChannelModelConfig, ChannelSet, draw_channels
 from ristensor.signals import (
@@ -10,9 +12,10 @@ from ristensor.signals import (
     make_pilots,
     make_schedule,
     model_unfoldings,
+    noiseless_tensor,
     synthesize,
 )
-from ristensor.tensor_ops import dft_matrix, unfold_mode1, unfold_mode2
+from ristensor.tensor_ops import crandn, dft_matrix, unfold_mode1, unfold_mode2
 
 
 def default_channels(seed=0):
@@ -100,6 +103,48 @@ def test_noiseless_unfoldings_match_factor_model(mode):
     y1, y2 = model_unfoldings(ch, sched)
     assert np.linalg.norm(unfold_mode1(recv.tensor) - y1) <= 1e-12 * np.linalg.norm(y1)
     assert np.linalg.norm(unfold_mode2(recv.tensor) - y2) <= 1e-12 * np.linalg.norm(y2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 2),
+    n=st.integers(1, 4),
+    b=st.integers(1, 5),
+    l_off=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesize_matches_factor_model_and_noise_layout(m, k, extra_l, n, b, l_off, seed):
+    # random complex pilots and non-unit-modulus phases, with and without an OFF stage
+    rng = np.random.default_rng(seed)
+    l = k + extra_l
+    ch = ChannelSet(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)), h_ur=crandn(rng, (n, k)))
+    sched = TrainingSchedule(
+        pilots=crandn(rng, (k, l)),
+        ris_phases=crandn(rng, (b, n)),
+        off_pilots=crandn(rng, (k, l_off)) if l_off else None,
+    )
+    cfg = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=max(l_off, 1),
+                       noise_var=0.7)
+    quiet = noiseless_tensor(ch, sched, cfg)
+    y1, y2 = model_unfoldings(ch, sched)
+    assert np.linalg.norm(unfold_mode1(quiet.tensor) - y1) <= 1e-12 * np.linalg.norm(y1)
+    assert np.linalg.norm(unfold_mode2(quiet.tensor) - y2) <= 1e-12 * np.linalg.norm(y2)
+
+    noisy = synthesize(ch, sched, cfg, np.random.default_rng(seed))
+    noise = np.sqrt(0.7) * crandn(np.random.default_rng(seed), (m, l_off + b * l))
+    expected = np.empty((m, l, b), dtype=complex)
+    for blk in range(b):
+        for i in range(l):
+            expected[:, i, blk] = noise[:, l_off + blk * l + i]
+    atol = 1e-12 * np.max(np.abs(noisy.tensor))
+    np.testing.assert_allclose(noisy.tensor - quiet.tensor, expected, rtol=0, atol=atol)
+    if l_off:
+        np.testing.assert_allclose(noisy.off_stage - quiet.off_stage, noise[:, :l_off],
+                                   rtol=0, atol=atol)
+    else:
+        assert noisy.off_stage is None and quiet.off_stage is None
 
 
 def test_off_stage_present_only_for_two_stage():

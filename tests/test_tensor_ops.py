@@ -9,7 +9,6 @@ from ristensor.tensor_ops import (
     khatri_rao,
     pinv_left,
     pinv_right,
-    row_diag,
     unfold_mode1,
     unfold_mode2,
 )
@@ -127,16 +126,6 @@ def test_dft_matrix_values():
     np.testing.assert_allclose(f.conj().T @ f, 26 * np.eye(26), atol=1e-10 * 26)
     np.testing.assert_allclose(f[0], np.ones(26), atol=1e-15)
     np.testing.assert_allclose(np.abs(f), np.ones((26, 26)), atol=1e-12)
-
-
-def test_row_diag():
-    np.testing.assert_array_equal(row_diag(np.array([[1, 2], [3, 4]]), 1), [[3, 0], [0, 4]])
-    np.testing.assert_array_equal(row_diag(np.ones((5, 3)), 2), np.eye(3))
-    rng = np.random.default_rng(5)
-    a = crandn(rng, (5, 3))
-    np.testing.assert_array_equal(np.diag(row_diag(a, 4)), a[4])
-    with pytest.raises(IndexError):
-        row_diag(a, 5)
 
 
 def test_crandn_moments():
