@@ -12,6 +12,9 @@ Three approaches over the same training frame:
 
 All alternating updates are exact conditional LS steps, so the frame-fit
 residual recorded in residual_trace is non-increasing sweep over sweep.
+Each update's regressor is a Khatri-Rao product, so it is solved through
+the small Gram matrix built as a Hadamard product of factor Grams
+(tensor_ops.gram_solve), not through an SVD of the regressor.
 """
 
 import dataclasses
@@ -22,8 +25,9 @@ import numpy as np
 from .tensor_ops import (
     SingularMatrixError,
     crandn,
+    gram_solve,
     khatri_rao,
-    pinv_left,
+    pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
     pinv_with_ratio,
     unfold_mode1,
@@ -112,10 +116,13 @@ def ls_direct_path(v, x_bar, tol=1e-12):
 def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     """Alternating LS over the frame y with a direct block of pilots X_d.
 
-    Per sweep: one right-pinv solve refits the direct and RIS->AP channels
+    Per sweep: one Gram solve refits the direct and RIS->AP channels
     together against the stacked regressor [direct block | RIS block], then
-    the effective pilot-domain factor Z is refit from the mode-2 unfolding
-    with the direct contribution removed.  Stops when the squared relative
+    one Gram solve refits the effective pilot-domain factor Z from the
+    mode-2 unfolding with the direct contribution removed.  Both regressors
+    are Khatri-Rao products, KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), so
+    each Gram is built from small factor Grams: (K_d+N)^2 for the joint step,
+    N^2 for Z (tensor_ops.gram_solve).  Stops when the squared relative
     change of every factor drops to conv_threshold, or after max_iters
     sweeps (converged=False, not an error).  The user->RIS channel is
     recovered from Z on exit.  A 0 x L X_d empties the direct block: h_ua
@@ -130,17 +137,27 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     x = sched.pilots
     k = x.shape[0]
     k_d = direct_pilots.shape[0]
+    p = k_d + n
 
     y1 = unfold_mode1(y)
     y2 = unfold_mode2(y)
-    w1 = khatri_rao(np.ones((b, k_d)), direct_pilots.T)    # direct regressor block, (B*L, K_d)
+    ones = np.ones((b, k_d))
+    psi_gram = psi.conj().T @ psi
+    ones_psi = ones.T @ psi
 
     h_ua = crandn(rng, (m, k_d))
     h_ra = crandn(rng, (m, n))
     z = crandn(rng, (n, k)) @ x
-    f = khatri_rao(psi, z.T)                                 # (B*L, N)
 
-    ops = n * b * l
+    # stacked regressor [direct block | RIS block] = [KR(1, X_d^T) | KR(Psi, Z^T)],
+    # (B*L, K_d+N), and its Gram, whose direct block B X_d* X_d^T never changes
+    reg = np.empty((b * l, p), dtype=complex)
+    reg[:, :k_d] = khatri_rao(ones, direct_pilots.T)
+    reg[:, k_d:] = khatri_rao(psi, z.T)
+    gram = np.empty((p, p), dtype=complex)
+    gram[:k_d, :k_d] = b * (direct_pilots.conj() @ direct_pilots.T)
+    # sweep-invariant Grams Psi^H Psi, 1^H Psi and X_d* X_d^T, then the initial RIS block
+    ops = n * n * b + k_d * b * n + k_d * k_d * l + n * b * l
     trace = []
     converged = False
     it = 0
@@ -148,18 +165,28 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
         for it in range(1, cfg.max_iters + 1):
             prev = (h_ua, h_ra, z)
 
-            joint = y1 @ pinv_right(np.hstack([w1, f]).T, cfg.pinv_tol)
+            # joint step: off-diagonal Gram block (1^H Psi) o (X_d* Z^T), RIS
+            # block (Psi^H Psi) o (Z* Z^T)
+            cross = ones_psi * (direct_pilots.conj() @ z.T)
+            gram[:k_d, k_d:] = cross
+            gram[k_d:, :k_d] = cross.conj().T
+            gram[k_d:, k_d:] = psi_gram * (z.conj() @ z.T)
+            joint = gram_solve(reg, y1.T, gram, cfg.pinv_tol).T
             h_ua, h_ra = joint[:, :k_d], joint[:, k_d:]
-            ops += _pinv_cost(n + k_d, b * l) + m * b * l * (n + k_d)
+            # factor Grams, Hadamard products, right-hand side, Gram
+            # eigenvalues and LU factorization (p^3 together), triangular solves
+            ops += p * n * l + p * n + p * b * l * m + p**3 + p * p * m
 
+            # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra)
             direct = np.tile(h_ua, (b, 1)) @ direct_pilots  # (1 (x) H_ua) X_d, (B*M, L)
             f2 = khatri_rao(psi, h_ra)                       # (B*M, N)
-            z = pinv_left(f2, cfg.pinv_tol) @ (y2.T - direct)
-            ops += b * m * k_d * l + n * b * m + _pinv_cost(n, b * m) + n * b * m * l
+            z = gram_solve(f2, y2.T - direct, psi_gram * (h_ra.conj().T @ h_ra), cfg.pinv_tol)
+            ops += b * m * k_d * l + n * b * m
+            ops += n * n * m + n * n + n * b * m * l + n**3 + n * n * l
 
-            f = khatri_rao(psi, z.T)
+            reg[:, k_d:] = khatri_rao(psi, z.T)
             ops += n * b * l
-            trace.append(_sqnorm(y1 - h_ua @ w1.T - h_ra @ f.T))
+            trace.append(_sqnorm(y1 - joint @ reg.T))
             if all(
                 _small_change(new - old, new, cfg.conv_threshold)
                 for new, old in zip((h_ua, h_ra, z), prev)

@@ -29,7 +29,7 @@ from .estimators import (
 )
 from .metrics import aggregate_vector_nmse, complexity_formula, nmse
 from .signals import SystemConfig, make_schedule, synthesize
-from .validation import check_field_types
+from .validation import check_field_types, is_finite_number
 
 ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
 
@@ -61,12 +61,14 @@ class ExperimentConfig:
         for name in ("snr_grid_db", "estimators_enabled"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+        if not self.snr_grid_db or not all(map(is_finite_number, self.snr_grid_db)):
+            raise ConfigError(
+                f"snr_grid_db must be a non-empty list of finite numbers, got {self.snr_grid_db!r}"
+            )
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
         self.estimators_enabled = tuple(self.estimators_enabled)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.snr_grid_db or not all(map(math.isfinite, self.snr_grid_db)):
-            raise ConfigError(f"snr_grid_db must be non-empty and finite, got {self.snr_grid_db}")
         if not self.estimators_enabled:
             raise ConfigError("estimators_enabled must not be empty")
         for name in self.estimators_enabled:

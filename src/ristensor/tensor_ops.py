@@ -57,6 +57,37 @@ def pinv_with_ratio(a):
     return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
 
 
+# Eigenvalue ratios of a Gram matrix closer than this to 0 (or to tol**2) are
+# lost in the rounding of forming and factoring it, relative to its largest
+# eigenvalue; there the SVD of the matrix itself decides.
+_GRAM_RESOLUTION = 1e3 * np.finfo(float).eps
+
+
+def gram_solve(a, rhs, gram, tol=1e-12):
+    """pinv_left(a, tol) @ rhs, solved through the Gram matrix gram = a^H a.
+
+    The caller builds gram from structure (for a Khatri-Rao a, a Hadamard
+    product of factor Grams), so a itself is only used for a^H rhs.  The
+    Gram's eigenvalues give the singular check, sqrt(lambda_min /
+    lambda_max) = sigma_min / sigma_max of a; the solve is an LU solve of
+    the Gram.  Where lambda_min / lambda_max is within _GRAM_RESOLUTION of
+    0 or of tol**2, or the Gram is non-finite or zero, pinv_left decides
+    and solves.
+    """
+    if np.all(np.isfinite(gram)):
+        lam = np.linalg.eigvalsh(gram)
+        if lam[-1] > 0.0:
+            ratio = lam[0] / lam[-1]
+            if min(ratio, abs(ratio - tol * tol)) > _GRAM_RESOLUTION:
+                if ratio < tol * tol:
+                    raise SingularMatrixError(
+                        f"least squares on {a.shape[0]}x{a.shape[1]} matrix: "
+                        f"singular value ratio {np.sqrt(ratio):.3e} below tol {tol:.1e}"
+                    )
+                return np.linalg.solve(gram, a.conj().T @ rhs)
+    return pinv_left(a, tol) @ rhs
+
+
 def _svd_pinv(a, tol, side):
     a = np.asarray(a)
     if a.ndim != 2:

@@ -53,7 +53,7 @@ def _mean(records, name, field, snr=None):
 @pytest.fixture(scope="module")
 def batch():
     """200 paired trials per SNR point, shared by the ordering/gap/cost checks."""
-    cfg = ExperimentConfig(workers=4)
+    cfg = ExperimentConfig(workers=1)
     records = run_experiment(cfg)
     assert len(records) == len(cfg.snr_grid_db) * cfg.trials * 3
     assert not any(r.failure_flag for r in records)
@@ -157,9 +157,7 @@ def test_criterion_4_individual_channel_gap(batch):
 
 
 def test_criterion_5_monotone_als_objective():
-    cfg = dataclasses.replace(
-        ExperimentConfig(workers=4), estimators_enabled=("two_stage", "e_als")
-    )
+    cfg = dataclasses.replace(ExperimentConfig(), estimators_enabled=("two_stage", "e_als"))
     violations = 0
     transitions = 0
     for snr_index in range(len(cfg.snr_grid_db)):

@@ -107,6 +107,14 @@ def test_run_non_integer_trials_exits_2(tmp_path, capsys):
     assert "error: trials must be an integer" in capsys.readouterr().err
 
 
+def test_run_null_snr_grid_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("snr_grid_db: [null]\n")
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert "error: snr_grid_db must be" in capsys.readouterr().err
+
+
 def test_complexity_prints_counts(tmp_path, capsys):
     path = tmp_path / "defaults.yaml"
     path.write_text("")  # empty config: the stock 4x8x25 scenario

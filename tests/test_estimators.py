@@ -192,6 +192,33 @@ def test_e_als_dimension_precondition():
         e_als_estimate(clipped, short, EstimatorConfig(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "mode, estimator, expected",
+    [("two_stage", two_stage_estimate, 95_000), ("e_als", e_als_estimate, 134_180)],
+)
+def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
+    cfg, ch, sched, recv = noisy_setup(mode, seed=23)
+    m, l, b = recv.tensor.shape
+    k, n = sched.pilots.shape[0], sched.ris_phases.shape[1]
+    k_d = k if mode == "e_als" else 0
+    p = k_d + n
+    # joint step: factor Grams X_d* Z^T and Z* Z^T, Hadamard products,
+    # right-hand side, Gram eigenvalues + LU (p^3), triangular solves
+    joint = p * n * l + p * n + p * b * l * m + p**3 + p * p * m
+    # Z step: direct term, Khatri-Rao product, H_ra^H H_ra, Hadamard product,
+    # right-hand side, eigenvalues + LU, triangular solves
+    z_step = b * m * k_d * l + n * b * m + n * n * m + n * n + n * b * m * l + n**3 + n * n * l
+    per_sweep = joint + z_step + n * b * l   # + Khatri-Rao product of the new Z
+    assert per_sweep == expected
+    ops = []
+    for sweeps in (1, 2):
+        est_cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
+        est = estimator(recv, sched, est_cfg, np.random.default_rng(24))
+        assert est.iterations == sweeps and not est.converged
+        ops.append(est.op_count)
+    assert ops[1] - ops[0] == per_sweep
+
+
 def test_ls_baseline_noiseless_exact():
     cfg, ch, sched, recv = noiseless_setup("e_als", seed=23)
     est = ls_baseline(recv, sched, EstimatorConfig())

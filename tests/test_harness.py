@@ -148,6 +148,10 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(system=dict(noise_var=math.nan)), "noise_var"),
         (dict(system=dict(snr_db=math.inf)), "snr_db"),
         (dict(channel=dict(n_paths="2")), "n_paths"),
+        (dict(snr_grid_db=(None,)), "snr_grid_db"),
+        (dict(snr_grid_db=("10",)), "snr_grid_db"),
+        (dict(snr_grid_db=(0.0, True)), "snr_grid_db"),
+        (dict(snr_grid_db=(10**400,)), "snr_grid_db"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):

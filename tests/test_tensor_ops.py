@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ristensor.tensor_ops import (
     ShapeError,
     SingularMatrixError,
     crandn,
     dft_matrix,
+    gram_solve,
     khatri_rao,
     pinv_left,
     pinv_right,
@@ -117,6 +120,86 @@ def test_pinv_singularity_raises_with_dimensions():
         pinv_right(a)
     with pytest.raises(SingularMatrixError):
         pinv_left(np.zeros((4, 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    i=st.integers(1, 5),
+    j=st.integers(1, 5),
+    r=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_khatri_rao_gram_is_hadamard_of_factor_grams(i, j, r, seed):
+    rng = np.random.default_rng(seed)
+    a = crandn(rng, (i, r))
+    b = crandn(rng, (j, r))
+    kr = khatri_rao(a, b)
+    expected = (a.conj().T @ a) * (b.conj().T @ b)
+    assert np.linalg.norm(kr.conj().T @ kr - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_solve_matches_pinv_on_well_conditioned_matrices(p, extra, r, seed):
+    rng = np.random.default_rng(seed)
+    a = crandn(rng, (p + extra, p))
+    assume(np.linalg.cond(a) < 1e3)
+    rhs = crandn(rng, (p + extra, r))
+    expected = np.linalg.pinv(a) @ rhs
+    x = gram_solve(a, rhs, a.conj().T @ a)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _with_singular_value_ratio(rng, rows, cols, ratio):
+    # U diag(s) V^H with s log-spaced from 1 down to ratio
+    u, _ = np.linalg.qr(crandn(rng, (rows, cols)))
+    v, _ = np.linalg.qr(crandn(rng, (cols, cols)))
+    s = np.logspace(0.0, np.log10(ratio), cols)
+    return (u * s) @ v.conj().T
+
+
+def _raises_singular(solve):
+    try:
+        solve()
+    except SingularMatrixError as err:
+        assert "singular" in str(err)
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cols=st.integers(2, 6),
+    extra=st.integers(0, 4),
+    tol_exp=st.one_of(st.just(-12.0), st.floats(-12.0, -2.0)),
+    ratio_exp=st.floats(-14.0, -2.0),
+    near_tol=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_solve_raises_exactly_when_pinv_left_does(cols, extra, tol_exp, ratio_exp, near_tol, seed):
+    # sigma_min / sigma_max from 1e-2 down to 1e-14, some within 2.3e-6 relative of tol
+    rng = np.random.default_rng(seed)
+    tol = 10.0**tol_exp
+    ratio = tol * 10.0**near_tol if near_tol is not None else 10.0**ratio_exp
+    a = _with_singular_value_ratio(rng, cols + extra, cols, ratio)
+    rhs = crandn(rng, (cols + extra, 2))
+    by_gram = _raises_singular(lambda: gram_solve(a, rhs, a.conj().T @ a, tol))
+    by_svd = _raises_singular(lambda: pinv_left(a, tol))
+    assert by_gram == by_svd
+
+
+def test_gram_solve_falls_back_on_a_non_finite_or_zero_gram():
+    a = np.zeros((4, 2), dtype=complex)
+    with pytest.raises(SingularMatrixError, match="pinv_left of 4x2"):
+        gram_solve(a, np.ones((4, 1)), a.conj().T @ a)
+    a = np.full((4, 2), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        gram_solve(a, np.ones((4, 1)), a.conj().T @ a)
 
 
 def test_dft_matrix_values():
