@@ -57,34 +57,29 @@ def pinv_with_ratio(a):
     return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
 
 
-# Eigenvalue ratios of a Gram matrix closer than this to 0 (or to tol**2) are
-# lost in the rounding of forming and factoring it, relative to its largest
-# eigenvalue; there the SVD of the matrix itself decides.
-_GRAM_RESOLUTION = 1e3 * np.finfo(float).eps
+# Smallest eigenvalue ratio lambda_min / lambda_max of a Gram a^H a solved
+# as normal equations, i.e. cond(a) up to 1e4.  Normal equations lose about
+# eps * cond(a)**2 where the SVD of a loses about eps * cond(a), so below this
+# the SVD is the more accurate solve; the Gram's own rounding (about 1e3 * eps
+# relative to lambda_max) lies far below it, so no case the SVD would call
+# singular can pass.
+_GRAM_MIN_RATIO = 1e-8
 
 
 def gram_solve(a, rhs, gram, tol=1e-12):
     """pinv_left(a, tol) @ rhs, solved through the Gram matrix gram = a^H a.
 
     The caller builds gram from structure (for a Khatri-Rao a, a Hadamard
-    product of factor Grams), so a itself is only used for a^H rhs.  The
-    Gram's eigenvalues give the singular check, sqrt(lambda_min /
-    lambda_max) = sigma_min / sigma_max of a; the solve is an LU solve of
-    the Gram.  Where lambda_min / lambda_max is within _GRAM_RESOLUTION of
-    0 or of tol**2, or the Gram is non-finite or zero, pinv_left decides
-    and solves.
+    product of factor Grams), so a itself is only used for a^H rhs.  When
+    the Gram is finite and lambda_min / lambda_max exceeds tol**2 +
+    _GRAM_MIN_RATIO, a is well above the singular tolerance and the Gram is
+    LU-solved; otherwise pinv_left decides (raising SingularMatrixError
+    when sigma_min / sigma_max < tol) and solves.
     """
     if np.all(np.isfinite(gram)):
         lam = np.linalg.eigvalsh(gram)
-        if lam[-1] > 0.0:
-            ratio = lam[0] / lam[-1]
-            if min(ratio, abs(ratio - tol * tol)) > _GRAM_RESOLUTION:
-                if ratio < tol * tol:
-                    raise SingularMatrixError(
-                        f"least squares on {a.shape[0]}x{a.shape[1]} matrix: "
-                        f"singular value ratio {np.sqrt(ratio):.3e} below tol {tol:.1e}"
-                    )
-                return np.linalg.solve(gram, a.conj().T @ rhs)
+        if lam[-1] > 0.0 and lam[0] / lam[-1] > tol * tol + _GRAM_MIN_RATIO:
+            return np.linalg.solve(gram, a.conj().T @ rhs)
     return pinv_left(a, tol) @ rhs
 
 

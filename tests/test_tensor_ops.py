@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ristensor.tensor_ops import (
@@ -138,29 +138,47 @@ def test_khatri_rao_gram_is_hadamard_of_factor_grams(i, j, r, seed):
     assert np.linalg.norm(kr.conj().T @ kr - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    p=st.integers(1, 6),
-    extra=st.integers(0, 6),
-    r=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_gram_solve_matches_pinv_on_well_conditioned_matrices(p, extra, r, seed):
-    rng = np.random.default_rng(seed)
-    a = crandn(rng, (p + extra, p))
-    assume(np.linalg.cond(a) < 1e3)
-    rhs = crandn(rng, (p + extra, r))
-    expected = np.linalg.pinv(a) @ rhs
-    x = gram_solve(a, rhs, a.conj().T @ a)
-    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
-
-
 def _with_singular_value_ratio(rng, rows, cols, ratio):
     # U diag(s) V^H with s log-spaced from 1 down to ratio
     u, _ = np.linalg.qr(crandn(rng, (rows, cols)))
     v, _ = np.linalg.qr(crandn(rng, (cols, cols)))
     s = np.logspace(0.0, np.log10(ratio), cols)
     return (u * s) @ v.conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    r=st.integers(1, 4),
+    cond_exp=st.floats(0.0, 4.0),
+    consistent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_solve_matches_pinv_up_to_cond_1e4(p, extra, r, cond_exp, consistent, seed):
+    # normal equations lose about eps * cond(a)**2, for a consistent rhs too
+    rng = np.random.default_rng(seed)
+    cond = 10.0**cond_exp
+    a = _with_singular_value_ratio(rng, p + extra, p, 1.0 / cond)
+    rhs = a @ crandn(rng, (p, r)) if consistent else crandn(rng, (p + extra, r))
+    expected = np.linalg.pinv(a) @ rhs
+    x = gram_solve(a, rhs, a.conj().T @ a)
+    rtol = 100 * np.finfo(float).eps * cond**2
+    assert np.linalg.norm(x - expected) <= rtol * np.linalg.norm(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cols=st.integers(2, 6),
+    extra=st.integers(0, 4),
+    cond_exp=st.floats(4.1, 11.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_solve_is_pinv_left_beyond_cond_1e4(cols, extra, cond_exp, seed):
+    rng = np.random.default_rng(seed)
+    a = _with_singular_value_ratio(rng, cols + extra, cols, 10.0**-cond_exp)
+    rhs = crandn(rng, (cols + extra, 2))
+    assert np.array_equal(gram_solve(a, rhs, a.conj().T @ a), pinv_left(a) @ rhs)
 
 
 def _raises_singular(solve):
