@@ -13,8 +13,11 @@ Three approaches over the same training frame:
 All alternating updates are exact conditional LS steps, so the frame-fit
 residual recorded in residual_trace is non-increasing sweep over sweep.
 Each update's regressor is a Khatri-Rao product, so it is solved through
-the small Gram matrix built as a Hadamard product of factor Grams
-(tensor_ops.gram_solve), not through an SVD of the regressor.
+the small Gram matrix built as a Hadamard product of factor Grams, with
+right-hand sides from the frame contracted once with the known phase
+schedule (tensor_ops.certified_gram_solve): the regressor itself is formed
+only when its SVD must decide singularity.  Every estimator reports a
+frame holding NaN or inf as a failed estimate before any solve.
 """
 
 import dataclasses
@@ -24,8 +27,10 @@ import numpy as np
 
 from .tensor_ops import (
     SingularMatrixError,
+    block_gram_bounds,
+    certified_gram_solve,
     crandn,
-    gram_solve,
+    hadamard_gram_bounds,
     khatri_rao,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
@@ -92,6 +97,13 @@ def _pinv_cost(short, long):
     return short * short * long + short**3
 
 
+_NON_FINITE = "non-finite frame"
+
+
+def _all_finite(*frames):
+    return all(np.all(np.isfinite(f)) for f in frames)
+
+
 def _failure(err, iteration, ops, trace):
     return ChannelEstimate(
         iterations=iteration,
@@ -122,15 +134,26 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     mode-2 unfolding with the direct contribution removed.  Both regressors
     are Khatri-Rao products, KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), so
     each Gram is built from small factor Grams: (K_d+N)^2 for the joint step,
-    N^2 for Z (tensor_ops.gram_solve).  Stops when the squared relative
-    change of every factor drops to conv_threshold, or after max_iters
-    sweeps (converged=False, not an error).  The user->RIS channel is
-    recovered from Z on exit.  A 0 x L X_d empties the direct block: h_ua
-    is then M x 0, counts as converged, and the sweep is the RIS-path fit.
+    N^2 for Z.  Their right-hand sides come from the frame contracted once
+    with Psi^H along the blocks, W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b]
+    (the MTTKRP of CP-ALS, since Psi is known), so neither regressor is
+    formed for its solve.
+    Each Gram's condition is certified from sweep-invariant eigenvalues by
+    Schur's bound on a Hadamard product and Weyl's bound on the joint
+    block Gram (tensor_ops.certified_gram_solve); only an uncertified Gram
+    costs eigenvalues, and only a Gram that then fails forms its regressor.
+    Stops when the squared relative change of every factor drops to
+    conv_threshold, or after max_iters sweeps (converged=False, not an
+    error).  The user->RIS channel is recovered from Z on exit.  A 0 x L
+    X_d empties the direct block: h_ua is then M x 0, counts as converged,
+    and the sweep is the RIS-path fit.  A non-finite frame is a failed
+    estimate before any solve.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.init_seed)
     y = np.asarray(y)
+    if not _all_finite(y):
+        return _failure(_NON_FINITE, 0, 0, [])
     m, l, b = y.shape
     psi = sched.ris_phases
     n = psi.shape[1]
@@ -138,26 +161,39 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     k = x.shape[0]
     k_d = direct_pilots.shape[0]
     p = k_d + n
+    tol = cfg.pinv_tol
 
-    y1 = unfold_mode1(y)
-    y2 = unfold_mode2(y)
-    ones = np.ones((b, k_d))
+    # sweep-invariant: W as (N, M, L), the frame as (B, M, L), Psi^H Psi,
+    # 1^T Psi, the direct block's Gram B X_d* X_d^T and right-hand side
+    # X_d* (sum_b Y_b)^T, and the eigenvalues of both Grams
+    w = np.ascontiguousarray((y @ psi.conj()).transpose(2, 0, 1))
+    y_blocks = y.transpose(2, 0, 1)
     psi_gram = psi.conj().T @ psi
-    ones_psi = ones.T @ psi
+    psi_sum = psi.sum(axis=0)
+    xd_conj = direct_pilots.conj()
+    gram = np.empty((p, p), dtype=complex)
+    gram[:k_d, :k_d] = b * (xd_conj @ direct_pilots.T)
+    rhs = np.empty((p, m), dtype=complex)
+    rhs[:k_d] = xd_conj @ y.sum(axis=2).T
+    psi_lam = np.linalg.eigvalsh(psi_gram)
+    direct_lam = np.linalg.eigvalsh(gram[:k_d, :k_d])
+    ops = m * l * b * n + n * n * b + b * n + k_d * k_d * l + m * l * b + k_d * l * m
+    ops += n**3 + k_d**3
+
+    def joint_regression():
+        # [KR(1, X_d^T) | KR(Psi, Z^T)] against the mode-1 unfolding
+        ones = np.ones((b, k_d))
+        reg = np.hstack([khatri_rao(ones, direct_pilots.T), khatri_rao(psi, z.T)])
+        return reg, unfold_mode1(y).T
+
+    def z_regression():
+        # KR(Psi, H_ra) against the mode-2 unfolding less (1 (x) H_ua) X_d
+        direct = np.tile(h_ua, (b, 1)) @ direct_pilots
+        return khatri_rao(psi, h_ra), unfold_mode2(y).T - direct
 
     h_ua = crandn(rng, (m, k_d))
     h_ra = crandn(rng, (m, n))
     z = crandn(rng, (n, k)) @ x
-
-    # stacked regressor [direct block | RIS block] = [KR(1, X_d^T) | KR(Psi, Z^T)],
-    # (B*L, K_d+N), and its Gram, whose direct block B X_d* X_d^T never changes
-    reg = np.empty((b * l, p), dtype=complex)
-    reg[:, :k_d] = khatri_rao(ones, direct_pilots.T)
-    reg[:, k_d:] = khatri_rao(psi, z.T)
-    gram = np.empty((p, p), dtype=complex)
-    gram[:k_d, :k_d] = b * (direct_pilots.conj() @ direct_pilots.T)
-    # sweep-invariant Grams Psi^H Psi, 1^H Psi and X_d* X_d^T, then the initial RIS block
-    ops = n * n * b + k_d * b * n + k_d * k_d * l + n * b * l
     trace = []
     converged = False
     it = 0
@@ -165,35 +201,45 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
         for it in range(1, cfg.max_iters + 1):
             prev = (h_ua, h_ra, z)
 
-            # joint step: off-diagonal Gram block (1^H Psi) o (X_d* Z^T), RIS
-            # block (Psi^H Psi) o (Z* Z^T)
-            cross = ones_psi * (direct_pilots.conj() @ z.T)
+            # joint step: Gram blocks (1^T Psi) o (X_d* Z^T) and
+            # (Psi^H Psi) o (Z* Z^T); RIS rows sum_l conj(z[n, l]) W[n, :, l]
+            cross = psi_sum * (xd_conj @ z.T)
+            z_gram = z.conj() @ z.T
             gram[:k_d, k_d:] = cross
             gram[k_d:, :k_d] = cross.conj().T
-            gram[k_d:, k_d:] = psi_gram * (z.conj() @ z.T)
-            joint = gram_solve(reg, y1.T, gram, cfg.pinv_tol).T
+            gram[k_d:, k_d:] = psi_gram * z_gram
+            rhs[k_d:] = (w @ z.conj()[:, :, None])[:, :, 0]
+            ris_bounds = hadamard_gram_bounds(psi_lam, z_gram.diagonal().real)
+            bounds = block_gram_bounds(direct_lam, ris_bounds, cross)
+            joint = certified_gram_solve(gram, rhs, joint_regression, tol, bounds).T
             h_ua, h_ra = joint[:, :k_d], joint[:, k_d:]
-            # factor Grams, Hadamard products, right-hand side, Gram
-            # eigenvalues and LU factorization (p^3 together), triangular solves
-            ops += p * n * l + p * n + p * b * l * m + p**3 + p * p * m
+            # factor Grams, Hadamard products, right-hand side, ||C||_F,
+            # LU factorization, triangular solves
+            ops += p * n * l + p * n + n * l * m + k_d * n + p**3 + p * p * m
 
-            # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra)
-            direct = np.tile(h_ua, (b, 1)) @ direct_pilots  # (1 (x) H_ua) X_d, (B*M, L)
-            f2 = khatri_rao(psi, h_ra)                       # (B*M, N)
-            z = gram_solve(f2, y2.T - direct, psi_gram * (h_ra.conj().T @ h_ra), cfg.pinv_tol)
-            ops += b * m * k_d * l + n * b * m
-            ops += n * n * m + n * n + n * b * m * l + n**3 + n * n * l
+            # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
+            # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
+            # direct term conj(1^T Psi) o (H_ra^H H_ua X_d)
+            ra_gram = h_ra.conj().T @ h_ra
+            direct = psi_sum.conj()[:, None] * ((h_ra.conj().T @ h_ua) @ direct_pilots)
+            z_rhs = (h_ra.conj().T[:, None, :] @ w)[:, 0, :] - direct
+            ris_bounds = hadamard_gram_bounds(psi_lam, ra_gram.diagonal().real)
+            z = certified_gram_solve(psi_gram * ra_gram, z_rhs, z_regression, tol, ris_bounds)
+            ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
+            ops += n**3 + n * n * l
 
-            reg[:, k_d:] = khatri_rao(psi, z.T)
-            ops += n * b * l
-            trace.append(_sqnorm(y1 - joint @ reg.T))
+            # squared frame-fit residual from the model frame itself, whose RIS
+            # term is KR(Psi, H_ra) Z; a Gram expansion would cancel
+            model = ((h_ra * psi[:, None, :]).reshape(b * m, n) @ z).reshape(b, m, l)
+            trace.append(_sqnorm(y_blocks - model - h_ua @ direct_pilots))
+            ops += b * m * n + b * m * n * l + m * k_d * l + m * l * b
             if all(
                 _small_change(new - old, new, cfg.conv_threshold)
                 for new, old in zip((h_ua, h_ra, z), prev)
             ):
                 converged = True
                 break
-        h_ur = z @ pinv_right(x, cfg.pinv_tol)
+        h_ur = z @ pinv_right(x, tol)
         ops += _pinv_cost(k, l) + n * l * k
     except np.linalg.LinAlgError as err:
         return _failure(err, it, ops, trace)
@@ -226,6 +272,8 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
     """
     if recv.off_stage is None:
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
+    if not _all_finite(recv.off_stage, recv.tensor):
+        return _failure(_NON_FINITE, 0, 0, [])
     m, l, _ = recv.tensor.shape
     k, l_off = sched.off_pilots.shape
     try:
@@ -304,9 +352,11 @@ def ls_baseline(recv, sched, cfg, solver=None):
 
     Returns the parameter vector only: the cascaded block is the Khatri-Rao
     stacking of per-user cascaded matrices and is not decoupled into separate
-    RIS-path factors.  A non-finite theta (from a non-finite frame) is
+    RIS-path factors.  A non-finite frame, or a theta that overflows, is
     reported as a failed estimate.
     """
+    if not _all_finite(recv.tensor):
+        return _failure(_NON_FINITE, 0, 0, [])
     try:
         if solver is None:
             solver = StackedLsSolver(sched, recv.tensor.shape[0], cfg.pinv_tol)

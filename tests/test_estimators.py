@@ -1,10 +1,13 @@
 import dataclasses
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ristensor.estimators
 from ristensor.channels import ChannelModelConfig, ChannelSet, draw_channels
 from ristensor.estimators import (
     ChannelEstimate,
@@ -26,7 +29,7 @@ from ristensor.signals import (
     make_schedule,
     synthesize,
 )
-from ristensor.tensor_ops import SingularMatrixError, crandn
+from ristensor.tensor_ops import SingularMatrixError, certified_gram_solve, crandn
 
 DIMS = (4, 8, 25)
 
@@ -194,7 +197,7 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 95_000), ("e_als", e_als_estimate, 134_180)],
+    [("two_stage", two_stage_estimate, 72_600), ("e_als", e_als_estimate, 100_356)],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
@@ -203,12 +206,14 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     k_d = k if mode == "e_als" else 0
     p = k_d + n
     # joint step: factor Grams X_d* Z^T and Z* Z^T, Hadamard products,
-    # right-hand side, Gram eigenvalues + LU (p^3), triangular solves
-    joint = p * n * l + p * n + p * b * l * m + p**3 + p * p * m
-    # Z step: direct term, Khatri-Rao product, H_ra^H H_ra, Hadamard product,
-    # right-hand side, eigenvalues + LU, triangular solves
-    z_step = b * m * k_d * l + n * b * m + n * n * m + n * n + n * b * m * l + n**3 + n * n * l
-    per_sweep = joint + z_step + n * b * l   # + Khatri-Rao product of the new Z
+    # right-hand side from W, ||C||_F, LU factorization (p^3), triangular solves
+    joint = p * n * l + p * n + n * l * m + k_d * n + p**3 + p * p * m
+    # Z step: H_ra^H H_ra, Hadamard product, right-hand side from W, direct
+    # term H_ra^H H_ua X_d scaled by 1^T Psi, LU, triangular solves
+    z_step = n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l + n**3 + n * n * l
+    # residual: model frame, direct term, squared norm
+    residual = b * m * n + b * m * n * l + m * k_d * l + m * l * b
+    per_sweep = joint + z_step + residual
     assert per_sweep == expected
     ops = []
     for sweeps in (1, 2):
@@ -399,6 +404,101 @@ def test_no_frame_makes_an_estimator_raise(seed, kind):
         if not est.failed:
             for part in (est.h_ua, est.h_ur, est.h_ra, est.theta):
                 assert part is None or np.all(np.isfinite(part)), (name, kind)
+
+
+def estimate(name, recv, sched, cfg, seed):
+    if name == "two_stage":
+        return two_stage_estimate(recv, sched, cfg, np.random.default_rng(seed))
+    if name == "e_als":
+        return e_als_estimate(recv, sched, cfg, np.random.default_rng(seed))
+    return ls_baseline(recv, sched, cfg)
+
+
+@pytest.mark.parametrize("kind", ["one_nan", "one_inf", "zero"])
+def test_bad_frames_raise_no_numpy_warning(kind):
+    # the NaN, inf and zero frames of the cases above, with every warning an error
+    cfg = EstimatorConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            for name in ("two_stage", "e_als", "ls"):
+                sched = make_schedule(TINY, "two_stage" if name == "two_stage" else "e_als")
+                est = estimate(name, tiny_frame(kind, sched, seed), sched, cfg, seed)
+                if kind != "zero":
+                    assert est.failed and est.failure_reason == "non-finite frame"
+                    assert est.iterations == 0 and est.op_count == 0
+        for name, field in [("two_stage", "tensor"), ("two_stage", "off_stage"), ("e_als", "tensor"), ("ls", "tensor")]:
+            _, _, sched, recv = noisy_setup("two_stage" if name == "two_stage" else "e_als", seed=30)
+            est = estimate(name, with_nan(recv, field), sched, cfg, 31)
+            assert est.failed and est.failure_reason == "non-finite frame"
+
+
+def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
+    # every sweep Gram on the stock schedules is certified by its bound; the
+    # only eigenvalues are the two sweep-invariant spectra (Psi^H Psi and the
+    # direct block's Gram), and no Khatri-Rao regressor is formed
+    calls = {"eigvalsh": 0, "khatri_rao": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    eigvalsh = counted("eigvalsh", np.linalg.eigvalsh)
+    khatri_rao = counted("khatri_rao", ristensor.estimators.khatri_rao)
+    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh), mock.patch.object(
+        ristensor.estimators, "khatri_rao", khatri_rao
+    ):
+        for snr_db in (-5.0, 0.0, 10.0, 20.0, 30.0):
+            for name in ("two_stage", "e_als"):
+                for seed in range(4):
+                    _, _, sched, recv = noisy_setup(name, seed=40 + seed, snr_db=snr_db)
+                    before = dict(calls)
+                    est = estimate(name, recv, sched, EstimatorConfig(), seed)
+                    assert not est.failed and est.iterations >= 2, (name, snr_db, seed)
+                    assert calls["eigvalsh"] - before["eigvalsh"] == 2, (name, snr_db, seed)
+                    assert calls["khatri_rao"] == before["khatri_rao"], (name, snr_db, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 5),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 2),
+    extra_b=st.integers(0, 3),
+    joint=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, joint, seed):
+    # random non-DFT Psi and pilots, a random frame, and the sweep's own Z,
+    # H_ra and H_ua: every Gram and contracted right-hand side a sweep
+    # passes equals a^H a and a^H rhs of the regressor its fallback forms,
+    # with (e_als) and without (als_ris, K_d = 0) a direct block
+    rng = np.random.default_rng(seed)
+    l, b = k + extra_l, n + k + extra_b
+    sched = TrainingSchedule(pilots=crandn(rng, (k, l)), ris_phases=crandn(rng, (b, n)))
+    recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
+    seen = []
+
+    def checked(gram, a_h_rhs, regression, tol=1e-12, bounds=None):
+        a, rhs = regression()
+        for got, want in ((a_h_rhs, a.conj().T @ rhs), (gram, a.conj().T @ a)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        seen.append(a.shape[1])
+        return certified_gram_solve(gram, a_h_rhs, regression, tol, bounds)
+
+    cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solve", checked):
+        if joint:
+            est = e_als_estimate(recv, sched, cfg, rng)
+        else:
+            est = als_ris(recv.tensor, sched, cfg, rng)
+    k_d = k if joint else 0
+    assert seen[:2] == [k_d + n, n]
+    assert len(seen) == 2 * est.iterations or est.failed
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

@@ -1,14 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ristensor.tensor_ops import (
+    _GRAM_MIN_RATIO,
     ShapeError,
     SingularMatrixError,
+    block_gram_bounds,
+    certified_gram_solve,
     crandn,
     dft_matrix,
     gram_solve,
+    hadamard_gram_bounds,
     khatri_rao,
     pinv_left,
     pinv_right,
@@ -227,6 +233,96 @@ def test_dft_matrix_values():
     np.testing.assert_allclose(f.conj().T @ f, 26 * np.eye(26), atol=1e-10 * 26)
     np.testing.assert_allclose(f[0], np.ones(26), atol=1e-15)
     np.testing.assert_allclose(np.abs(f), np.ones((26, 26)), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 25, 26])
+def test_dft_matrix_equals_fft_of_identity(n):
+    np.testing.assert_allclose(dft_matrix(n), np.fft.fft(np.eye(n)), rtol=0, atol=1e-13)
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except SingularMatrixError:
+        return "singular"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 4),
+    l=st.integers(1, 5),
+    k_d=st.integers(0, 4),
+    cond_exp=st.floats(0.0, 5.0),
+    spread_exp=st.floats(0.0, 3.0),
+    tol_exp=st.floats(-12.0, -2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_bounds_bracket_the_sweep_grams(n, extra, l, k_d, cond_exp, spread_exp, tol_exp, seed):
+    # the two sweep Grams on a random, non-DFT Psi with cond(Psi) up to 1e5
+    # and Z rows scaled over up to 3 decades: the RIS Gram (Psi^H Psi) o (Z* Z^T)
+    # and the joint block Gram with direct block B X_d* X_d^T and cross block
+    # (1^T Psi) o (X_d* Z^T), bounded as the sweep bounds them
+    rng = np.random.default_rng(seed)
+    b = n + extra
+    tol = 10.0**tol_exp
+    psi = _with_singular_value_ratio(rng, b, n, 10.0**-cond_exp)
+    z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
+    x_d = crandn(rng, (k_d, l))
+    psi_gram = psi.conj().T @ psi
+    z_gram = z.conj() @ z.T
+    ris = psi_gram * z_gram
+    cross = psi.sum(axis=0) * (x_d.conj() @ z.T)
+    direct = b * (x_d.conj() @ x_d.T)
+    joint = np.block([[direct, cross], [cross.conj().T, ris]])
+    ris_bounds = hadamard_gram_bounds(np.linalg.eigvalsh(psi_gram), z_gram.diagonal().real)
+    joint_bounds = block_gram_bounds(np.linalg.eigvalsh(direct), ris_bounds, cross)
+    ris_a = khatri_rao(psi, z.T)
+    joint_a = np.hstack([khatri_rao(np.ones((b, k_d)), x_d.T), ris_a])
+    rhs = crandn(rng, (b * l, 2))
+    threshold = tol * tol + _GRAM_MIN_RATIO
+    for a, gram, (lo, hi) in ((ris_a, ris, ris_bounds), (joint_a, joint, joint_bounds)):
+        lam = np.linalg.eigvalsh(gram)
+        slack = 1e-12 * lam[-1]   # rounding of the computed spectra
+        assert lo <= lam[0] + slack
+        assert hi >= lam[-1] - slack
+        if lo > 2.0 * threshold * hi:
+            # a certified Gram is one the eigenvalue check also LU-solves
+            assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
+
+        # so the bounds never change what the solve decides or returns
+        def solve(bounds):
+            return certified_gram_solve(gram, a.conj().T @ rhs, lambda: (a, rhs), tol, bounds)
+
+        with_bounds = _outcome(lambda: solve((lo, hi)))
+        without = _outcome(lambda: solve(None))
+        assert np.array_equal(with_bounds, without)
+
+
+@pytest.mark.parametrize("ratio_over_threshold, certified", [(0.75, False), (1.5, False), (2.5, True)])
+def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
+    # orthonormal Psi columns make Schur's bounds exact, the Gram being
+    # diag(||z_n||^2); the bounds decide alone only beyond twice the threshold
+    rng = np.random.default_rng(7)
+    threshold = 1e-24 + _GRAM_MIN_RATIO
+    psi = _with_singular_value_ratio(rng, 5, 3, 1.0)
+    z = crandn(rng, (3, 4))
+    z *= (np.sqrt([1.0, 0.5, ratio_over_threshold * threshold]) / np.linalg.norm(z, axis=1))[:, None]
+    psi_gram = psi.conj().T @ psi
+    z_gram = z.conj() @ z.T
+    gram = psi_gram * z_gram
+    bounds = hadamard_gram_bounds(np.linalg.eigvalsh(psi_gram), z_gram.diagonal().real)
+    a = khatri_rao(psi, z.T)
+    rhs = crandn(rng, (20, 2))
+
+    def solve(bounds):
+        return certified_gram_solve(gram, a.conj().T @ rhs, lambda: (a, rhs), 1e-12, bounds)
+
+    eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
+    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
+        got = solve(bounds)
+    assert (eigvalsh.call_count == 0) == certified
+    assert np.array_equal(got, solve(None))
 
 
 def test_crandn_moments():
