@@ -132,8 +132,14 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True, help="YAML experiment config")
     snr_group = run_p.add_mutually_exclusive_group()
-    snr_group.add_argument("--snr", type=_parse_snr_range, help="SNR sweep a:b:step (dB, inclusive)")
-    snr_group.add_argument("--snr-list", type=_parse_snr_list, help="comma-separated SNR values (dB)")
+    snr_group.add_argument(
+        "--snr", type=_parse_snr_range,
+        help="SNR sweep a:b:step (dB, inclusive); write --snr=-5:0:5 for a negative start",
+    )
+    snr_group.add_argument(
+        "--snr-list", type=_parse_snr_list,
+        help="comma-separated SNR values (dB); write --snr-list=-5,0 for a negative first value",
+    )
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--seed", type=int, help="master seed")
     run_p.add_argument("--estimators", help="comma-separated subset of two_stage,e_als,ls")
@@ -154,7 +160,7 @@ def main(argv=None):
     handler = {"run": _cmd_run, "demo": _cmd_demo, "complexity": _cmd_complexity}[args.command]
     try:
         return handler(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,10 @@ residual recorded in residual_trace is non-increasing sweep over sweep.
 Each update's regressor is a Khatri-Rao product, so it is solved through
 the small Gram matrix built as a Hadamard product of factor Grams, with
 right-hand sides from the frame contracted once with the known phase
-schedule (tensor_ops.certified_gram_solve): the regressor itself is formed
-only when its SVD must decide singularity.  Every estimator reports a
-frame holding NaN or inf as a failed estimate before any solve.
+schedule (tensor_ops.certified_gram_solve, which certifies each Gram from
+its own entries): the regressor itself is formed only when its SVD must
+decide singularity.  Every estimator reports a frame holding NaN or inf as
+a failed estimate before any solve.
 """
 
 import dataclasses
@@ -27,10 +28,8 @@ import numpy as np
 
 from .tensor_ops import (
     SingularMatrixError,
-    block_gram_bounds,
     certified_gram_solve,
     crandn,
-    hadamard_gram_bounds,
     khatri_rao,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
@@ -138,10 +137,10 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     with Psi^H along the blocks, W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b]
     (the MTTKRP of CP-ALS, since Psi is known), so neither regressor is
     formed for its solve.
-    Each Gram's condition is certified from sweep-invariant eigenvalues by
-    Schur's bound on a Hadamard product and Weyl's bound on the joint
-    block Gram (tensor_ops.certified_gram_solve); only an uncertified Gram
-    costs eigenvalues, and only a Gram that then fails forms its regressor.
+    Each Gram is certified from its own Gershgorin discs
+    (tensor_ops.certified_gram_solve), which clear every Gram of the DFT
+    schedules the harness builds; only an uncertified Gram costs
+    eigenvalues, and only a Gram that then fails forms its regressor.
     Stops when the squared relative change of every factor drops to
     conv_threshold, or after max_iters sweeps (converged=False, not an
     error).  The user->RIS channel is recovered from Z on exit.  A 0 x L
@@ -164,8 +163,8 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     tol = cfg.pinv_tol
 
     # sweep-invariant: W as (N, M, L), the frame as (B, M, L), Psi^H Psi,
-    # 1^T Psi, the direct block's Gram B X_d* X_d^T and right-hand side
-    # X_d* (sum_b Y_b)^T, and the eigenvalues of both Grams
+    # 1^T Psi, and the direct block's Gram B X_d* X_d^T and right-hand side
+    # X_d* (sum_b Y_b)^T
     w = np.ascontiguousarray((y @ psi.conj()).transpose(2, 0, 1))
     y_blocks = y.transpose(2, 0, 1)
     psi_gram = psi.conj().T @ psi
@@ -175,10 +174,7 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     gram[:k_d, :k_d] = b * (xd_conj @ direct_pilots.T)
     rhs = np.empty((p, m), dtype=complex)
     rhs[:k_d] = xd_conj @ y.sum(axis=2).T
-    psi_lam = np.linalg.eigvalsh(psi_gram)
-    direct_lam = np.linalg.eigvalsh(gram[:k_d, :k_d])
     ops = m * l * b * n + n * n * b + b * n + k_d * k_d * l + m * l * b + k_d * l * m
-    ops += n**3 + k_d**3
 
     def joint_regression():
         # [KR(1, X_d^T) | KR(Psi, Z^T)] against the mode-1 unfolding
@@ -204,18 +200,15 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
             # joint step: Gram blocks (1^T Psi) o (X_d* Z^T) and
             # (Psi^H Psi) o (Z* Z^T); RIS rows sum_l conj(z[n, l]) W[n, :, l]
             cross = psi_sum * (xd_conj @ z.T)
-            z_gram = z.conj() @ z.T
             gram[:k_d, k_d:] = cross
             gram[k_d:, :k_d] = cross.conj().T
-            gram[k_d:, k_d:] = psi_gram * z_gram
+            gram[k_d:, k_d:] = psi_gram * (z.conj() @ z.T)
             rhs[k_d:] = (w @ z.conj()[:, :, None])[:, :, 0]
-            ris_bounds = hadamard_gram_bounds(psi_lam, z_gram.diagonal().real)
-            bounds = block_gram_bounds(direct_lam, ris_bounds, cross)
-            joint = certified_gram_solve(gram, rhs, joint_regression, tol, bounds).T
+            joint = certified_gram_solve(gram, rhs, joint_regression, tol).T
             h_ua, h_ra = joint[:, :k_d], joint[:, k_d:]
-            # factor Grams, Hadamard products, right-hand side, ||C||_F,
+            # factor Grams, Hadamard products, right-hand side, disc sums,
             # LU factorization, triangular solves
-            ops += p * n * l + p * n + n * l * m + k_d * n + p**3 + p * p * m
+            ops += p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
 
             # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
             # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
@@ -223,10 +216,11 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
             ra_gram = h_ra.conj().T @ h_ra
             direct = psi_sum.conj()[:, None] * ((h_ra.conj().T @ h_ua) @ direct_pilots)
             z_rhs = (h_ra.conj().T[:, None, :] @ w)[:, 0, :] - direct
-            ris_bounds = hadamard_gram_bounds(psi_lam, ra_gram.diagonal().real)
-            z = certified_gram_solve(psi_gram * ra_gram, z_rhs, z_regression, tol, ris_bounds)
+            z = certified_gram_solve(psi_gram * ra_gram, z_rhs, z_regression, tol)
+            # factor Gram, Hadamard product, right-hand side, direct term,
+            # disc sums, LU factorization, triangular solves
             ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-            ops += n**3 + n * n * l
+            ops += n * n + n**3 + n * n * l
 
             # squared frame-fit residual from the model frame itself, whose RIS
             # term is KR(Psi, H_ra) Z; a Gram expansion would cancel

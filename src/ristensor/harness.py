@@ -130,7 +130,8 @@ def load_config(path):
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as err:
             raise ConfigError(f"{path}: {err}") from err
-    raw = raw or {}
+    if raw is None:
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 

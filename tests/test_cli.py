@@ -74,6 +74,17 @@ def test_run_snr_list_override(tiny_yaml, tmp_path):
     assert len(rows) == 6
 
 
+def test_run_negative_snr_list_joined_with_equals(tiny_yaml, tmp_path):
+    # argparse takes the -5,0 of "--snr-list -5,0" for an option; "=" joins it
+    out = tmp_path / "results.csv"
+    code = main(["run", "--config", str(tiny_yaml), "--snr-list=-5,0", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({float(row["snr_db"]) for row in rows}) == [-5.0, 0.0]
+    assert len(rows) == 6
+
+
 def test_run_estimator_subset(tiny_yaml, tmp_path):
     out = tmp_path / "results.csv"
     code = main(
@@ -113,6 +124,21 @@ def test_run_null_snr_grid_entry_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(path)])
     assert code == 2
     assert "error: snr_grid_db must be" in capsys.readouterr().err
+
+
+def test_run_non_string_output_exits_2(tmp_path, capsys):
+    # an integer output path would otherwise be opened as a file descriptor
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY_YAML + "output: 1\n")
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert "error: output_path must be a string" in capsys.readouterr().err
+
+
+def test_run_directory_out_exits_2(tiny_yaml, tmp_path, capsys):
+    code = main(["run", "--config", str(tiny_yaml), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_complexity_prints_counts(tmp_path, capsys):

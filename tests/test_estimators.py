@@ -197,7 +197,7 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 72_600), ("e_als", e_als_estimate, 100_356)],
+    [("two_stage", two_stage_estimate, 73_850), ("e_als", e_als_estimate, 101_870)],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
@@ -206,11 +206,13 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     k_d = k if mode == "e_als" else 0
     p = k_d + n
     # joint step: factor Grams X_d* Z^T and Z* Z^T, Hadamard products,
-    # right-hand side from W, ||C||_F, LU factorization (p^3), triangular solves
-    joint = p * n * l + p * n + n * l * m + k_d * n + p**3 + p * p * m
+    # right-hand side from W, disc sums (p^2), LU factorization (p^3),
+    # triangular solves
+    joint = p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
     # Z step: H_ra^H H_ra, Hadamard product, right-hand side from W, direct
-    # term H_ra^H H_ua X_d scaled by 1^T Psi, LU, triangular solves
-    z_step = n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l + n**3 + n * n * l
+    # term H_ra^H H_ua X_d scaled by 1^T Psi, disc sums, LU, triangular solves
+    z_step = n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
+    z_step += n * n + n**3 + n * n * l
     # residual: model frame, direct term, squared norm
     residual = b * m * n + b * m * n * l + m * k_d * l + m * l * b
     per_sweep = joint + z_step + residual
@@ -434,9 +436,8 @@ def test_bad_frames_raise_no_numpy_warning(kind):
 
 
 def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
-    # every sweep Gram on the stock schedules is certified by its bound; the
-    # only eigenvalues are the two sweep-invariant spectra (Psi^H Psi and the
-    # direct block's Gram), and no Khatri-Rao regressor is formed
+    # every sweep Gram on the stock schedules is certified by its Gershgorin
+    # discs, so no eigenvalues are computed and no Khatri-Rao regressor is formed
     calls = {"eigvalsh": 0, "khatri_rao": 0}
 
     def counted(name, fn):
@@ -458,7 +459,7 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
                     before = dict(calls)
                     est = estimate(name, recv, sched, EstimatorConfig(), seed)
                     assert not est.failed and est.iterations >= 2, (name, snr_db, seed)
-                    assert calls["eigvalsh"] - before["eigvalsh"] == 2, (name, snr_db, seed)
+                    assert calls["eigvalsh"] == before["eigvalsh"], (name, snr_db, seed)
                     assert calls["khatri_rao"] == before["khatri_rao"], (name, snr_db, seed)
 
 
@@ -483,12 +484,12 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
     recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
     seen = []
 
-    def checked(gram, a_h_rhs, regression, tol=1e-12, bounds=None):
+    def checked(gram, a_h_rhs, regression, tol=1e-12):
         a, rhs = regression()
         for got, want in ((a_h_rhs, a.conj().T @ rhs), (gram, a.conj().T @ a)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         seen.append(a.shape[1])
-        return certified_gram_solve(gram, a_h_rhs, regression, tol, bounds)
+        return certified_gram_solve(gram, a_h_rhs, regression, tol)
 
     cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
     with mock.patch.object(ristensor.estimators, "certified_gram_solve", checked):
@@ -554,6 +555,34 @@ def test_resolve_scaling_is_robust_to_a_tiny_reference_entry():
     fixed = resolve_scaling(est, truth)
     assert nmse(fixed.h_ra, h_ra) < 1e-4
     assert fixed.scaling_fallback_cols == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 8),
+    k=st.integers(1, 5),
+    spread_exp=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_scaling_changes_no_score(m, n, k, spread_exp, seed):
+    # (H_ra Delta, Delta^-1 H_ur) for a random nonsingular diagonal Delta,
+    # magnitudes over +-spread_exp decades and random phases: the cascade,
+    # the aggregate NMSE and the resolved factors are those of (H_ra, H_ur)
+    rng = np.random.default_rng(seed)
+    factors = [dict(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)), h_ur=crandn(rng, (n, k)))
+               for _ in range(2)]
+    truth, est = ChannelSet(**factors[0]), ChannelEstimate(**factors[1])
+    delta = 10.0 ** rng.uniform(-spread_exp, spread_exp, n) * np.exp(2j * np.pi * rng.random(n))
+    warped = dataclasses.replace(est, h_ra=est.h_ra * delta, h_ur=est.h_ur / delta[:, None])
+    assert np.linalg.norm(warped.cascade - est.cascade) <= 1e-12 * np.linalg.norm(est.cascade)
+    expected = aggregate_vector_nmse(est, truth)
+    assert aggregate_vector_nmse(warped, truth) == pytest.approx(expected, rel=1e-12)
+    fixed, fixed_warped = resolve_scaling(est, truth), resolve_scaling(warped, truth)
+    assert fixed_warped.scaling_fallback_cols == fixed.scaling_fallback_cols == ()
+    for got, want, axis in ((fixed_warped.h_ra, fixed.h_ra, 0), (fixed_warped.h_ur, fixed.h_ur, 1)):
+        err = np.linalg.norm(got - want, axis=axis)
+        assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=axis))
 
 
 def test_aggregate_nmse_matches_between_decoupled_and_theta():

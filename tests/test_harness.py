@@ -63,6 +63,15 @@ def test_empty_config_file_gives_defaults(tmp_path):
     assert cfg == ExperimentConfig()
 
 
+@pytest.mark.parametrize("text", ["[]\n", "0\n", "false\n", "''\n", "[trials]\n", "stock\n"])
+def test_non_mapping_config_file_is_an_error(tmp_path, text):
+    # only an empty file means defaults; any other top level must be a mapping
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="top level must be a mapping"):
+        load_config(path)
+
+
 def test_config_sections_and_scalars(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text(
@@ -152,6 +161,10 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(snr_grid_db=("10",)), "snr_grid_db"),
         (dict(snr_grid_db=(0.0, True)), "snr_grid_db"),
         (dict(snr_grid_db=(10**400,)), "snr_grid_db"),
+        (dict(output_path=1), "output_path"),
+        (dict(output_path=["out.csv"]), "output_path"),
+        (dict(output_format=1), "output_format"),
+        (dict(output_format=None), "output_format"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):

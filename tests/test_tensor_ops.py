@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ristensor.tensor_ops
 from ristensor.tensor_ops import (
     _GRAM_MIN_RATIO,
     ShapeError,
     SingularMatrixError,
-    block_gram_bounds,
+    _gram_discs,
     certified_gram_solve,
     crandn,
     dft_matrix,
-    gram_solve,
-    hadamard_gram_bounds,
     khatri_rao,
     pinv_left,
     pinv_right,
@@ -152,6 +151,18 @@ def _with_singular_value_ratio(rng, rows, cols, ratio):
     return (u * s) @ v.conj().T
 
 
+def _solve_via_gram(a, rhs, tol=1e-12, discs=True):
+    # certified_gram_solve on an explicit regressor; discs=False leaves the
+    # decision to the eigenvalue check alone
+    def solve():
+        return certified_gram_solve(a.conj().T @ a, a.conj().T @ rhs, lambda: (a, rhs), tol)
+
+    if discs:
+        return solve()
+    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=(0.0, 1.0)):
+        return solve()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     p=st.integers(1, 6),
@@ -168,7 +179,7 @@ def test_gram_solve_matches_pinv_up_to_cond_1e4(p, extra, r, cond_exp, consisten
     a = _with_singular_value_ratio(rng, p + extra, p, 1.0 / cond)
     rhs = a @ crandn(rng, (p, r)) if consistent else crandn(rng, (p + extra, r))
     expected = np.linalg.pinv(a) @ rhs
-    x = gram_solve(a, rhs, a.conj().T @ a)
+    x = _solve_via_gram(a, rhs)
     rtol = 100 * np.finfo(float).eps * cond**2
     assert np.linalg.norm(x - expected) <= rtol * np.linalg.norm(expected)
 
@@ -184,7 +195,7 @@ def test_gram_solve_is_pinv_left_beyond_cond_1e4(cols, extra, cond_exp, seed):
     rng = np.random.default_rng(seed)
     a = _with_singular_value_ratio(rng, cols + extra, cols, 10.0**-cond_exp)
     rhs = crandn(rng, (cols + extra, 2))
-    assert np.array_equal(gram_solve(a, rhs, a.conj().T @ a), pinv_left(a) @ rhs)
+    assert np.array_equal(_solve_via_gram(a, rhs), pinv_left(a) @ rhs)
 
 
 def _raises_singular(solve):
@@ -212,7 +223,7 @@ def test_gram_solve_raises_exactly_when_pinv_left_does(cols, extra, tol_exp, rat
     ratio = tol * 10.0**near_tol if near_tol is not None else 10.0**ratio_exp
     a = _with_singular_value_ratio(rng, cols + extra, cols, ratio)
     rhs = crandn(rng, (cols + extra, 2))
-    by_gram = _raises_singular(lambda: gram_solve(a, rhs, a.conj().T @ a, tol))
+    by_gram = _raises_singular(lambda: _solve_via_gram(a, rhs, tol))
     by_svd = _raises_singular(lambda: pinv_left(a, tol))
     assert by_gram == by_svd
 
@@ -220,10 +231,19 @@ def test_gram_solve_raises_exactly_when_pinv_left_does(cols, extra, tol_exp, rat
 def test_gram_solve_falls_back_on_a_non_finite_or_zero_gram():
     a = np.zeros((4, 2), dtype=complex)
     with pytest.raises(SingularMatrixError, match="pinv_left of 4x2"):
-        gram_solve(a, np.ones((4, 1)), a.conj().T @ a)
+        _solve_via_gram(a, np.ones((4, 1)))
     a = np.full((4, 2), np.nan)
     with pytest.raises(np.linalg.LinAlgError):
-        gram_solve(a, np.ones((4, 1)), a.conj().T @ a)
+        _solve_via_gram(a, np.ones((4, 1)))
+
+
+def test_an_inf_gram_goes_to_the_regression_without_a_warning():
+    # the row sums show the inf before any disc is formed as inf - inf
+    regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
+    gram = np.array([[np.inf, 1.0], [1.0, 1.0]])
+    x = certified_gram_solve(gram, np.ones((2, 1)), regression)
+    regression.assert_called_once_with()
+    assert np.array_equal(x, np.ones((2, 1)))
 
 
 def test_dft_matrix_values():
@@ -253,76 +273,69 @@ def _outcome(solve):
     extra=st.integers(0, 4),
     l=st.integers(1, 5),
     k_d=st.integers(0, 4),
+    family=st.sampled_from(["dft_sweep", "random_sweep", "dense"]),
     cond_exp=st.floats(0.0, 5.0),
-    spread_exp=st.floats(0.0, 3.0),
+    spread_exp=st.floats(0.0, 5.0),
     tol_exp=st.floats(-12.0, -2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_certified_bounds_bracket_the_sweep_grams(n, extra, l, k_d, cond_exp, spread_exp, tol_exp, seed):
-    # the two sweep Grams on a random, non-DFT Psi with cond(Psi) up to 1e5
-    # and Z rows scaled over up to 3 decades: the RIS Gram (Psi^H Psi) o (Z* Z^T)
-    # and the joint block Gram with direct block B X_d* X_d^T and cross block
-    # (1^T Psi) o (X_d* Z^T), bounded as the sweep bounds them
+def test_gram_discs_bracket_the_spectrum(
+    n, extra, l, k_d, family, cond_exp, spread_exp, tol_exp, seed
+):
+    # PSD Grams a^H a: the joint sweep Gram with direct block B X_d* X_d^T,
+    # cross block (1^T Psi) o (X_d* Z^T) and RIS block (Psi^H Psi) o (Z* Z^T),
+    # Z rows scaled over up to 5 decades, on DFT rows as the harness builds
+    # them (diagonal up to rounding) or on a random Psi with cond(Psi) up to
+    # 1e5; or a dense a with cond(a) up to 1e5
     rng = np.random.default_rng(seed)
-    b = n + extra
+    b = n + 1 + extra
     tol = 10.0**tol_exp
-    psi = _with_singular_value_ratio(rng, b, n, 10.0**-cond_exp)
-    z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
-    x_d = crandn(rng, (k_d, l))
-    psi_gram = psi.conj().T @ psi
-    z_gram = z.conj() @ z.T
-    ris = psi_gram * z_gram
-    cross = psi.sum(axis=0) * (x_d.conj() @ z.T)
-    direct = b * (x_d.conj() @ x_d.T)
-    joint = np.block([[direct, cross], [cross.conj().T, ris]])
-    ris_bounds = hadamard_gram_bounds(np.linalg.eigvalsh(psi_gram), z_gram.diagonal().real)
-    joint_bounds = block_gram_bounds(np.linalg.eigvalsh(direct), ris_bounds, cross)
-    ris_a = khatri_rao(psi, z.T)
-    joint_a = np.hstack([khatri_rao(np.ones((b, k_d)), x_d.T), ris_a])
-    rhs = crandn(rng, (b * l, 2))
+    if family == "dense":
+        a = _with_singular_value_ratio(rng, n + extra, n, 10.0**-cond_exp)
+    else:
+        if family == "dft_sweep":
+            psi = dft_matrix(b)[:, 1 : n + 1]
+            x_d = dft_matrix(l)[: min(k_d, l)]
+        else:
+            psi = _with_singular_value_ratio(rng, b, n, 10.0**-cond_exp)
+            x_d = crandn(rng, (k_d, l))
+        z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
+        a = np.hstack([khatri_rao(np.ones((b, x_d.shape[0])), x_d.T), khatri_rao(psi, z.T)])
+    gram = a.conj().T @ a
+    lo, hi = _gram_discs(gram)
+    lam = np.linalg.eigvalsh(gram)
+    slack = 1e-12 * lam[-1]   # rounding of the computed spectrum
+    assert lo <= lam[0] + slack
+    assert hi >= lam[-1] - slack
     threshold = tol * tol + _GRAM_MIN_RATIO
-    for a, gram, (lo, hi) in ((ris_a, ris, ris_bounds), (joint_a, joint, joint_bounds)):
-        lam = np.linalg.eigvalsh(gram)
-        slack = 1e-12 * lam[-1]   # rounding of the computed spectra
-        assert lo <= lam[0] + slack
-        assert hi >= lam[-1] - slack
-        if lo > 2.0 * threshold * hi:
-            # a certified Gram is one the eigenvalue check also LU-solves
-            assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
-
-        # so the bounds never change what the solve decides or returns
-        def solve(bounds):
-            return certified_gram_solve(gram, a.conj().T @ rhs, lambda: (a, rhs), tol, bounds)
-
-        with_bounds = _outcome(lambda: solve((lo, hi)))
-        without = _outcome(lambda: solve(None))
-        assert np.array_equal(with_bounds, without)
+    if lo > 2.0 * threshold * hi:
+        # a certified Gram is one the eigenvalue check also LU-solves
+        assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
+    # so the discs never change what the solve decides or returns
+    rhs = crandn(rng, (a.shape[0], 2))
+    with_discs = _outcome(lambda: _solve_via_gram(a, rhs, tol))
+    without = _outcome(lambda: _solve_via_gram(a, rhs, tol, discs=False))
+    assert np.array_equal(with_discs, without)
 
 
 @pytest.mark.parametrize("ratio_over_threshold, certified", [(0.75, False), (1.5, False), (2.5, True)])
 def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
-    # orthonormal Psi columns make Schur's bounds exact, the Gram being
-    # diag(||z_n||^2); the bounds decide alone only beyond twice the threshold
+    # orthonormal Psi columns make the Gram diag(||z_n||^2) up to rounding,
+    # so its discs are its eigenvalues; they decide alone only beyond twice
+    # the threshold
     rng = np.random.default_rng(7)
     threshold = 1e-24 + _GRAM_MIN_RATIO
     psi = _with_singular_value_ratio(rng, 5, 3, 1.0)
     z = crandn(rng, (3, 4))
     z *= (np.sqrt([1.0, 0.5, ratio_over_threshold * threshold]) / np.linalg.norm(z, axis=1))[:, None]
-    psi_gram = psi.conj().T @ psi
-    z_gram = z.conj() @ z.T
-    gram = psi_gram * z_gram
-    bounds = hadamard_gram_bounds(np.linalg.eigvalsh(psi_gram), z_gram.diagonal().real)
     a = khatri_rao(psi, z.T)
     rhs = crandn(rng, (20, 2))
 
-    def solve(bounds):
-        return certified_gram_solve(gram, a.conj().T @ rhs, lambda: (a, rhs), 1e-12, bounds)
-
     eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
     with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
-        got = solve(bounds)
+        got = _solve_via_gram(a, rhs)
     assert (eigvalsh.call_count == 0) == certified
-    assert np.array_equal(got, solve(None))
+    assert np.array_equal(got, _solve_via_gram(a, rhs, discs=False))
 
 
 def test_crandn_moments():
