@@ -61,7 +61,7 @@ def _apply_overrides(cfg, args):
 
 
 def _print_aggregate_table(aggregates, stream):
-    """Mean aggregate NMSE (and iterations) per estimator across the SNR grid."""
+    """Mean aggregate NMSE, and sweep statistics, per estimator across the SNR grid."""
     snrs = sorted({row["snr_db"] for row in aggregates})
     names = sorted({row["estimator"] for row in aggregates})
     cells = {(row["estimator"], row["snr_db"]): row for row in aggregates}
@@ -74,13 +74,18 @@ def _print_aggregate_table(aggregates, stream):
     for name in names:
         row = f"{name:<22}" + "".join(fmt(cells[(name, s)]["mean_nmse_aggregate"]) for s in snrs)
         print(row, file=stream)
-    print("mean iterations", file=stream)
-    for name in names:
-        values = []
-        for s in snrs:
-            mean_it = cells[(name, s)]["mean_iterations"]
-            values.append(f"{mean_it:>12.2f}" if mean_it is not None else " " * 11 + "-")
-        print(f"{name:<22}" + "".join(values), file=stream)
+    for title, key, spec in (
+        ("mean iterations", "mean_iterations", ".2f"),
+        ("max iterations", "max_iterations", "d"),
+        ("non-converged trials", "nonconverged", "d"),
+    ):
+        print(title, file=stream)
+        for name in names:
+            values = []
+            for s in snrs:
+                value = cells[(name, s)][key]
+                values.append(f"{value:>12{spec}}" if value is not None else " " * 11 + "-")
+            print(f"{name:<22}" + "".join(values), file=stream)
     failures = sum(row["failures"] for row in aggregates)
     if failures:
         print(f"failures excluded from means: {failures}", file=stream)

@@ -15,10 +15,17 @@ residual recorded in residual_trace is non-increasing sweep over sweep.
 Each update's regressor is a Khatri-Rao product, so it is solved through
 the small Gram matrix built as a Hadamard product of factor Grams, with
 right-hand sides from the frame contracted once with the known phase
-schedule (tensor_ops.certified_gram_solve, which certifies each Gram from
+schedule (tensor_ops.certified_gram_solves, which certifies each Gram from
 its own entries): the regressor itself is formed only when its SVD must
 decide singularity.  Every estimator reports a frame holding NaN or inf as
 a failed estimate before any solve.
+
+One sweep implementation serves every call: _alternating_fit runs on a
+stack of frames that share a schedule.  two_stage_estimate and
+e_als_estimate take one frame, or a list of frames with a list of
+generators and then return a list; a single frame is a stack of one.  Each
+frame's estimate is the one it gets alone, bit for bit, whatever else is
+in the stack.
 """
 
 import dataclasses
@@ -28,7 +35,7 @@ import numpy as np
 
 from .tensor_ops import (
     SingularMatrixError,
-    certified_gram_solve,
+    certified_gram_solves,
     crandn,
     khatri_rao,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
@@ -80,7 +87,7 @@ class ChannelEstimate:
 
 
 def _sqnorm(a):
-    return float(np.real(np.vdot(a, a)))
+    return float(np.vdot(a, a).real)
 
 
 def _small_change(delta, current, threshold):
@@ -115,45 +122,105 @@ def _failure(err, iteration, ops, trace):
     )
 
 
+def _memory_order(a):
+    # axes of a from the largest stride to the smallest, and the inverse
+    # permutation (plain Python: numpy's argsort would page in sort code)
+    order = sorted(range(a.ndim), key=lambda axis: -a.strides[axis])
+    return order, sorted(range(a.ndim), key=order.__getitem__)
+
+
+def _stack(frames):
+    """Frames of one shape stacked along a new first axis.
+
+    Each slice keeps the memory order of frames[0] (the harness synthesizes
+    (M, L, B) frames with L fastest, then B), so every product on a slice
+    runs the same BLAS call as on the frame alone.
+    """
+    first = np.asarray(frames[0])
+    order, inverse = _memory_order(first)
+    out = np.empty((len(frames),) + tuple(first.shape[a] for a in order),
+                   dtype=np.result_type(*frames))
+    for slot, frame in zip(out, frames):
+        slot[...] = np.asarray(frame).transpose(order)
+    return out.transpose(0, *(1 + a for a in inverse))
+
+
+def _take(keep, *stacks):
+    """stack[keep] for each stack, each slice keeping the stack's memory order."""
+    taken = []
+    for a in stacks:
+        order, inverse = _memory_order(a[0])
+        kept = a.transpose(0, *(1 + i for i in order))[keep]
+        taken.append(kept.transpose(0, *(1 + i for i in inverse)))
+    return taken
+
+
+def _finite_slices(stack):
+    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+
+
+def _as_list(recv, rng):
+    # one frame and one generator, or equal-length lists of both
+    if isinstance(recv, (list, tuple)):
+        return list(recv), [None] * len(recv) if rng is None else list(rng), False
+    return [recv], [rng], True
+
+
 def ls_direct_path(v, x_bar, tol=1e-12):
-    """LS estimate of the direct channel from the RIS-OFF stage: V @ pinv_right(X_bar)."""
+    """LS estimate of the direct channel from the RIS-OFF stage: V @ pinv_right(X_bar).
+
+    v may be one (M, L') OFF-stage matrix or a stack (T, M, L') of them.
+    """
     v = np.asarray(v)
     x_bar = np.asarray(x_bar)
-    if v.shape[1] != x_bar.shape[1]:
+    if v.shape[-1] != x_bar.shape[1]:
         raise ValueError(f"OFF-stage length mismatch: {v.shape} vs pilots {x_bar.shape}")
     return v @ pinv_right(x_bar, tol)
 
 
-def _alternating_fit(y, sched, direct_pilots, cfg, rng):
-    """Alternating LS over the frame y with a direct block of pilots X_d.
+def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
+    """Alternating LS over a stack y (T, M, L, B) of frames sharing one schedule.
 
-    Per sweep: one Gram solve refits the direct and RIS->AP channels
-    together against the stacked regressor [direct block | RIS block], then
-    one Gram solve refits the effective pilot-domain factor Z from the
-    mode-2 unfolding with the direct contribution removed.  Both regressors
-    are Khatri-Rao products, KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), so
-    each Gram is built from small factor Grams: (K_d+N)^2 for the joint step,
-    N^2 for Z.  Their right-hand sides come from the frame contracted once
-    with Psi^H along the blocks, W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b]
-    (the MTTKRP of CP-ALS, since Psi is known), so neither regressor is
-    formed for its solve.
-    Each Gram is certified from its own Gershgorin discs
-    (tensor_ops.certified_gram_solve), which clear every Gram of the DFT
-    schedules the harness builds; only an uncertified Gram costs
-    eigenvalues, and only a Gram that then fails forms its regressor.
-    Stops when the squared relative change of every factor drops to
+    Returns one ChannelEstimate per frame, each equal, bit for bit, to the
+    fit of its frame alone: every product runs per slice in the layout a
+    lone frame has, and generator rngs[t] (None: default_rng(init_seed))
+    draws frame t's initial factors.  Per sweep and frame, with a direct
+    block of pilots X_d: one Gram solve refits the direct and RIS->AP
+    channels together against the stacked regressor [direct block | RIS
+    block], then one Gram solve refits the effective pilot-domain factor Z
+    from the mode-2 unfolding with the direct contribution removed.  Both
+    regressors are Khatri-Rao products, KR(A, B)^H KR(A, B) = (A^H A) o
+    (B^H B), so each Gram is built from small factor Grams: (K_d+N)^2 for
+    the joint step, N^2 for Z.  Their right-hand sides come from the frame
+    contracted once with Psi^H along the blocks, W[m, l, n] = sum_b
+    conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of CP-ALS, since Psi is known),
+    so neither regressor is formed for its solve.
+    Each step solves the whole stack's Grams at once
+    (tensor_ops.certified_gram_solves): the Gershgorin discs, which clear
+    every Gram of the DFT schedules the harness builds, certify each Gram,
+    the cleared ones share one LU call, and only an uncertified Gram costs
+    eigenvalues, and only one that then fails forms its regressor; a frame's
+    op_count adds the Gram's order cubed for each eigvalsh it ran and the
+    regressor, pseudoinverse and apply cost for each pinv_left.
+    A frame stops when the squared relative change of every factor drops to
     conv_threshold, or after max_iters sweeps (converged=False, not an
-    error).  The user->RIS channel is recovered from Z on exit.  A 0 x L
+    error), and leaves the stack; so does a frame whose solve raises
+    LinAlgError, as a failed estimate with the sweep, op count and trace it
+    reached.  The user->RIS channel is recovered from Z on exit.  A 0 x L
     X_d empties the direct block: h_ua is then M x 0, counts as converged,
     and the sweep is the RIS-path fit.  A non-finite frame is a failed
     estimate before any solve.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.init_seed)
-    y = np.asarray(y)
-    if not _all_finite(y):
-        return _failure(_NON_FINITE, 0, 0, [])
-    m, l, b = y.shape
+    results = [None] * len(y)
+    finite = _finite_slices(y)
+    for t in np.flatnonzero(~finite):
+        results[t] = _failure(_NON_FINITE, 0, 0, [])
+    idx = np.flatnonzero(finite)      # frame index of each stack slot
+    if idx.size == 0:
+        return results
+    if idx.size < len(y):
+        (y,) = _take(idx, y)
+    m, l, b = y.shape[1:]
     psi = sched.ris_phases
     n = psi.shape[1]
     x = sched.pilots
@@ -162,100 +229,166 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rng):
     p = k_d + n
     tol = cfg.pinv_tol
 
-    # sweep-invariant: W as (N, M, L), the frame as (B, M, L), Psi^H Psi,
-    # 1^T Psi, and the direct block's Gram B X_d* X_d^T and right-hand side
-    # X_d* (sum_b Y_b)^T
-    w = np.ascontiguousarray((y @ psi.conj()).transpose(2, 0, 1))
-    y_blocks = y.transpose(2, 0, 1)
+    # sweep-invariant: W as (N, M, L) per frame, Psi^H Psi, 1^T Psi, and the
+    # direct block's Gram B X_d* X_d^T and right-hand side X_d* (sum_b Y_b)^T
+    w = np.ascontiguousarray((y @ psi.conj()).transpose(0, 3, 1, 2))
     psi_gram = psi.conj().T @ psi
     psi_sum = psi.sum(axis=0)
     xd_conj = direct_pilots.conj()
-    gram = np.empty((p, p), dtype=complex)
-    gram[:k_d, :k_d] = b * (xd_conj @ direct_pilots.T)
-    rhs = np.empty((p, m), dtype=complex)
-    rhs[:k_d] = xd_conj @ y.sum(axis=2).T
-    ops = m * l * b * n + n * n * b + b * n + k_d * k_d * l + m * l * b + k_d * l * m
+    gram = np.empty((len(y), p, p), dtype=complex)
+    gram[:, :k_d, :k_d] = b * (xd_conj @ direct_pilots.T)
+    rhs = np.empty((len(y), p, m), dtype=complex)
+    rhs[:, :k_d] = xd_conj @ y.sum(axis=3).transpose(0, 2, 1)
+    ops = np.full(
+        len(y), m * l * b * n + n * n * b + b * n + k_d * k_d * l + m * l * b + k_d * l * m
+    )
+    # per-frame cost of a pinv_left fallback in each step: its regressor
+    # (and the Z step's direct term), the pseudoinverse and its apply
+    joint_svd = b * l * p + _pinv_cost(p, b * l) + p * b * l * m
+    z_svd = b * m * n + b * m * k_d * l + _pinv_cost(n, b * m) + n * b * m * l
 
-    def joint_regression():
+    def joint_regression(j):
         # [KR(1, X_d^T) | KR(Psi, Z^T)] against the mode-1 unfolding
         ones = np.ones((b, k_d))
-        reg = np.hstack([khatri_rao(ones, direct_pilots.T), khatri_rao(psi, z.T)])
-        return reg, unfold_mode1(y).T
+        reg = np.hstack([khatri_rao(ones, direct_pilots.T), khatri_rao(psi, z[j].T)])
+        return reg, unfold_mode1(y[j]).T
 
-    def z_regression():
+    def z_regression(j):
         # KR(Psi, H_ra) against the mode-2 unfolding less (1 (x) H_ua) X_d
-        direct = np.tile(h_ua, (b, 1)) @ direct_pilots
-        return khatri_rao(psi, h_ra), unfold_mode2(y).T - direct
+        direct = np.tile(h_ua[j], (b, 1)) @ direct_pilots
+        return khatri_rao(psi, h_ra[j]), unfold_mode2(y[j]).T - direct
 
-    h_ua = crandn(rng, (m, k_d))
-    h_ra = crandn(rng, (m, n))
-    z = crandn(rng, (n, k)) @ x
-    trace = []
-    converged = False
-    it = 0
-    try:
-        for it in range(1, cfg.max_iters + 1):
-            prev = (h_ua, h_ra, z)
+    h_ua, h_ra, z = [], [], []
+    for t in idx:
+        rng = rngs[t] if rngs[t] is not None else np.random.default_rng(cfg.init_seed)
+        h_ua.append(crandn(rng, (m, k_d)))
+        h_ra.append(crandn(rng, (m, n)))
+        z.append(crandn(rng, (n, k)))
+    h_ua, h_ra, z = np.stack(h_ua), np.stack(h_ra), np.stack(z) @ x
+    traces = [[] for _ in results]
+    finished = {}   # frame index -> (h_ua, h_ra, z, iterations, converged, ops)
 
-            # joint step: Gram blocks (1^T Psi) o (X_d* Z^T) and
-            # (Psi^H Psi) o (Z* Z^T); RIS rows sum_l conj(z[n, l]) W[n, :, l]
-            cross = psi_sum * (xd_conj @ z.T)
-            gram[:k_d, k_d:] = cross
-            gram[k_d:, :k_d] = cross.conj().T
-            gram[k_d:, k_d:] = psi_gram * (z.conj() @ z.T)
-            rhs[k_d:] = (w @ z.conj()[:, :, None])[:, :, 0]
-            joint = certified_gram_solve(gram, rhs, joint_regression, tol).T
-            h_ua, h_ra = joint[:, :k_d], joint[:, k_d:]
-            # factor Grams, Hadamard products, right-hand side, disc sums,
-            # LU factorization, triangular solves
-            ops += p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
+    def drop(errors, it, *stacks):
+        # failed estimates for the slots in errors; the stacks without them
+        for j, err in errors.items():
+            results[idx[j]] = _failure(err, it, int(ops[j]), traces[idx[j]])
+        keep = np.ones(len(idx), dtype=bool)
+        keep[list(errors)] = False
+        return _take(keep, idx, ops, y, w, rhs, *stacks)
 
-            # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
-            # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
-            # direct term conj(1^T Psi) o (H_ra^H H_ua X_d)
-            ra_gram = h_ra.conj().T @ h_ra
-            direct = psi_sum.conj()[:, None] * ((h_ra.conj().T @ h_ua) @ direct_pilots)
-            z_rhs = (h_ra.conj().T[:, None, :] @ w)[:, 0, :] - direct
-            z = certified_gram_solve(psi_gram * ra_gram, z_rhs, z_regression, tol)
-            # factor Gram, Hadamard product, right-hand side, direct term,
-            # disc sums, LU factorization, triangular solves
-            ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-            ops += n * n + n**3 + n * n * l
+    for it in range(1, cfg.max_iters + 1):
+        prev = (h_ua, h_ra, z)
 
-            # squared frame-fit residual from the model frame itself, whose RIS
-            # term is KR(Psi, H_ra) Z; a Gram expansion would cancel
-            model = ((h_ra * psi[:, None, :]).reshape(b * m, n) @ z).reshape(b, m, l)
-            trace.append(_sqnorm(y_blocks - model - h_ua @ direct_pilots))
-            ops += b * m * n + b * m * n * l + m * k_d * l + m * l * b
-            if all(
-                _small_change(new - old, new, cfg.conv_threshold)
-                for new, old in zip((h_ua, h_ra, z), prev)
-            ):
-                converged = True
+        # joint step: Gram blocks (1^T Psi) o (X_d* Z^T) and
+        # (Psi^H Psi) o (Z* Z^T); RIS rows sum_l conj(z[n, l]) W[n, :, l]
+        z_t, z_conj = z.transpose(0, 2, 1), z.conj()
+        cross = psi_sum * (xd_conj @ z_t)
+        gram = gram[: len(idx)]
+        gram[:, :k_d, k_d:] = cross
+        gram[:, k_d:, :k_d] = cross.conj().transpose(0, 2, 1)
+        gram[:, k_d:, k_d:] = psi_gram * (z_conj @ z_t)
+        rhs[:, k_d:] = (w @ z_conj[..., None])[..., 0]
+        joint, eig, svd, errors = certified_gram_solves(gram, rhs, joint_regression, tol)
+        if errors:
+            idx, ops, y, w, rhs, joint, eig, svd, *prev = drop(errors, it, joint, eig, svd, *prev)
+            if not idx.size:
                 break
-        h_ur = z @ pinv_right(x, tol)
-        ops += _pinv_cost(k, l) + n * l * k
-    except np.linalg.LinAlgError as err:
-        return _failure(err, it, ops, trace)
+        joint = joint.transpose(0, 2, 1)
+        h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
+        # factor Grams, Hadamard products, right-hand side, disc sums,
+        # LU factorization, triangular solves
+        ops += p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
+        ops += eig * p**3 + svd * joint_svd
 
-    return ChannelEstimate(
-        h_ua=h_ua,
-        h_ur=h_ur,
-        h_ra=h_ra,
-        iterations=it,
-        converged=converged,
-        op_count=ops,
-        residual_trace=tuple(trace),
-    )
+        # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
+        # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
+        # direct term conj(1^T Psi) o (H_ra^H H_ua X_d)
+        ra_h = h_ra.conj().transpose(0, 2, 1)
+        direct = psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
+        z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :] - direct
+        z, eig, svd, errors = certified_gram_solves(
+            psi_gram * (ra_h @ h_ra), z_rhs, z_regression, tol
+        )
+        if errors:
+            idx, ops, y, w, rhs, z, eig, svd, h_ua, h_ra, *prev = drop(
+                errors, it, z, eig, svd, h_ua, h_ra, *prev
+            )
+            if not idx.size:
+                break
+        # factor Gram, Hadamard product, right-hand side, direct term,
+        # disc sums, LU factorization, triangular solves
+        ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
+        ops += n * n + n**3 + n * n * l
+        ops += eig * n**3 + svd * z_svd
+
+        # squared frame-fit residual from the model frame itself, whose RIS
+        # term is KR(Psi, H_ra) Z; a Gram expansion would cancel
+        # (the product lands in a C-ordered buffer so the reshape needs no
+        # copy, and the residual overwrites the model in place)
+        slots = len(idx)
+        ra_psi = np.multiply(
+            h_ra[:, None], psi[:, None, :], out=np.empty((slots, b, m, n), complex)
+        )
+        residual = (ra_psi.reshape(slots, b * m, n) @ z).reshape(slots, b, m, l)
+        del ra_psi
+        np.subtract(y.transpose(0, 3, 1, 2), residual, out=residual)
+        residual -= (h_ua @ direct_pilots)[:, None]
+        ops += b * m * n + b * m * n * l + m * k_d * l + m * l * b
+        changes = [(new, new - old) for new, old in zip((h_ua, h_ra, z), prev)]
+        done = np.zeros(slots, dtype=bool)
+        for j, i in enumerate(idx):
+            traces[i].append(_sqnorm(residual[j]))
+            done[j] = all(
+                _small_change(delta[j], new[j], cfg.conv_threshold) for new, delta in changes
+            )
+            if done[j] or it == cfg.max_iters:
+                finished[i] = (h_ua[j], h_ra[j], z[j], it, bool(done[j]), int(ops[j]))
+        if done.all() or it == cfg.max_iters:
+            break
+        if done.any():
+            idx, ops, y, w, rhs, h_ua, h_ra, z = _take(~done, idx, ops, y, w, rhs, h_ua, h_ra, z)
+
+    if not finished:
+        return results
+    try:
+        p_right = pinv_right(x, tol)
+    except np.linalg.LinAlgError as err:
+        for i, (*_, iters, _, count) in finished.items():
+            results[i] = _failure(err, iters, count, traces[i])
+        return results
+    order = sorted(finished)
+    h_ur = np.stack([finished[i][2] for i in order]) @ p_right
+    for i, ur in zip(order, h_ur):
+        ua, ra, _, iters, converged, count = finished[i]
+        results[i] = ChannelEstimate(
+            h_ua=ua,
+            h_ur=ur,
+            h_ra=ra,
+            iterations=iters,
+            converged=converged,
+            op_count=count + _pinv_cost(k, l) + n * l * k,
+            residual_trace=tuple(traces[i]),
+        )
+    return results
 
 
 def als_ris(q, sched, cfg, rng=None):
     """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
 
-    The joint sweep of e_als_estimate with the direct block left empty.
+    The joint sweep of e_als_estimate with the direct block left empty.  q
+    is one (M, L, B) tensor, or a stack (T, M, L, B) fitted together with rng
+    a list of T generators, which returns a list of estimates.
     """
+    q = np.asarray(q)
     no_direct = np.empty((0, sched.pilots.shape[1]))
-    return dataclasses.replace(_alternating_fit(q, sched, no_direct, cfg, rng), h_ua=None)
+    single = q.ndim == 3
+    if single:
+        q, rng = q[None], [rng]
+    elif rng is None:
+        rng = [None] * len(q)
+    fits = _alternating_fit(q, sched, no_direct, cfg, rng)
+    fits = [dataclasses.replace(fit, h_ua=None) for fit in fits]
+    return fits[0] if single else fits
 
 
 def two_stage_estimate(recv, sched, cfg, rng=None):
@@ -263,37 +396,51 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
 
     The estimated direct contribution is subtracted from every block before
     the alternating fit, so its estimation error lands in the stage-2 noise.
+    recv may be a list of frames with rng a list of generators: the frames
+    are then fitted together and a list of estimates returned, each equal
+    to that frame's estimate alone.
     """
-    if recv.off_stage is None:
+    recvs, rngs, single = _as_list(recv, rng)
+    if any(r.off_stage is None for r in recvs):
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
-    if not _all_finite(recv.off_stage, recv.tensor):
-        return _failure(_NON_FINITE, 0, 0, [])
-    m, l, _ = recv.tensor.shape
-    k, l_off = sched.off_pilots.shape
-    try:
-        h_ua = ls_direct_path(recv.off_stage, sched.off_pilots, cfg.pinv_tol)
-    except np.linalg.LinAlgError as err:
-        return _failure(err, 0, 0, [])
-    ops = _pinv_cost(k, l_off) + m * l_off * k
-
-    q = recv.tensor - (h_ua @ sched.pilots)[:, :, None]
-    ops += m * k * l
-
-    result = als_ris(q, sched, cfg, rng)
-    return dataclasses.replace(result, h_ua=h_ua, op_count=result.op_count + ops)
+    y = _stack([r.tensor for r in recvs])
+    v = _stack([r.off_stage for r in recvs])
+    finite = _finite_slices(y) & _finite_slices(v)
+    results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
+    live = np.flatnonzero(finite)
+    if live.size:
+        m, l, _ = y.shape[1:]
+        k, l_off = sched.off_pilots.shape
+        if live.size < len(y):
+            y, v = _take(live, y, v)
+        try:
+            h_ua = ls_direct_path(v, sched.off_pilots, cfg.pinv_tol)
+        except np.linalg.LinAlgError as err:
+            for t in live:
+                results[t] = _failure(err, 0, 0, [])
+        else:
+            ops = _pinv_cost(k, l_off) + m * l_off * k + m * k * l
+            q = y - (h_ua @ sched.pilots)[..., None]
+            fits = als_ris(q, sched, cfg, [rngs[t] for t in live])
+            for t, fit, direct in zip(live, fits, h_ua):
+                results[t] = dataclasses.replace(fit, h_ua=direct, op_count=fit.op_count + ops)
+    return results[0] if single else results
 
 
 def e_als_estimate(recv, sched, cfg, rng=None):
     """Joint alternating estimator over the full frame.
 
     The direct channel is refit together with the RIS->AP factor every sweep,
-    its regressor block built from the frame's own pilots.
+    its regressor block built from the frame's own pilots.  recv may be a
+    list of frames with rng a list of generators, as in two_stage_estimate.
     """
     b, n = sched.ris_phases.shape
     k, l = sched.pilots.shape
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
-    return _alternating_fit(recv.tensor, sched, sched.pilots, cfg, rng)
+    recvs, rngs, single = _as_list(recv, rng)
+    fits = _alternating_fit(_stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
+    return fits[0] if single else fits
 
 
 class StackedLsSolver:

@@ -3,7 +3,10 @@
 Every (snr, trial) pair derives its own RNG substreams from the master seed,
 so the record set is bit-identical no matter how trials are chunked across
 workers; all enabled estimators inside a trial share one channel realization
-and one noise realization (paired comparison).
+and one noise realization (paired comparison).  A chunk runs its trials in
+groups of GROUP_SIZE: each ALS estimator fits a group's frames in one
+stacked call, whose estimates equal the per-trial ones bit for bit, so the
+grouping, like the chunking, leaves the records unchanged.
 """
 
 import csv
@@ -36,6 +39,9 @@ ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
 # fixed ordinals keep per-estimator init streams stable under any enabled subset
 _INIT_ORDINAL = {"two_stage": 0, "e_als": 1}
 _GEOMETRY_TAG = 104729  # entropy word marking the shared-geometry stream
+# trials a chunk fits per stacked ALS call: larger groups spread numpy's
+# per-call overhead thinner but hold more frames and temporaries at once
+GROUP_SIZE = 8
 
 
 class ConfigError(ValueError):
@@ -221,10 +227,16 @@ def _snr_setup(cfg, snr_index):
 def run_trial(cfg, snr_index, trial_index, details=False):
     """Run every enabled estimator on one shared (channel, noise) realization."""
     system, schedules, ls_solver = _snr_setup(cfg, snr_index)
-    return _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, details)
+    [(records, estimates, channels)] = _run_group(
+        cfg, system, schedules, ls_solver, snr_index, [trial_index]
+    )
+    if details:
+        return records, estimates, channels
+    return records
 
 
-def _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, details=False):
+def _realize(cfg, system, schedules, snr_index, trial_index):
+    """One trial's channels, its frame per schedule, and their hash."""
     channel_ss, noise_ss = _trial_streams(cfg, snr_index, trial_index)
     dims = (system.m_ap, system.k_users, system.n_ris)
     geometry_rng = None
@@ -241,39 +253,49 @@ def _run_trial(cfg, system, schedules, ls_solver, snr_index, trial_index, detail
         mode: synthesize(channels, sched, system, np.random.default_rng(noise_ss))
         for mode, sched in schedules.items()
     }
-    chash = _channel_hash(channels, received)
+    return channels, received, _channel_hash(channels, received)
 
-    records = []
-    estimates = {}
+
+def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
+    """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
+
+    Each ALS estimator fits the group's frames in one stacked call, whose
+    wall time is split evenly over the group's records; ls runs per trial.
+    """
+    snr_db = cfg.snr_grid_db[snr_index]
+    realized = [_realize(cfg, system, schedules, snr_index, trial) for trial in trials]
+    out = [([], {}, channels) for channels, _, _ in realized]
     for name in cfg.estimators_enabled:
-        start = time.perf_counter()
-        if name == "two_stage":
-            est = two_stage_estimate(
-                received["two_stage"], schedules["two_stage"], cfg.estimator,
-                _init_rng(cfg, snr_index, trial_index, name),
-            )
-        elif name == "e_als":
-            est = e_als_estimate(
-                received["e_als"], schedules["e_als"], cfg.estimator,
-                _init_rng(cfg, snr_index, trial_index, name),
-            )
+        if name == "ls":
+            estimates, walls = [], []
+            for _, received, _ in realized:
+                start = time.perf_counter()
+                estimates.append(
+                    ls_baseline(received["e_als"], schedules["e_als"], cfg.estimator, ls_solver)
+                )
+                walls.append(time.perf_counter() - start)
         else:
-            est = ls_baseline(received["e_als"], schedules["e_als"], cfg.estimator, ls_solver)
-        wall = time.perf_counter() - start
-        records.append(
-            _score(name, est, channels, system, cfg.snr_grid_db[snr_index], trial_index, wall, chash)
-        )
-        estimates[name] = est
-    if details:
-        return records, estimates, channels
-    return records
+            estimator = two_stage_estimate if name == "two_stage" else e_als_estimate
+            rngs = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
+            frames = [received[name] for _, received, _ in realized]
+            start = time.perf_counter()
+            estimates = estimator(frames, schedules[name], cfg.estimator, rngs)
+            walls = [(time.perf_counter() - start) / len(trials)] * len(trials)
+        for trial, (channels, _, chash), est, wall, (records, by_name, _) in zip(
+            trials, realized, estimates, walls, out
+        ):
+            records.append(_score(name, est, channels, system, snr_db, trial, wall, chash))
+            by_name[name] = est
+    return out
 
 
 def _run_chunk(cfg, snr_index, start, stop):
     system, schedules, ls_solver = _snr_setup(cfg, snr_index)
     records = []
-    for trial in range(start, stop):
-        records.extend(_run_trial(cfg, system, schedules, ls_solver, snr_index, trial))
+    for first in range(start, stop, GROUP_SIZE):
+        group = range(first, min(first + GROUP_SIZE, stop))
+        for trial_records, _, _ in _run_group(cfg, system, schedules, ls_solver, snr_index, group):
+            records.extend(trial_records)
     return records
 
 
@@ -311,7 +333,11 @@ def _median(values):
 
 
 def aggregate_records(records):
-    """Per-(estimator, snr) summary; failed trials are excluded and counted."""
+    """Per-(estimator, snr) summary; failed trials are excluded and counted.
+
+    Besides the NMSE and cost means, each entry counts the non-failed trials
+    that hit the sweep cap unconverged and gives the largest sweep count.
+    """
     groups = {}
     for rec in records:
         groups.setdefault((rec.estimator_name, rec.snr_db), []).append(rec)
@@ -327,6 +353,11 @@ def aggregate_records(records):
                 "mean_nmse_aggregate": _mean([r.nmse_aggregate for r in ok]),
                 "median_nmse_aggregate": _median([r.nmse_aggregate for r in ok]),
                 "mean_iterations": _mean([r.iterations for r in ok]),
+                "max_iterations": max(
+                    (r.iterations for r in ok if r.iterations is not None), default=None
+                ),
+                # stopped at the sweep cap rather than by the change threshold
+                "nonconverged": sum(1 for r in ok if r.converged is False),
                 "mean_wall_time_seconds": _mean([r.wall_time_seconds for r in ok]),
                 "mean_analytic_ops": _mean([r.analytic_ops for r in ok]),
             }

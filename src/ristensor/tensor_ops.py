@@ -75,14 +75,19 @@ def _gram_discs(gram):
     Every eigenvalue lies in some disc g_ii -+ r_i, r_i = sum_{j != i} |g_ij|.
     With row sums s_i = |g_ii| + r_i, lo = min(g_ii - (s_i - g_ii)) and
     hi = max(s_i) bracket the union of the discs.  A NaN or inf entry makes
-    hi NaN or inf and lo NaN, so no disc is formed as inf - inf.
+    hi NaN or inf and lo NaN, so no disc is formed as inf - inf.  A stack of
+    Grams (..., p, p) gives one (lo, hi) pair per Gram, each from the same
+    row sums as that Gram alone.
     """
-    rows = np.abs(gram).sum(axis=1)
-    hi = rows.max()
-    if not hi < np.inf:
-        return np.nan, hi
-    diag = gram.diagonal().real
-    return (diag - (rows - diag)).min(), hi
+    rows = np.abs(gram).sum(axis=-1)
+    hi = rows.max(axis=-1)
+    diag = gram.diagonal(axis1=-2, axis2=-1).real
+    finite = hi < np.inf
+    if np.all(finite):
+        return (diag - (rows - diag)).min(axis=-1), hi
+    rows = np.where(finite[..., None], rows, 0.0)
+    diag = np.where(finite[..., None], diag, 0.0)
+    return np.where(finite, (diag - (rows - diag)).min(axis=-1), np.nan), hi
 
 
 def certified_gram_solve(gram, a_h_rhs, regression, tol=1e-12):
@@ -110,6 +115,54 @@ def certified_gram_solve(gram, a_h_rhs, regression, tol=1e-12):
             return np.linalg.solve(gram, a_h_rhs)
     a, rhs = regression()
     return pinv_left(a, tol) @ rhs
+
+
+def certified_gram_solves(grams, a_h_rhs, regression, tol=1e-12):
+    """certified_gram_solve on each Gram of a stack, one LU solve for the cleared ones.
+
+    grams (T, p, p) and a_h_rhs (T, p, r) stack T independent solves;
+    regression(i) returns the (a, rhs) of Gram i.  The discs are computed
+    for the whole stack, every Gram they clear goes to one stacked
+    np.linalg.solve (if that raises, each is solved alone), and each other
+    Gram goes through certified_gram_solve on its own, which reaches the
+    same disc decision and goes on to eigvalsh and pinv_left.  Returns
+    (x, eig, svd, errors): x (T, p, r) with solution i in x[i], boolean
+    arrays saying which Grams ran eigvalsh and which formed their regression
+    for pinv_left, and a dict from the index of each Gram that raised
+    np.linalg.LinAlgError to the error (its x[i] is undefined).  Each
+    solution, and each decision, is that of certified_gram_solve on the
+    Gram alone.
+    """
+    lo, hi = _gram_discs(grams)
+    cleared = lo > 2.0 * (tol * tol + _GRAM_MIN_RATIO) * hi
+    eig = ~cleared & (hi < np.inf)
+    svd = np.zeros(len(grams), dtype=bool)
+    errors = {}
+    if np.all(cleared):
+        try:
+            return np.linalg.solve(grams, a_h_rhs), eig, svd, errors
+        except np.linalg.LinAlgError:
+            alone = range(len(grams))
+    else:
+        alone = np.flatnonzero(~cleared)
+    x = np.empty(a_h_rhs.shape, dtype=np.result_type(grams, a_h_rhs))
+    if 0 < len(alone) < len(grams):
+        try:
+            x[cleared] = np.linalg.solve(grams[cleared], a_h_rhs[cleared])
+        except np.linalg.LinAlgError:
+            alone = range(len(grams))
+
+    for i in alone:
+
+        def logged(i=i):
+            svd[i] = True
+            return regression(i)
+
+        try:
+            x[i] = certified_gram_solve(grams[i], a_h_rhs[i], logged, tol)
+        except np.linalg.LinAlgError as err:
+            errors[i] = err
+    return x, eig, svd, errors
 
 
 def _svd_pinv(a, tol, side):

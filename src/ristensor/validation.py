@@ -17,7 +17,8 @@ def is_finite_number(value):
 
 def check_field_types(cfg, error=ValueError):
     """Raise error for an int field that is not an integer, a float field that
-    is not finite, or a str field that is not a string (or None by default)."""
+    is not finite, a bool field that is not a bool (a quoted "false" would be
+    truthy), or a str field that is not a string (or None by default)."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -25,6 +26,8 @@ def check_field_types(cfg, error=ValueError):
             raise error(f"{f.name} must be an integer, got {value!r}")
         if f.type is float and not is_finite_number(value):
             raise error(f"{f.name} must be a finite number, got {value!r}")
+        if f.type is bool and not isinstance(value, bool):
+            raise error(f"{f.name} must be true or false, got {value!r}")
         string = isinstance(value, str) or (value is None and f.default is None)
         if f.type is str and not string:
             raise error(f"{f.name} must be a string, got {value!r}")

@@ -110,6 +110,27 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     assert "n_ris" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [("fixed_geometry: \"false\"\n", "fixed_geometry"),
+     ("channel:\n  normalize_to_direct: \"no\"\n", "normalize_to_direct")],
+)
+def test_run_quoted_bool_exits_2(tmp_path, capsys, text, field):
+    # a quoted "false" is a truthy string, not false
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert f"{field} must be true or false" in capsys.readouterr().err
+
+
+def test_run_prints_sweep_statistics(tiny_yaml, capsys):
+    assert main(["run", "--config", str(tiny_yaml)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.index("mean iterations") < stdout.index("max iterations")
+    assert stdout.index("max iterations") < stdout.index("non-converged trials")
+
+
 def test_run_non_integer_trials_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("trials: 2.5\n")

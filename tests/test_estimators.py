@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ristensor.estimators
+import ristensor.tensor_ops
 from ristensor.channels import ChannelModelConfig, ChannelSet, draw_channels
 from ristensor.estimators import (
     ChannelEstimate,
@@ -25,11 +26,12 @@ from ristensor.signals import (
     ReceiveTensor,
     SystemConfig,
     TrainingSchedule,
+    make_phase_schedule,
     make_pilots,
     make_schedule,
     synthesize,
 )
-from ristensor.tensor_ops import SingularMatrixError, certified_gram_solve, crandn
+from ristensor.tensor_ops import SingularMatrixError, certified_gram_solves, crandn
 
 DIMS = (4, 8, 25)
 
@@ -484,15 +486,16 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
     recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
     seen = []
 
-    def checked(gram, a_h_rhs, regression, tol=1e-12):
-        a, rhs = regression()
-        for got, want in ((a_h_rhs, a.conj().T @ rhs), (gram, a.conj().T @ a)):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        seen.append(a.shape[1])
-        return certified_gram_solve(gram, a_h_rhs, regression, tol)
+    def checked(grams, a_h_rhs, regression, tol=1e-12):
+        for i, gram in enumerate(grams):
+            a, rhs = regression(i)
+            for got, want in ((a_h_rhs[i], a.conj().T @ rhs), (gram, a.conj().T @ a)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            seen.append(a.shape[1])
+        return certified_gram_solves(grams, a_h_rhs, regression, tol)
 
     cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solve", checked):
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", checked):
         if joint:
             est = e_als_estimate(recv, sched, cfg, rng)
         else:
@@ -500,6 +503,159 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
     k_d = k if joint else 0
     assert seen[:2] == [k_d + n, n]
     assert len(seen) == 2 * est.iterations or est.failed
+
+
+STACK_KINDS = ("synthesized", "zero", "one_nan", "scaled_up", "scaled_down")
+
+
+def stack_frame(kind, ch, sched, system, rng):
+    # every kind keeps the synthesized frame's memory layout, as the
+    # harness's frames all share one
+    recv = synthesize(ch, sched, system, rng)
+    if kind == "synthesized":
+        return recv
+
+    def change(a):
+        if a is None:
+            return None
+        a = a.copy(order="K")
+        if kind == "zero":
+            a[...] = 0.0
+        elif kind == "one_nan":
+            a.flat[rng.integers(a.size)] = np.nan
+        else:
+            a *= 1e150 if kind == "scaled_up" else 1e-150
+        return a
+
+    return ReceiveTensor(tensor=change(recv.tensor), off_stage=change(recv.off_stage))
+
+
+def assert_same_estimate(got, want):
+    for name in ("h_ua", "h_ra", "h_ur"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), name
+    for name in ("iterations", "converged", "op_count", "residual_trace", "failed",
+                 "failure_iteration", "failure_reason"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["two_stage", "e_als"]),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 1),
+    n=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6),
+    max_iters=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_iters, seed):
+    # one stacked call on frames of mixed kinds (a zero frame fails in its
+    # first Z step, a NaN frame before any solve) returns, for every frame,
+    # the estimate of that frame fitted alone, bit for bit: frames leave the
+    # stack as they converge or fail without changing the others
+    rng = np.random.default_rng(seed)
+    l = k + extra_l
+    system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=5.0)
+    sched = TrainingSchedule(
+        pilots=make_pilots(k, l, system.power),
+        ris_phases=make_phase_schedule(n, mode),
+        off_pilots=make_pilots(k, l, system.power) if mode == "two_stage" else None,
+    )
+    frames = []
+    for kind in kinds:
+        ch = ChannelSet(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)),
+                        h_ur=crandn(rng, (n, k)))
+        frames.append(stack_frame(kind, ch, sched, system, rng))
+    estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
+    cfg = EstimatorConfig(max_iters=max_iters, conv_threshold=1e-6)
+    seeds = rng.integers(2**32, size=len(frames))
+    stacked = estimator(frames, sched, cfg, [np.random.default_rng(s) for s in seeds])
+    assert len(stacked) == len(frames)
+    for frame, s, got in zip(frames, seeds, stacked):
+        assert_same_estimate(got, estimator(frame, sched, cfg, np.random.default_rng(s)))
+
+
+def test_stacked_als_ris_equals_each_frame_alone():
+    _, ch, sched, recv = noisy_setup("two_stage", seed=50)
+    q = recv.tensor - (ch.h_ua @ sched.pilots)[:, :, None]
+    stack = np.stack([q, np.zeros_like(q), 2.0 * q])
+    cfg = EstimatorConfig()
+    stacked = als_ris(stack, sched, cfg, [np.random.default_rng(i) for i in range(3)])
+    assert stacked[1].failed and not stacked[0].failed and not stacked[2].failed
+    for i, got in enumerate(stacked):
+        assert_same_estimate(got, als_ris(stack[i], sched, cfg, np.random.default_rng(i)))
+
+
+def test_sweep_op_count_adds_the_eigenvalues_of_uncleared_grams():
+    # a random unit-modulus Psi: the discs clear few of its sweep Grams, and
+    # each Gram they leave costs an eigvalsh, p^3 (the LU that follows is in
+    # the 101,870 of an e_als sweep already)
+    _, ch, _, _ = noisy_setup("e_als", seed=51)
+    system = SystemConfig(snr_db=10.0)
+    rng = np.random.default_rng(52)
+    sched = TrainingSchedule(
+        pilots=make_pilots(8, 8, system.power),
+        ris_phases=np.exp(2j * np.pi * rng.random((26, 25))),
+    )
+    recv = synthesize(ch, sched, system, rng)
+    ops, cubes = [], []
+    for sweeps in (1, 2):
+        sizes = []
+
+        def eigvalsh(gram):
+            sizes.append(gram.shape[0])
+            return np.linalg.eigvalsh.__wrapped__(gram)
+
+        eigvalsh.__wrapped__ = np.linalg.eigvalsh
+        cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh.__wrapped__) as spy, \
+                mock.patch.object(ristensor.tensor_ops, "pinv_left") as pinv:
+            est = e_als_estimate(recv, sched, cfg, np.random.default_rng(53))
+        assert not est.failed and est.iterations == sweeps
+        assert pinv.call_count == 0
+        ops.append(est.op_count)
+        cubes.append(sum(call.args[0].shape[0] ** 3 for call in spy.call_args_list))
+    assert cubes[1] > cubes[0] > 0
+    assert ops[1] - ops[0] == 101_870 + cubes[1] - cubes[0]
+
+
+def test_sweep_op_count_adds_the_pinv_fallback():
+    # a Psi column scaled by 1e-6 puts the joint Gram's eigenvalue ratio
+    # near 1e-12, below the Gram path's 1e-8 but above pinv_tol's square, so
+    # pinv_left solves the joint step from its regressor after the eigvalsh
+    # (the Z step's H_ra column grows to match, and its Gram stays clear)
+    _, ch, _, _ = noisy_setup("e_als", seed=54)
+    system = SystemConfig(snr_db=10.0)
+    rng = np.random.default_rng(55)
+    psi = make_phase_schedule(25, "e_als").copy()
+    psi[:, 1] *= 1e-6
+    sched = TrainingSchedule(pilots=make_pilots(8, 8, system.power), ris_phases=psi)
+    recv = synthesize(ch, sched, system, rng)
+    m, l, b, n, k = 4, 8, 26, 25, 8
+    ops, extra = [], []
+    for sweeps in (1, 2):
+        cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
+        eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
+        pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+        with mock.patch.object(np.linalg, "eigvalsh", eigvalsh), \
+                mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+            est = e_als_estimate(recv, sched, cfg, np.random.default_rng(56))
+        assert not est.failed and est.iterations == sweeps
+        cost = sum(call.args[0].shape[0] ** 3 for call in eigvalsh.call_args_list)
+        for call in pinv_left.call_args_list:
+            rows, cols = call.args[0].shape
+            if cols == n:   # Z step: KR(Psi, H_ra), its direct term, pinv, apply
+                cost += b * m * n + b * m * k * l + cols * cols * rows + cols**3 + cols * rows * l
+            else:           # joint step: [KR(1, X^T) | KR(Psi, Z^T)], pinv, apply
+                cost += rows * cols + cols * cols * rows + cols**3 + cols * rows * m
+        assert eigvalsh.call_count >= pinv_left.call_count >= sweeps
+        ops.append(est.op_count)
+        extra.append(cost)
+    assert ops[1] - ops[0] == 101_870 + extra[1] - extra[0]
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

@@ -165,6 +165,11 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(output_path=["out.csv"]), "output_path"),
         (dict(output_format=1), "output_format"),
         (dict(output_format=None), "output_format"),
+        (dict(fixed_geometry="false"), "fixed_geometry"),
+        (dict(fixed_geometry=0), "fixed_geometry"),
+        (dict(fixed_geometry=None), "fixed_geometry"),
+        (dict(channel=dict(normalize_to_direct="no")), "normalize_to_direct"),
+        (dict(channel=dict(normalize_to_direct=1)), "normalize_to_direct"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -243,6 +248,34 @@ def test_worker_count_does_not_change_records():
     serial = records_without_wall_time(run_experiment(base))
     parallel = records_without_wall_time(run_experiment(dataclasses.replace(base, workers=2)))
     assert serial == parallel
+
+
+def test_worker_count_does_not_change_records_across_group_makeups():
+    # stock dimensions, 21 trials: workers 1, 2 and 3 cut each SNR point into
+    # chunks of 21, 11 + 10 and 7 + 7 + 7 trials, so the stacked ALS calls
+    # see groups of 8, 8, 5 / 8, 3, 8, 2 / 7, 7, 7 frames
+    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=21, master_seed=11)
+    assert base.trials % ristensor.harness.GROUP_SIZE
+    runs = [
+        records_without_wall_time(run_experiment(dataclasses.replace(base, workers=workers)))
+        for workers in (1, 2, 3)
+    ]
+    assert len(runs[0]) == 2 * 21 * 3
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_group_records_equal_single_trial_records():
+    # a trial fitted in a stacked group gives the records run_trial gives it alone
+    cfg = tiny_config(snr_grid_db=(0.0,), trials=5)
+    grouped = records_without_wall_time(run_experiment(cfg))
+    alone = [
+        record
+        for trial in range(5)
+        for record in records_without_wall_time(run_trial(cfg, 0, trial))
+    ]
+    key = lambda r: (r["trial_index"], r["estimator_name"])  # noqa: E731
+    assert sorted(grouped, key=key) == sorted(alone, key=key)
 
 
 def test_serial_run_sets_up_once_per_snr_point(monkeypatch):
@@ -331,6 +364,23 @@ def test_aggregate_mean_and_failure_exclusion():
     assert entry["mean_iterations"] == pytest.approx(5.0)
     assert entry["mean_wall_time_seconds"] == pytest.approx(1.0)
     assert entry["mean_analytic_ops"] is None
+
+
+def test_aggregate_counts_nonconverged_trials_and_max_iterations():
+    shared = dict(snr_db=0.0, estimator_name="two_stage")
+    records = [
+        TrialRecord(trial_index=0, nmse_aggregate=0.1, iterations=20, converged=False, **shared),
+        TrialRecord(trial_index=1, nmse_aggregate=0.2, iterations=7, converged=True, **shared),
+        TrialRecord(trial_index=2, nmse_aggregate=0.3, iterations=20, converged=False, **shared),
+        # a failed trial is neither counted as unconverged nor in the max
+        TrialRecord(trial_index=3, iterations=25, converged=False, failure_flag=True, **shared),
+    ]
+    [entry] = aggregate_records(records)
+    assert entry["nonconverged"] == 2
+    assert entry["max_iterations"] == 20
+    [only_failed] = aggregate_records(records[3:])
+    assert only_failed["nonconverged"] == 0
+    assert only_failed["max_iterations"] is None
 
 
 def test_csv_emission_layout(tmp_path):

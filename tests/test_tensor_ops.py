@@ -12,6 +12,7 @@ from ristensor.tensor_ops import (
     SingularMatrixError,
     _gram_discs,
     certified_gram_solve,
+    certified_gram_solves,
     crandn,
     dft_matrix,
     khatri_rao,
@@ -244,6 +245,63 @@ def test_an_inf_gram_goes_to_the_regression_without_a_warning():
     x = certified_gram_solve(gram, np.ones((2, 1)), regression)
     regression.assert_called_once_with()
     assert np.array_equal(x, np.ones((2, 1)))
+
+
+def _tier_stack(rng, p=4, rows=9):
+    # regressors whose Grams take each tier: diagonal (cleared by the
+    # discs), dense and well conditioned (eigvalsh), cond 1e6 (pinv_left),
+    # rank deficient (pinv_left raises)
+    q, _ = np.linalg.qr(crandn(rng, (rows, p)))
+    regressors = [
+        q * np.array([1.0, 2.0, 3.0, 4.0]),
+        _with_singular_value_ratio(rng, rows, p, 0.3),
+        _with_singular_value_ratio(rng, rows, p, 1e-6),
+        np.hstack([q[:, :3], q[:, :1]]),
+    ]
+    rhs = [crandn(rng, (rows, 2)) for _ in regressors]
+    grams = np.stack([a.conj().T @ a for a in regressors])
+    a_h_rhs = np.stack([a.conj().T @ r for a, r in zip(regressors, rhs)])
+    return regressors, rhs, grams, a_h_rhs
+
+
+def test_stacked_gram_solves_equal_each_gram_alone():
+    rng = np.random.default_rng(8)
+    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
+    order = [0, 1, 2, 3, 0, 1]   # cleared Grams around the others
+    grams, a_h_rhs = grams[order], a_h_rhs[order]
+    x, eig, svd, errors = certified_gram_solves(
+        grams, a_h_rhs, lambda i: (regressors[order[i]], rhs[order[i]])
+    )
+    assert list(eig) == [False, True, True, True, False, True]
+    assert list(svd) == [False, False, True, True, False, False]
+    assert list(errors) == [3] and isinstance(errors[3], SingularMatrixError)
+    for i, j in enumerate(order):
+        if i != 3:
+            alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
+            assert np.array_equal(x[i], alone)
+
+
+@pytest.mark.parametrize("order", [[0, 0], [0, 1, 0]])
+def test_a_failing_stacked_solve_is_redone_per_gram(order):
+    # if LAPACK raises on the stacked call (all Grams cleared, or only some),
+    # every Gram is solved alone, with the bits of its own solve
+    rng = np.random.default_rng(9)
+    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
+    grams, a_h_rhs = grams[order], a_h_rhs[order]
+    solve = np.linalg.solve
+
+    def no_stacks(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("stacked")
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", no_stacks):
+        x, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, lambda i: (None, None))
+    assert not errors and not svd.any()
+    assert list(eig) == [j == 1 for j in order]
+    for i, j in enumerate(order):
+        alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
+        assert np.array_equal(x[i], alone)
 
 
 def test_dft_matrix_values():
