@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .harness import (
@@ -20,6 +21,8 @@ def _parse_snr_range(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("--snr expects a:b:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError("--snr start, stop and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("--snr step must be positive")
     grid = []

@@ -16,8 +16,9 @@ Each update's regressor is a Khatri-Rao product, so it is solved through
 the small Gram matrix built as a Hadamard product of factor Grams, with
 right-hand sides from the frame contracted once with the known phase
 schedule (tensor_ops.certified_gram_solves, which certifies each Gram from
-its own entries): the regressor itself is formed only when its SVD must
-decide singularity.  Every estimator reports a frame holding NaN or inf as
+its own entries and solves one that is diagonal to rounding by a Jacobi
+step): the regressor itself is formed only when its SVD must decide
+singularity.  Every estimator reports a frame holding NaN or inf as
 a failed estimate before any solve.
 
 One sweep implementation serves every call: _alternating_fit runs on a
@@ -196,12 +197,16 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of CP-ALS, since Psi is known),
     so neither regressor is formed for its solve.
     Each step solves the whole stack's Grams at once
-    (tensor_ops.certified_gram_solves): the Gershgorin discs, which clear
-    every Gram of the DFT schedules the harness builds, certify each Gram,
-    the cleared ones share one LU call, and only an uncertified Gram costs
-    eigenvalues, and only one that then fails forms its regressor; a frame's
-    op_count adds the Gram's order cubed for each eigvalsh it ran and the
-    regressor, pseudoinverse and apply cost for each pinv_left.
+    (tensor_ops.certified_gram_solves): the Gershgorin discs certify each
+    Gram on its own; a cleared Gram that is diagonal to rounding, as every
+    Gram of the DFT schedules the harness builds is, takes one Jacobi step,
+    the other cleared ones share one LU call, and only an uncertified Gram
+    costs eigenvalues, and only one that then fails forms its regressor; a
+    frame's op_count counts the Jacobi step or the LU that ran, and adds
+    the Gram's order cubed for each eigvalsh and the regressor,
+    pseudoinverse and apply cost for each pinv_left.  The squared residual
+    of each sweep is ||Y - model||^2 from the model frame itself, its RIS
+    term KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.
     A frame stops when the squared relative change of every factor drops to
     conv_threshold, or after max_iters sweeps (converged=False, not an
     error), and leaves the stack; so does a frame whose solve raises
@@ -288,16 +293,22 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         gram[:, k_d:, :k_d] = cross.conj().transpose(0, 2, 1)
         gram[:, k_d:, k_d:] = psi_gram * (z_conj @ z_t)
         rhs[:, k_d:] = (w @ z_conj[..., None])[..., 0]
-        joint, eig, svd, errors = certified_gram_solves(gram, rhs, joint_regression, tol)
+        joint, jacobi, eig, svd, errors = certified_gram_solves(
+            gram, rhs, joint_regression, tol
+        )
         if errors:
-            idx, ops, y, w, rhs, joint, eig, svd, *prev = drop(errors, it, joint, eig, svd, *prev)
+            idx, ops, y, w, rhs, joint, jacobi, eig, svd, *prev = drop(
+                errors, it, joint, jacobi, eig, svd, *prev
+            )
             if not idx.size:
                 break
         joint = joint.transpose(0, 2, 1)
         h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
-        # factor Grams, Hadamard products, right-hand side, disc sums,
-        # LU factorization, triangular solves
-        ops += p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
+        # factor Grams, Hadamard products, right-hand side, disc sums, then
+        # the Gram times the diagonal solve and its two divisions (Jacobi
+        # step), or the LU factorization and its triangular solves
+        ops += p * n * l + p * n + n * l * m + p * p + p * p * m
+        ops += np.where(jacobi, 2 * p * m, p**3)
         ops += eig * p**3 + svd * joint_svd
 
         # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
@@ -306,34 +317,34 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         ra_h = h_ra.conj().transpose(0, 2, 1)
         direct = psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :] - direct
-        z, eig, svd, errors = certified_gram_solves(
+        z, jacobi, eig, svd, errors = certified_gram_solves(
             psi_gram * (ra_h @ h_ra), z_rhs, z_regression, tol
         )
         if errors:
-            idx, ops, y, w, rhs, z, eig, svd, h_ua, h_ra, *prev = drop(
-                errors, it, z, eig, svd, h_ua, h_ra, *prev
+            idx, ops, y, w, rhs, z, jacobi, eig, svd, h_ua, h_ra, *prev = drop(
+                errors, it, z, jacobi, eig, svd, h_ua, h_ra, *prev
             )
             if not idx.size:
                 break
         # factor Gram, Hadamard product, right-hand side, direct term,
-        # disc sums, LU factorization, triangular solves
+        # disc sums, then the Jacobi step or the LU and triangular solves
         ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-        ops += n * n + n**3 + n * n * l
+        ops += n * n + n * n * l + np.where(jacobi, 2 * n * l, n**3)
         ops += eig * n**3 + svd * z_svd
 
         # squared frame-fit residual from the model frame itself, whose RIS
-        # term is KR(Psi, H_ra) Z; a Gram expansion would cancel
-        # (the product lands in a C-ordered buffer so the reshape needs no
-        # copy, and the residual overwrites the model in place)
+        # term is KR(H_ra, Z^T) Psi^T as (M*L, B); a Gram expansion would
+        # cancel (the product lands in a C-ordered buffer so the reshape
+        # needs no copy, and the residual overwrites the model in place)
         slots = len(idx)
-        ra_psi = np.multiply(
-            h_ra[:, None], psi[:, None, :], out=np.empty((slots, b, m, n), complex)
+        ra_z = np.multiply(
+            h_ra[:, :, None], z.transpose(0, 2, 1)[:, None], out=np.empty((slots, m, l, n), complex)
         )
-        residual = (ra_psi.reshape(slots, b * m, n) @ z).reshape(slots, b, m, l)
-        del ra_psi
-        np.subtract(y.transpose(0, 3, 1, 2), residual, out=residual)
-        residual -= (h_ua @ direct_pilots)[:, None]
-        ops += b * m * n + b * m * n * l + m * k_d * l + m * l * b
+        residual = (ra_z.reshape(slots, m * l, n) @ psi.T).reshape(slots, m, l, b)
+        del ra_z
+        np.subtract(y, residual, out=residual)
+        residual -= (h_ua @ direct_pilots)[..., None]
+        ops += m * l * n + m * l * n * b + m * k_d * l + m * l * b
         changes = [(new, new - old) for new, old in zip((h_ua, h_ra, z), prev)]
         done = np.zeros(slots, dtype=bool)
         for j, i in enumerate(idx):
@@ -528,20 +539,14 @@ def resolve_scaling(est, truth):
     """
     if est.h_ra is None or est.h_ur is None:
         raise ValueError("resolve_scaling needs decoupled RIS-path estimates")
-    h_ra_true = truth.h_ra
-    n = h_ra_true.shape[1]
-    lam = np.ones(n, dtype=complex)
-    skipped = []
-    for col in range(n):
-        den = float(np.real(np.vdot(h_ra_true[:, col], h_ra_true[:, col])))
-        num = np.vdot(h_ra_true[:, col], est.h_ra[:, col])
-        if den == 0.0 or num == 0:
-            skipped.append(col)
-            continue
-        lam[col] = num / den
+    truth_conj = truth.h_ra.conj()
+    den = (truth_conj * truth.h_ra).real.sum(axis=0)
+    num = (truth_conj * est.h_ra).sum(axis=0)
+    skipped = (den == 0.0) | (num == 0)
+    lam = np.divide(num, den, out=np.ones(len(den), dtype=complex), where=~skipped)
     return dataclasses.replace(
         est,
         h_ra=est.h_ra / lam[None, :],
         h_ur=est.h_ur * lam[:, None],
-        scaling_fallback_cols=tuple(skipped),
+        scaling_fallback_cols=tuple(np.flatnonzero(skipped).tolist()),
     )

@@ -5,7 +5,9 @@ each M x L.  vec() is column-major everywhere, so unfoldings and stacking use
 Fortran-order reshapes.  Least-squares solves against structured regressors
 go through their small Gram matrices (certified_gram_solve), certified from
 the Gram alone (its Gershgorin discs, else its eigenvalues), with the SVD
-pseudoinverse as the one place that decides singularity.
+pseudoinverse as the one place that decides singularity.  A certified Gram
+that is diagonal to rounding is solved by one Jacobi step instead of an LU
+factorization, with the same error bound.
 """
 
 import numpy as np
@@ -69,45 +71,78 @@ def pinv_with_ratio(a):
 _GRAM_MIN_RATIO = 1e-8
 
 
+# Largest dominance ratio rho = max_i r_i / g_ii, r_i = sum_{j != i} |g_ij|,
+# of a Gram solved by one Jacobi step: the step leaves an error of at most
+# rho**2 <= eps relative to the solution, the rounding of an LU solve.
+_JACOBI_MAX_RATIO = np.sqrt(np.finfo(float).eps)
+
+
 def _gram_discs(gram):
-    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian Gram.
+    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian Gram, and its dominance.
 
     Every eigenvalue lies in some disc g_ii -+ r_i, r_i = sum_{j != i} |g_ij|.
     With row sums s_i = |g_ii| + r_i, lo = min(g_ii - (s_i - g_ii)) and
-    hi = max(s_i) bracket the union of the discs.  A NaN or inf entry makes
-    hi NaN or inf and lo NaN, so no disc is formed as inf - inf.  A stack of
-    Grams (..., p, p) gives one (lo, hi) pair per Gram, each from the same
-    row sums as that Gram alone.
+    hi = max(s_i) bracket the union of the discs.  dominant says that every
+    s_i - g_ii <= _JACOBI_MAX_RATIO * g_ii, i.e. rho <= sqrt(eps), tested
+    without a division; it means nothing for a Gram whose discs do not clear
+    (a zero Gram is "dominant").  A NaN or inf entry makes hi NaN or inf and
+    lo NaN, so no disc is formed as inf - inf.  A stack of Grams (..., p, p)
+    gives one (lo, hi, dominant) per Gram, each from the same row sums as
+    that Gram alone.
     """
     rows = np.abs(gram).sum(axis=-1)
     hi = rows.max(axis=-1)
-    diag = gram.diagonal(axis1=-2, axis2=-1).real
+    diag = gram.diagonal(axis1=-2, axis2=-1).real.copy()
     finite = hi < np.inf
-    if np.all(finite):
-        return (diag - (rows - diag)).min(axis=-1), hi
-    rows = np.where(finite[..., None], rows, 0.0)
-    diag = np.where(finite[..., None], diag, 0.0)
-    return np.where(finite, (diag - (rows - diag)).min(axis=-1), np.nan), hi
+    all_finite = finite.all()
+    if not all_finite:
+        rows = np.where(finite[..., None], rows, 0.0)
+        diag = np.where(finite[..., None], diag, 0.0)
+    off = rows - diag
+    lo = (diag - off).min(axis=-1)
+    dominant = (off <= _JACOBI_MAX_RATIO * diag).all(axis=-1)
+    if not all_finite:
+        lo = np.where(finite, lo, np.nan)
+    return lo, hi, dominant
+
+
+def _jacobi_step(gram, a_h_rhs):
+    # diagonal solve x0 = b / d and one Jacobi refinement x0 + (b - G x0) / d,
+    # d the real diagonal; elementwise but for one matmul per Gram, so the
+    # bits of a Gram do not depend on the stack it is in
+    d = gram.diagonal(axis1=-2, axis2=-1).real[..., None]
+    x = a_h_rhs / d
+    step = gram @ x
+    np.subtract(a_h_rhs, step, out=step)
+    step /= d
+    x += step
+    return x
 
 
 def certified_gram_solve(gram, a_h_rhs, regression, tol=1e-12):
-    """pinv_left(a, tol) @ rhs, solved as gram @ x = a_h_rhs.
+    """pinv_left(a, tol) @ rhs, solved as gram @ x = a_h_rhs, a (p, r) matrix.
 
     The caller builds gram = a^H a and a_h_rhs = a^H rhs from structure (for
     a Khatri-Rao a, a Hadamard product of factor Grams); regression is a
     zero-argument callable returning (a, rhs), called only when the Gram
-    path cannot decide.  A finite Gram is LU-solved when its eigenvalue
-    ratio lambda_min / lambda_max exceeds threshold = tol**2 +
-    _GRAM_MIN_RATIO, i.e. a is well above the singular tolerance: certified
-    by its Gershgorin discs when lo > 2 * threshold * hi, a margin far above
-    rounding, else checked by eigvalsh.  Otherwise (or on a non-finite Gram)
-    pinv_left decides, raising SingularMatrixError when
-    sigma_min / sigma_max < tol, and solves.
+    path cannot decide.  A finite Gram is solved by normal equations when
+    its eigenvalue ratio lambda_min / lambda_max exceeds threshold = tol**2
+    + _GRAM_MIN_RATIO, i.e. a is well above the singular tolerance:
+    certified by its Gershgorin discs when lo > 2 * threshold * hi, a margin
+    far above rounding, else checked by eigvalsh.  A disc-certified Gram
+    that is also diagonal to rounding, rho = max_i r_i / g_ii <=
+    sqrt(eps), is solved by the diagonal solve plus one Jacobi step, whose
+    error |x - gram^-1 a_h_rhs|_inf <= rho**2 |x|_inf <= eps |x|_inf is
+    that of the LU solve every other certified Gram gets.  Otherwise (or
+    on a non-finite Gram) pinv_left decides, raising SingularMatrixError
+    when sigma_min / sigma_max < tol, and solves.
     """
     threshold = tol * tol + _GRAM_MIN_RATIO
-    lo, hi = _gram_discs(gram)
+    lo, hi, dominant = _gram_discs(gram)
     # a NaN lo compares False
     if lo > 2.0 * threshold * hi:
+        if dominant:
+            return _jacobi_step(gram, a_h_rhs)
         return np.linalg.solve(gram, a_h_rhs)
     if hi < np.inf:
         lam = np.linalg.eigvalsh(gram)
@@ -118,39 +153,41 @@ def certified_gram_solve(gram, a_h_rhs, regression, tol=1e-12):
 
 
 def certified_gram_solves(grams, a_h_rhs, regression, tol=1e-12):
-    """certified_gram_solve on each Gram of a stack, one LU solve for the cleared ones.
+    """certified_gram_solve on each Gram of a stack, one call per tier.
 
     grams (T, p, p) and a_h_rhs (T, p, r) stack T independent solves;
     regression(i) returns the (a, rhs) of Gram i.  The discs are computed
-    for the whole stack, every Gram they clear goes to one stacked
-    np.linalg.solve (if that raises, each is solved alone), and each other
-    Gram goes through certified_gram_solve on its own, which reaches the
-    same disc decision and goes on to eigvalsh and pinv_left.  Returns
-    (x, eig, svd, errors): x (T, p, r) with solution i in x[i], boolean
-    arrays saying which Grams ran eigvalsh and which formed their regression
-    for pinv_left, and a dict from the index of each Gram that raised
-    np.linalg.LinAlgError to the error (its x[i] is undefined).  Each
-    solution, and each decision, is that of certified_gram_solve on the
-    Gram alone.
+    for the whole stack and route each Gram on its own: every cleared Gram
+    that is diagonal to rounding takes one stacked Jacobi step, every other
+    cleared Gram goes to one stacked np.linalg.solve (if that raises, each
+    is solved alone), and each remaining Gram goes through
+    certified_gram_solve on its own, which reaches the same disc decision
+    and goes on to eigvalsh and pinv_left.  Returns (x, jacobi, eig, svd,
+    errors): x (T, p, r) with solution i in x[i], boolean arrays saying
+    which Grams took the Jacobi step, which ran eigvalsh and which formed
+    their regression for pinv_left, and a dict from the index of each Gram
+    that raised np.linalg.LinAlgError to the error (its x[i] is undefined).
+    Each solution, and each decision, is that of certified_gram_solve on
+    the Gram alone.
     """
-    lo, hi = _gram_discs(grams)
+    lo, hi, dominant = _gram_discs(grams)
     cleared = lo > 2.0 * (tol * tol + _GRAM_MIN_RATIO) * hi
+    jacobi = cleared & dominant
     eig = ~cleared & (hi < np.inf)
     svd = np.zeros(len(grams), dtype=bool)
     errors = {}
-    if np.all(cleared):
-        try:
-            return np.linalg.solve(grams, a_h_rhs), eig, svd, errors
-        except np.linalg.LinAlgError:
-            alone = range(len(grams))
-    else:
-        alone = np.flatnonzero(~cleared)
+    if jacobi.all():
+        return _jacobi_step(grams, a_h_rhs), jacobi, eig, svd, errors
     x = np.empty(a_h_rhs.shape, dtype=np.result_type(grams, a_h_rhs))
-    if 0 < len(alone) < len(grams):
+    if jacobi.any():
+        x[jacobi] = _jacobi_step(grams[jacobi], a_h_rhs[jacobi])
+    lu = cleared & ~jacobi
+    alone = np.flatnonzero(~cleared)
+    if lu.any():
         try:
-            x[cleared] = np.linalg.solve(grams[cleared], a_h_rhs[cleared])
+            x[lu] = np.linalg.solve(grams[lu], a_h_rhs[lu])
         except np.linalg.LinAlgError:
-            alone = range(len(grams))
+            alone = np.flatnonzero(~jacobi)
 
     for i in alone:
 
@@ -162,7 +199,7 @@ def certified_gram_solves(grams, a_h_rhs, regression, tol=1e-12):
             x[i] = certified_gram_solve(grams[i], a_h_rhs[i], logged, tol)
         except np.linalg.LinAlgError as err:
             errors[i] = err
-    return x, eig, svd, errors
+    return x, jacobi, eig, svd, errors
 
 
 def _svd_pinv(a, tol, side):

@@ -44,6 +44,16 @@ def test_parse_snr_range_rejects_malformed():
         _parse_snr_range("0:30:0")
 
 
+@pytest.mark.parametrize("spec", ["0:inf:5", "-inf:0:5", "nan:10:5", "0:nan:5", "0:10:inf"])
+def test_run_non_finite_snr_range_exits_2(tiny_yaml, spec, capsys):
+    # an infinite stop or start would grow the grid without end, and a NaN
+    # one would give an empty grid
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tiny_yaml), f"--snr={spec}"])
+    assert exc.value.code == 2
+    assert "--snr start, stop and step must be finite" in capsys.readouterr().err
+
+
 def test_parse_snr_list():
     assert _parse_snr_list("0,7.5,30") == (0.0, 7.5, 30.0)
     with pytest.raises(Exception):

@@ -199,24 +199,32 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 73_850), ("e_als", e_als_estimate, 101_870)],
+    [("two_stage", two_stage_estimate, 41_500), ("e_als", e_als_estimate, 49_172)],
+    ids=["two_stage", "e_als"],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
+    # every stock sweep Gram is diagonal up to rounding, so both steps take
+    # the Jacobi step: the Gram times the diagonal solve (p^2 r) and its two
+    # divisions (2 p r) where an LU solve costs p^3 + p^2 r.  Against the
+    # LU path's 73,850 (two_stage: M=4, L=8, B=N=25, p=25) and 101,870
+    # (e_als: B=26, p=33) that is 15,425 and 35,673 less in the joint step,
+    # 15,225 less in the Z step, and M*L*N - B*M*N = 800 - 2,500 (two_stage)
+    # or 800 - 2,600 (e_als) in the residual's Khatri-Rao product:
+    # 41,500 and 49,172
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
     m, l, b = recv.tensor.shape
     k, n = sched.pilots.shape[0], sched.ris_phases.shape[1]
     k_d = k if mode == "e_als" else 0
     p = k_d + n
     # joint step: factor Grams X_d* Z^T and Z* Z^T, Hadamard products,
-    # right-hand side from W, disc sums (p^2), LU factorization (p^3),
-    # triangular solves
-    joint = p * n * l + p * n + n * l * m + p * p + p**3 + p * p * m
+    # right-hand side from W, disc sums (p^2), Jacobi step
+    joint = p * n * l + p * n + n * l * m + p * p + p * p * m + 2 * p * m
     # Z step: H_ra^H H_ra, Hadamard product, right-hand side from W, direct
-    # term H_ra^H H_ua X_d scaled by 1^T Psi, disc sums, LU, triangular solves
+    # term H_ra^H H_ua X_d scaled by 1^T Psi, disc sums, Jacobi step
     z_step = n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-    z_step += n * n + n**3 + n * n * l
-    # residual: model frame, direct term, squared norm
-    residual = b * m * n + b * m * n * l + m * k_d * l + m * l * b
+    z_step += n * n + n * n * l + 2 * n * l
+    # residual: KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
+    residual = m * l * n + m * l * n * b + m * k_d * l + m * l * b
     per_sweep = joint + z_step + residual
     assert per_sweep == expected
     ops = []
@@ -439,8 +447,9 @@ def test_bad_frames_raise_no_numpy_warning(kind):
 
 def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
     # every sweep Gram on the stock schedules is certified by its Gershgorin
-    # discs, so no eigenvalues are computed and no Khatri-Rao regressor is formed
-    calls = {"eigvalsh": 0, "khatri_rao": 0}
+    # discs and diagonal up to rounding, so no eigenvalues are computed, no
+    # Khatri-Rao regressor is formed and no LU solve runs (the Jacobi step)
+    calls = {"eigvalsh": 0, "khatri_rao": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -451,9 +460,10 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
 
     eigvalsh = counted("eigvalsh", np.linalg.eigvalsh)
     khatri_rao = counted("khatri_rao", ristensor.estimators.khatri_rao)
+    solve = counted("solve", np.linalg.solve)
     with mock.patch.object(np.linalg, "eigvalsh", eigvalsh), mock.patch.object(
         ristensor.estimators, "khatri_rao", khatri_rao
-    ):
+    ), mock.patch.object(np.linalg, "solve", solve):
         for snr_db in (-5.0, 0.0, 10.0, 20.0, 30.0):
             for name in ("two_stage", "e_als"):
                 for seed in range(4):
@@ -463,6 +473,7 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
                     assert not est.failed and est.iterations >= 2, (name, snr_db, seed)
                     assert calls["eigvalsh"] == before["eigvalsh"], (name, snr_db, seed)
                     assert calls["khatri_rao"] == before["khatri_rao"], (name, snr_db, seed)
+                    assert calls["solve"] == before["solve"], (name, snr_db, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,9 +602,11 @@ def test_stacked_als_ris_equals_each_frame_alone():
 
 
 def test_sweep_op_count_adds_the_eigenvalues_of_uncleared_grams():
-    # a random unit-modulus Psi: the discs clear few of its sweep Grams, and
-    # each Gram they leave costs an eigvalsh, p^3 (the LU that follows is in
-    # the 101,870 of an e_als sweep already)
+    # a random unit-modulus Psi: the discs clear few of its sweep Grams and
+    # none is diagonal to rounding, so every step is LU-solved (after an
+    # eigvalsh, p^3, for each Gram the discs leave): the 49,172 of a stock
+    # e_als sweep plus p^3 - 2 p M = 35,673 (joint, p=33) and n^3 - 2 n L =
+    # 15,225 (Z step) for the LU in place of the Jacobi step, 100,070
     _, ch, _, _ = noisy_setup("e_als", seed=51)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(52)
@@ -620,14 +633,17 @@ def test_sweep_op_count_adds_the_eigenvalues_of_uncleared_grams():
         ops.append(est.op_count)
         cubes.append(sum(call.args[0].shape[0] ** 3 for call in spy.call_args_list))
     assert cubes[1] > cubes[0] > 0
-    assert ops[1] - ops[0] == 101_870 + cubes[1] - cubes[0]
+    assert ops[1] - ops[0] == 100_070 + cubes[1] - cubes[0]
 
 
 def test_sweep_op_count_adds_the_pinv_fallback():
     # a Psi column scaled by 1e-6 puts the joint Gram's eigenvalue ratio
     # near 1e-12, below the Gram path's 1e-8 but above pinv_tol's square, so
     # pinv_left solves the joint step from its regressor after the eigvalsh
-    # (the Z step's H_ra column grows to match, and its Gram stays clear)
+    # (the Z step's H_ra column grows to match, and its Gram stays clear and
+    # diagonal to rounding: the Jacobi step); so on top of the 49,172 of a
+    # stock e_als sweep, the joint step's tally has the LU's p^3 - 2 p M =
+    # 35,673 in place of the Jacobi step's, 84,845
     _, ch, _, _ = noisy_setup("e_als", seed=54)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(55)
@@ -655,7 +671,7 @@ def test_sweep_op_count_adds_the_pinv_fallback():
         assert eigvalsh.call_count >= pinv_left.call_count >= sweeps
         ops.append(est.op_count)
         extra.append(cost)
-    assert ops[1] - ops[0] == 101_870 + extra[1] - extra[0]
+    assert ops[1] - ops[0] == 84_845 + extra[1] - extra[0]
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():
@@ -711,6 +727,46 @@ def test_resolve_scaling_is_robust_to_a_tiny_reference_entry():
     fixed = resolve_scaling(est, truth)
     assert nmse(fixed.h_ra, h_ra) < 1e-4
     assert fixed.scaling_fallback_cols == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 8),
+    unusable=st.lists(st.sampled_from(["zero_truth", "orthogonal"]), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resolve_scaling_matches_the_per_column_fit(m, n, unusable, seed):
+    # the column fits computed together agree with one np.vdot pair per
+    # column to the rounding of an m-term sum, and skip the same columns
+    rng = np.random.default_rng(seed)
+    h_ra = crandn(rng, (m, n))
+    est_ra = crandn(rng, (m, n))
+    for col, kind in zip(rng.permutation(n), unusable):
+        if kind == "zero_truth":
+            h_ra[:, col] = 0.0
+        else:
+            est_ra[:, col] = 0.0
+    truth = ChannelSet(h_ua=crandn(rng, (m, 1)), h_ra=h_ra, h_ur=crandn(rng, (n, 1)))
+    est = ChannelEstimate(h_ra=est_ra, h_ur=crandn(rng, (n, 1)))
+    lam, skipped = np.ones(n, dtype=complex), []
+    for col in range(n):
+        den = float(np.real(np.vdot(h_ra[:, col], h_ra[:, col])))
+        num = np.vdot(h_ra[:, col], est_ra[:, col])
+        if den == 0.0 or num == 0:
+            skipped.append(col)
+        else:
+            lam[col] = num / den
+    fixed = resolve_scaling(est, truth)
+    assert fixed.scaling_fallback_cols == tuple(skipped)
+    assert all(type(col) is int for col in fixed.scaling_fallback_cols)
+    assert np.array_equal(fixed.h_ra[:, skipped], est_ra[:, skipped])
+    # lambda's rounding, about m eps sum_i |t_i| |e_i| / ||t||^2 for the
+    # sums, plus that of the quotient and of the product applying it
+    eps = np.finfo(float).eps
+    den = np.maximum((np.abs(h_ra) ** 2).sum(axis=0), np.finfo(float).tiny)
+    slack = 4 * m * eps * (np.abs(h_ra) * np.abs(est_ra)).sum(axis=0) / den + 4 * eps * np.abs(lam)
+    assert np.all(np.abs(fixed.h_ur - est.h_ur * lam[:, None]) <= slack[:, None] * np.abs(est.h_ur))
 
 
 @settings(max_examples=100, deadline=None)

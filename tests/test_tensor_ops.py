@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -160,7 +161,7 @@ def _solve_via_gram(a, rhs, tol=1e-12, discs=True):
 
     if discs:
         return solve()
-    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=(0.0, 1.0)):
+    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=(0.0, 1.0, False)):
         return solve()
 
 
@@ -247,16 +248,37 @@ def test_an_inf_gram_goes_to_the_regression_without_a_warning():
     assert np.array_equal(x, np.ones((2, 1)))
 
 
+SQRT_EPS = np.sqrt(np.finfo(float).eps)
+
+
+def _dominance(gram):
+    # rho = max_i sum_{j != i} |g_ij| / g_ii
+    diag = np.diag(gram).real
+    return np.max(np.abs(gram - np.diag(np.diag(gram))).sum(axis=1) / diag)
+
+
+def _assert_within_solve_rounding(got, lu, lam):
+    # the Jacobi step is within rho**2 <= eps of the solution, the LU solve
+    # within about p * eps * cond(G) of it
+    eps = np.finfo(float).eps
+    bound = 4 * len(lam) * eps * (lam[-1] / lam[0]) * np.linalg.norm(lu)
+    assert np.linalg.norm(got - lu) <= bound
+
+
 def _tier_stack(rng, p=4, rows=9):
-    # regressors whose Grams take each tier: diagonal (cleared by the
-    # discs), dense and well conditioned (eigvalsh), cond 1e6 (pinv_left),
-    # rank deficient (pinv_left raises)
+    # regressors whose Grams take each tier: diagonal up to rounding (cleared
+    # by the discs and dominant: the Jacobi step), dense and well conditioned
+    # (eigvalsh), cond 1e6 (pinv_left), rank deficient (pinv_left raises),
+    # and diagonal with off-diagonal entries near 0.05 of it (cleared by the
+    # discs but not dominant: LU)
     q, _ = np.linalg.qr(crandn(rng, (rows, p)))
+    scales = np.array([1.0, 2.0, 3.0, 4.0])
     regressors = [
-        q * np.array([1.0, 2.0, 3.0, 4.0]),
+        q * scales,
         _with_singular_value_ratio(rng, rows, p, 0.3),
         _with_singular_value_ratio(rng, rows, p, 1e-6),
         np.hstack([q[:, :3], q[:, :1]]),
+        q @ (np.diag(scales) + 0.05 * np.triu(np.ones((p, p)), 1)),
     ]
     rhs = [crandn(rng, (rows, 2)) for _ in regressors]
     grams = np.stack([a.conj().T @ a for a in regressors])
@@ -269,7 +291,7 @@ def test_stacked_gram_solves_equal_each_gram_alone():
     regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
     order = [0, 1, 2, 3, 0, 1]   # cleared Grams around the others
     grams, a_h_rhs = grams[order], a_h_rhs[order]
-    x, eig, svd, errors = certified_gram_solves(
+    x, jacobi, eig, svd, errors = certified_gram_solves(
         grams, a_h_rhs, lambda i: (regressors[order[i]], rhs[order[i]])
     )
     assert list(eig) == [False, True, True, True, False, True]
@@ -281,10 +303,11 @@ def test_stacked_gram_solves_equal_each_gram_alone():
             assert np.array_equal(x[i], alone)
 
 
-@pytest.mark.parametrize("order", [[0, 0], [0, 1, 0]])
+@pytest.mark.parametrize("order", [[0, 0], [0, 1, 0], [4, 4], [4, 1, 4], [4, 0, 1, 0, 4]])
 def test_a_failing_stacked_solve_is_redone_per_gram(order):
     # if LAPACK raises on the stacked call (all Grams cleared, or only some),
-    # every Gram is solved alone, with the bits of its own solve
+    # every Gram is solved alone, with the bits of its own solve; the Jacobi
+    # step (Gram 0) runs no LAPACK call
     rng = np.random.default_rng(9)
     regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
     grams, a_h_rhs = grams[order], a_h_rhs[order]
@@ -296,12 +319,119 @@ def test_a_failing_stacked_solve_is_redone_per_gram(order):
         return solve(a, b)
 
     with mock.patch.object(np.linalg, "solve", no_stacks):
-        x, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, lambda i: (None, None))
+        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, lambda i: (None, None))
     assert not errors and not svd.any()
     assert list(eig) == [j == 1 for j in order]
+    assert list(jacobi) == [j == 0 for j in order]
     for i, j in enumerate(order):
         alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
         assert np.array_equal(x[i], alone)
+
+
+def test_stacked_gram_solves_route_each_gram_on_its_own():
+    # a stack mixing every tier: one stacked LU call holds exactly the
+    # cleared Grams that are not dominant, the dominant ones take the Jacobi
+    # step around it, and each solution has the bits of its Gram alone
+    rng = np.random.default_rng(10)
+    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
+    order = [4, 0, 1, 4, 2, 0, 3]
+    grams, a_h_rhs = grams[order], a_h_rhs[order]
+    solve = mock.Mock(wraps=np.linalg.solve)
+    with mock.patch.object(np.linalg, "solve", solve):
+        x, jacobi, eig, svd, errors = certified_gram_solves(
+            grams, a_h_rhs, lambda i: (regressors[order[i]], rhs[order[i]])
+        )
+    assert list(jacobi) == [j == 0 for j in order]
+    assert list(eig) == [j in (1, 2, 3) for j in order]
+    assert list(svd) == [j in (2, 3) for j in order]
+    assert list(errors) == [6]
+    stacked = [call.args[0] for call in solve.call_args_list if call.args[0].ndim == 3]
+    assert len(stacked) == 1 and np.array_equal(stacked[0], grams[[0, 3]])
+    for i, j in enumerate(order):
+        if j != 3:
+            alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
+            assert np.array_equal(x[i], alone)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    r=st.integers(1, 4),
+    spread_exp=st.floats(0.0, 6.0),
+    rho_exps=st.lists(
+        st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 6.8)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jacobi_step_runs_exactly_on_cleared_dominant_grams(p, r, spread_exp, rho_exps, seed):
+    # Hermitian Grams D^1/2 (I + E) D^1/2, D spread over up to 6 decades and
+    # E scaled so that rho = max_i sum_{j != i} |g_ij| / g_ii lies rho_exp
+    # decades from sqrt(eps), on either side of it but 2% clear, where the
+    # rounding of the row sums decides; rho <= 0.1 keeps every |e_ij| <= rho
+    # and I + E definite.  A Gram takes the step (no LAPACK solve) exactly
+    # when its discs clear and rho <= sqrt(eps), alone or in a stack, with
+    # the same bits either way and a result within the rounding of the LU
+    rng = np.random.default_rng(seed)
+    grams = []
+    for rho_exp in rho_exps:
+        d = 10.0 ** rng.uniform(-spread_exp, 0.0, p)
+        e = crandn(rng, (p, p))
+        e = np.sqrt(d)[:, None] * (e + e.conj().T) * np.sqrt(d)[None, :]
+        np.fill_diagonal(e, 0.0)
+        if p > 1:
+            e *= SQRT_EPS * 10.0**rho_exp / np.max(np.abs(e).sum(axis=1) / d)
+        gram = e + np.diag(d)
+        grams.append((gram + gram.conj().T) / 2)
+    grams = np.stack(grams)
+    a_h_rhs = crandn(rng, (len(grams), p, r))
+    threshold = 1e-24 + _GRAM_MIN_RATIO
+    expected = []
+    for gram in grams:
+        radii = np.abs(gram - np.diag(np.diag(gram))).sum(axis=1)
+        diag = np.diag(gram).real
+        cleared = np.min(diag - radii) > 2.0 * threshold * np.max(diag + radii)
+        expected.append(bool(cleared and _dominance(gram) <= SQRT_EPS))
+
+    def no_regression(*_):
+        raise AssertionError("every Gram here is certified")
+
+    solve = mock.Mock(wraps=np.linalg.solve)
+    with mock.patch.object(np.linalg, "solve", solve):
+        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, no_regression)
+    assert list(jacobi) == expected and not errors
+    assert solve.call_count == (0 if all(expected) else 1)
+    for gram, b, x_i, took_step in zip(grams, a_h_rhs, x, expected):
+        solve.reset_mock()
+        with mock.patch.object(np.linalg, "solve", solve):
+            alone = certified_gram_solve(gram, b, no_regression)
+        assert solve.call_count == (0 if took_step else 1)
+        assert np.array_equal(x_i, alone)
+        _assert_within_solve_rounding(alone, np.linalg.solve(gram, b), np.linalg.eigvalsh(gram))
+
+
+BAD_GRAMS = {
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "zero_diagonal_entry": [[0.0, 0.0], [0.0, 1.0]],
+    "rho_0_but_cond_1e20": [[1.0, 0.0], [0.0, 1e-20]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRAMS))
+def test_grams_the_discs_do_not_clear_never_take_the_jacobi_step(name):
+    # a diagonal Gram has rho = 0, but the step needs the discs to clear
+    # first; alone or beside a dominant Gram that does take it, the bad Gram
+    # goes to eigvalsh or its regression, without a numpy warning
+    grams = np.array([BAD_GRAMS[name], [[1.0, 0.0], [0.0, 2.0]]])
+    a_h_rhs = np.ones((2, 2, 1))
+    regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, regression)
+        alone = certified_gram_solve(grams[0], a_h_rhs[0], lambda: regression(0))
+    assert list(jacobi) == [False, True] and list(svd) == [True, False] and not errors
+    assert np.array_equal(x[0], alone) and np.array_equal(x[1], [[1.0], [0.5]])
 
 
 def test_dft_matrix_values():
@@ -360,7 +490,7 @@ def test_gram_discs_bracket_the_spectrum(
         z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
         a = np.hstack([khatri_rao(np.ones((b, x_d.shape[0])), x_d.T), khatri_rao(psi, z.T)])
     gram = a.conj().T @ a
-    lo, hi = _gram_discs(gram)
+    lo, hi, _ = _gram_discs(gram)
     lam = np.linalg.eigvalsh(gram)
     slack = 1e-12 * lam[-1]   # rounding of the computed spectrum
     assert lo <= lam[0] + slack
@@ -369,11 +499,16 @@ def test_gram_discs_bracket_the_spectrum(
     if lo > 2.0 * threshold * hi:
         # a certified Gram is one the eigenvalue check also LU-solves
         assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
-    # so the discs never change what the solve decides or returns
+    # so the discs never change what the solve decides, nor what it returns
+    # but where a cleared Gram is dominant and takes the Jacobi step
     rhs = crandn(rng, (a.shape[0], 2))
     with_discs = _outcome(lambda: _solve_via_gram(a, rhs, tol))
     without = _outcome(lambda: _solve_via_gram(a, rhs, tol, discs=False))
-    assert np.array_equal(with_discs, without)
+    if lo > 2.0 * threshold * hi and _dominance(gram) <= SQRT_EPS:
+        assert isinstance(with_discs, np.ndarray) and isinstance(without, np.ndarray)
+        _assert_within_solve_rounding(with_discs, without, lam)
+    else:
+        assert np.array_equal(with_discs, without)
 
 
 @pytest.mark.parametrize("ratio_over_threshold, certified", [(0.75, False), (1.5, False), (2.5, True)])
@@ -393,7 +528,11 @@ def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
     with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
         got = _solve_via_gram(a, rhs)
     assert (eigvalsh.call_count == 0) == certified
-    assert np.array_equal(got, _solve_via_gram(a, rhs, discs=False))
+    without = _solve_via_gram(a, rhs, discs=False)
+    if certified:   # and dominant: the Jacobi step
+        _assert_within_solve_rounding(got, without, np.linalg.eigvalsh(a.conj().T @ a))
+    else:
+        assert np.array_equal(got, without)
 
 
 def test_crandn_moments():
