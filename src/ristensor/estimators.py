@@ -338,7 +338,8 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         # needs no copy, and the residual overwrites the model in place)
         slots = len(idx)
         ra_z = np.multiply(
-            h_ra[:, :, None], z.transpose(0, 2, 1)[:, None], out=np.empty((slots, m, l, n), complex)
+            h_ra[:, :, None], z.transpose(0, 2, 1)[:, None],
+            out=np.empty((slots, m, l, n), complex),
         )
         residual = (ra_z.reshape(slots, m * l, n) @ psi.T).reshape(slots, m, l, b)
         del ra_z

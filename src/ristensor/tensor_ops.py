@@ -78,7 +78,7 @@ _JACOBI_MAX_RATIO = np.sqrt(np.finfo(float).eps)
 
 
 def _gram_discs(gram):
-    """Gershgorin bounds (lo, hi) on the eigenvalues of a Hermitian Gram, and its dominance.
+    """Gershgorin bounds (lo, hi) on a Hermitian Gram's eigenvalues, and its dominance.
 
     Every eigenvalue lies in some disc g_ii -+ r_i, r_i = sum_{j != i} |g_ij|.
     With row sums s_i = |g_ii| + r_i, lo = min(g_ii - (s_i - g_ii)) and
@@ -92,7 +92,7 @@ def _gram_discs(gram):
     """
     rows = np.abs(gram).sum(axis=-1)
     hi = rows.max(axis=-1)
-    diag = gram.diagonal(axis1=-2, axis2=-1).real.copy()
+    diag = gram.diagonal(axis1=-2, axis2=-1).real.copy()   # contiguous: faster below
     finite = hi < np.inf
     all_finite = finite.all()
     if not all_finite:
