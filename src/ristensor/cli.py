@@ -16,6 +16,10 @@ from .harness import (
 from .metrics import complexity_formula
 
 
+# Most points an --snr range may give; each costs a set-up and every trial.
+_MAX_SNR_POINTS = 10_000
+
+
 def _parse_snr_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -25,12 +29,13 @@ def _parse_snr_range(text):
         raise argparse.ArgumentTypeError("--snr start, stop and step must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("--snr step must be positive")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 9))
-        value += step
-    return tuple(grid)
+    # points start + i * step up to stop, counted by division: a step below
+    # the rounding of start would never advance an accumulated value
+    span = (stop + 1e-9 - start) / step
+    if span >= _MAX_SNR_POINTS:
+        raise argparse.ArgumentTypeError(f"--snr gives more than {_MAX_SNR_POINTS} points")
+    count = math.floor(span) + 1 if span >= 0 else 0
+    return tuple(round(start + i * step, 9) for i in range(count))
 
 
 def _parse_snr_list(text):

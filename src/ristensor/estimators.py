@@ -15,18 +15,18 @@ residual recorded in residual_trace is non-increasing sweep over sweep.
 Each update's regressor is a Khatri-Rao product, so it is solved through
 the small Gram matrix built as a Hadamard product of factor Grams, with
 right-hand sides from the frame contracted once with the known phase
-schedule (tensor_ops.certified_gram_solves, which certifies each Gram from
-its own entries and solves one that is diagonal to rounding by a Jacobi
-step): the regressor itself is formed only when its SVD must decide
-singularity.  Every estimator reports a frame holding NaN or inf as
-a failed estimate before any solve.
+schedule (tensor_ops.certified_gram_solves, which solves a Gram that its
+own entries certify and show diagonal to rounding by a Jacobi step): the
+regressor itself is formed only for any other Gram, whose SVD solves it
+and decides singularity.  Every estimator reports a frame holding NaN or
+inf as a failed estimate before any solve.
 
 One sweep implementation serves every call: _alternating_fit runs on a
 stack of frames that share a schedule.  two_stage_estimate and
 e_als_estimate take one frame, or a list of frames with a list of
-generators and then return a list; a single frame is a stack of one.  Each
-frame's estimate is the one it gets alone, bit for bit, whatever else is
-in the stack.
+generators and then return a list; a single frame is a stack of one.  Every
+stack is C-ordered, so each frame's estimate is the one it gets alone, bit
+for bit, whatever else is in the stack.
 """
 
 import dataclasses
@@ -123,39 +123,6 @@ def _failure(err, iteration, ops, trace):
     )
 
 
-def _memory_order(a):
-    # axes of a from the largest stride to the smallest, and the inverse
-    # permutation (plain Python: numpy's argsort would page in sort code)
-    order = sorted(range(a.ndim), key=lambda axis: -a.strides[axis])
-    return order, sorted(range(a.ndim), key=order.__getitem__)
-
-
-def _stack(frames):
-    """Frames of one shape stacked along a new first axis.
-
-    Each slice keeps the memory order of frames[0] (the harness synthesizes
-    (M, L, B) frames with L fastest, then B), so every product on a slice
-    runs the same BLAS call as on the frame alone.
-    """
-    first = np.asarray(frames[0])
-    order, inverse = _memory_order(first)
-    out = np.empty((len(frames),) + tuple(first.shape[a] for a in order),
-                   dtype=np.result_type(*frames))
-    for slot, frame in zip(out, frames):
-        slot[...] = np.asarray(frame).transpose(order)
-    return out.transpose(0, *(1 + a for a in inverse))
-
-
-def _take(keep, *stacks):
-    """stack[keep] for each stack, each slice keeping the stack's memory order."""
-    taken = []
-    for a in stacks:
-        order, inverse = _memory_order(a[0])
-        kept = a.transpose(0, *(1 + i for i in order))[keep]
-        taken.append(kept.transpose(0, *(1 + i for i in inverse)))
-    return taken
-
-
 def _finite_slices(stack):
     return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
 
@@ -183,31 +150,29 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     """Alternating LS over a stack y (T, M, L, B) of frames sharing one schedule.
 
     Returns one ChannelEstimate per frame, each equal, bit for bit, to the
-    fit of its frame alone: every product runs per slice in the layout a
-    lone frame has, and generator rngs[t] (None: default_rng(init_seed))
-    draws frame t's initial factors.  Per sweep and frame, with a direct
-    block of pilots X_d: one Gram solve refits the direct and RIS->AP
-    channels together against the stacked regressor [direct block | RIS
-    block], then one Gram solve refits the effective pilot-domain factor Z
-    from the mode-2 unfolding with the direct contribution removed.  Both
-    regressors are Khatri-Rao products, KR(A, B)^H KR(A, B) = (A^H A) o
-    (B^H B), so each Gram is built from small factor Grams: (K_d+N)^2 for
-    the joint step, N^2 for Z.  Their right-hand sides come from the frame
-    contracted once with Psi^H along the blocks, W[m, l, n] = sum_b
-    conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of CP-ALS, since Psi is known),
-    so neither regressor is formed for its solve.
-    Each step solves the whole stack's Grams at once
-    (tensor_ops.certified_gram_solves): the Gershgorin discs certify each
-    Gram on its own; a cleared Gram that is diagonal to rounding, as every
-    Gram of the DFT schedules the harness builds is, takes one Jacobi step,
-    the other cleared ones share one LU call, and only an uncertified Gram
-    costs eigenvalues, and only one that then fails forms its regressor; a
-    frame's op_count counts the Jacobi step or the LU that ran, and adds
-    the Gram's order cubed for each eigvalsh and the regressor,
-    pseudoinverse and apply cost for each pinv_left.  The squared residual
-    of each sweep is ||Y - model||^2 from the model frame itself, its RIS
-    term KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.
-    A frame stops when the squared relative change of every factor drops to
+    fit of its frame alone in a stack of one: every product runs per slice,
+    each slice of a C-ordered stack has the same layout, and generator
+    rngs[t] (None: default_rng(init_seed)) draws frame t's initial factors.
+    Per sweep and frame, with a direct block of pilots X_d: one Gram solve
+    refits the direct and RIS->AP channels together against the stacked
+    regressor [direct block | RIS block], then one Gram solve refits the
+    effective pilot-domain factor Z from the mode-2 unfolding with the
+    direct contribution removed.  Both regressors are Khatri-Rao products,
+    KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), so each Gram is built from
+    small factor Grams: (K_d+N)^2 for the joint step, N^2 for Z.  Their
+    right-hand sides come from the frame contracted once with Psi^H along
+    the blocks, W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of
+    CP-ALS, since Psi is known), so neither regressor is formed for its
+    solve.  Each step solves the whole stack's Grams at once
+    (tensor_ops.certified_gram_solves), routing each Gram on its own: one
+    that its Gershgorin discs certify and that is diagonal to rounding, as
+    every Gram of the DFT schedules the harness builds is, takes one Jacobi
+    step, and any other forms its regressor for pinv_left; a frame's
+    op_count counts the Jacobi step, or the regressor, pseudoinverse and
+    apply cost of the pinv_left, that ran.  The squared residual of each
+    sweep is ||Y - model||^2 from the model frame itself, its RIS term
+    KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  A frame
+    stops when the squared relative change of every factor drops to
     conv_threshold, or after max_iters sweeps (converged=False, not an
     error), and leaves the stack; so does a frame whose solve raises
     LinAlgError, as a failed estimate with the sweep, op count and trace it
@@ -224,7 +189,7 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     if idx.size == 0:
         return results
     if idx.size < len(y):
-        (y,) = _take(idx, y)
+        y = y[idx]
     m, l, b = y.shape[1:]
     psi = sched.ris_phases
     n = psi.shape[1]
@@ -279,7 +244,7 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
             results[idx[j]] = _failure(err, it, int(ops[j]), traces[idx[j]])
         keep = np.ones(len(idx), dtype=bool)
         keep[list(errors)] = False
-        return _take(keep, idx, ops, y, w, rhs, *stacks)
+        return [a[keep] for a in (idx, ops, y, w, rhs, *stacks)]
 
     for it in range(1, cfg.max_iters + 1):
         prev = (h_ua, h_ra, z)
@@ -293,23 +258,18 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         gram[:, k_d:, :k_d] = cross.conj().transpose(0, 2, 1)
         gram[:, k_d:, k_d:] = psi_gram * (z_conj @ z_t)
         rhs[:, k_d:] = (w @ z_conj[..., None])[..., 0]
-        joint, jacobi, eig, svd, errors = certified_gram_solves(
-            gram, rhs, joint_regression, tol
-        )
+        joint, jacobi, errors = certified_gram_solves(gram, rhs, joint_regression, tol)
         if errors:
-            idx, ops, y, w, rhs, joint, jacobi, eig, svd, *prev = drop(
-                errors, it, joint, jacobi, eig, svd, *prev
-            )
+            idx, ops, y, w, rhs, joint, jacobi, *prev = drop(errors, it, joint, jacobi, *prev)
             if not idx.size:
                 break
         joint = joint.transpose(0, 2, 1)
         h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
         # factor Grams, Hadamard products, right-hand side, disc sums, then
         # the Gram times the diagonal solve and its two divisions (Jacobi
-        # step), or the LU factorization and its triangular solves
-        ops += p * n * l + p * n + n * l * m + p * p + p * p * m
-        ops += np.where(jacobi, 2 * p * m, p**3)
-        ops += eig * p**3 + svd * joint_svd
+        # step), or the pinv_left fallback
+        ops += p * n * l + p * n + n * l * m + p * p
+        ops += np.where(jacobi, p * p * m + 2 * p * m, joint_svd)
 
         # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
         # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
@@ -317,20 +277,19 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         ra_h = h_ra.conj().transpose(0, 2, 1)
         direct = psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :] - direct
-        z, jacobi, eig, svd, errors = certified_gram_solves(
+        z, jacobi, errors = certified_gram_solves(
             psi_gram * (ra_h @ h_ra), z_rhs, z_regression, tol
         )
         if errors:
-            idx, ops, y, w, rhs, z, jacobi, eig, svd, h_ua, h_ra, *prev = drop(
-                errors, it, z, jacobi, eig, svd, h_ua, h_ra, *prev
+            idx, ops, y, w, rhs, z, jacobi, h_ua, h_ra, *prev = drop(
+                errors, it, z, jacobi, h_ua, h_ra, *prev
             )
             if not idx.size:
                 break
         # factor Gram, Hadamard product, right-hand side, direct term,
-        # disc sums, then the Jacobi step or the LU and triangular solves
-        ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-        ops += n * n + n * n * l + np.where(jacobi, 2 * n * l, n**3)
-        ops += eig * n**3 + svd * z_svd
+        # disc sums, then the Jacobi step or the pinv_left fallback
+        ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l + n * n
+        ops += np.where(jacobi, n * n * l + 2 * n * l, z_svd)
 
         # squared frame-fit residual from the model frame itself, whose RIS
         # term is KR(H_ra, Z^T) Psi^T as (M*L, B); a Gram expansion would
@@ -358,7 +317,9 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         if done.all() or it == cfg.max_iters:
             break
         if done.any():
-            idx, ops, y, w, rhs, h_ua, h_ra, z = _take(~done, idx, ops, y, w, rhs, h_ua, h_ra, z)
+            idx, ops, y, w, rhs, h_ua, h_ra, z = (
+                a[~done] for a in (idx, ops, y, w, rhs, h_ua, h_ra, z)
+            )
 
     if not finished:
         return results
@@ -391,7 +352,7 @@ def als_ris(q, sched, cfg, rng=None):
     is one (M, L, B) tensor, or a stack (T, M, L, B) fitted together with rng
     a list of T generators, which returns a list of estimates.
     """
-    q = np.asarray(q)
+    q = np.ascontiguousarray(q)
     no_direct = np.empty((0, sched.pilots.shape[1]))
     single = q.ndim == 3
     if single:
@@ -415,8 +376,8 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
     recvs, rngs, single = _as_list(recv, rng)
     if any(r.off_stage is None for r in recvs):
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
-    y = _stack([r.tensor for r in recvs])
-    v = _stack([r.off_stage for r in recvs])
+    y = np.stack([r.tensor for r in recvs])
+    v = np.stack([r.off_stage for r in recvs])
     finite = _finite_slices(y) & _finite_slices(v)
     results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
     live = np.flatnonzero(finite)
@@ -424,7 +385,7 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
         m, l, _ = y.shape[1:]
         k, l_off = sched.off_pilots.shape
         if live.size < len(y):
-            y, v = _take(live, y, v)
+            y, v = y[live], v[live]
         try:
             h_ua = ls_direct_path(v, sched.off_pilots, cfg.pinv_tol)
         except np.linalg.LinAlgError as err:
@@ -432,8 +393,8 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
                 results[t] = _failure(err, 0, 0, [])
         else:
             ops = _pinv_cost(k, l_off) + m * l_off * k + m * k * l
-            q = y - (h_ua @ sched.pilots)[..., None]
-            fits = als_ris(q, sched, cfg, [rngs[t] for t in live])
+            y -= (h_ua @ sched.pilots)[..., None]   # y is this call's own stack
+            fits = als_ris(y, sched, cfg, [rngs[t] for t in live])
             for t, fit, direct in zip(live, fits, h_ua):
                 results[t] = dataclasses.replace(fit, h_ua=direct, op_count=fit.op_count + ops)
     return results[0] if single else results
@@ -451,7 +412,7 @@ def e_als_estimate(recv, sched, cfg, rng=None):
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
     recvs, rngs, single = _as_list(recv, rng)
-    fits = _alternating_fit(_stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
+    fits = _alternating_fit(np.stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
     return fits[0] if single else fits
 
 

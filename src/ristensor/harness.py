@@ -64,6 +64,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
+        grid = (self.channel.ris_rows, self.channel.ris_cols)
+        if self.system.n_ris != grid[0] * grid[1]:
+            raise ConfigError(
+                f"system.n_ris = {self.system.n_ris} does not match the RIS grid {grid}"
+            )
         for name in ("snr_grid_db", "estimators_enabled"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")

@@ -3,11 +3,10 @@
 Third-order arrays are numpy ndarrays of shape (M, L, B): B frontal slices,
 each M x L.  vec() is column-major everywhere, so unfoldings and stacking use
 Fortran-order reshapes.  Least-squares solves against structured regressors
-go through their small Gram matrices (certified_gram_solve), certified from
-the Gram alone (its Gershgorin discs, else its eigenvalues), with the SVD
-pseudoinverse as the one place that decides singularity.  A certified Gram
-that is diagonal to rounding is solved by one Jacobi step instead of an LU
-factorization, with the same error bound.
+start from their small Gram matrices (certified_gram_solves): a Gram whose
+Gershgorin discs certify it and that is diagonal to rounding is solved by
+one Jacobi step, and every other goes to the SVD pseudoinverse, the one
+place that decides singularity.
 """
 
 import numpy as np
@@ -63,11 +62,11 @@ def pinv_with_ratio(a):
 
 
 # Smallest eigenvalue ratio lambda_min / lambda_max of a Gram a^H a solved
-# as normal equations, i.e. cond(a) up to 1e4.  Normal equations lose about
-# eps * cond(a)**2 where the SVD of a loses about eps * cond(a), so below this
-# the SVD is the more accurate solve; the Gram's own rounding (about 1e3 * eps
-# relative to lambda_max) lies far below it, so no case the SVD would call
-# singular can pass.
+# from its own entries (its discs must show twice this), i.e. cond(a) up to
+# 1e4.  A Gram solve loses about eps * cond(a)**2 where the SVD of a loses
+# about eps * cond(a), so below this the SVD is the more accurate solve; the
+# Gram's own rounding (about 1e3 * eps relative to lambda_max) lies far below
+# it, so no case the SVD would call singular can pass.
 _GRAM_MIN_RATIO = 1e-8
 
 
@@ -119,87 +118,44 @@ def _jacobi_step(gram, a_h_rhs):
     return x
 
 
-def certified_gram_solve(gram, a_h_rhs, regression, tol=1e-12):
-    """pinv_left(a, tol) @ rhs, solved as gram @ x = a_h_rhs, a (p, r) matrix.
-
-    The caller builds gram = a^H a and a_h_rhs = a^H rhs from structure (for
-    a Khatri-Rao a, a Hadamard product of factor Grams); regression is a
-    zero-argument callable returning (a, rhs), called only when the Gram
-    path cannot decide.  A finite Gram is solved by normal equations when
-    its eigenvalue ratio lambda_min / lambda_max exceeds threshold = tol**2
-    + _GRAM_MIN_RATIO, i.e. a is well above the singular tolerance:
-    certified by its Gershgorin discs when lo > 2 * threshold * hi, a margin
-    far above rounding, else checked by eigvalsh.  A disc-certified Gram
-    that is also diagonal to rounding, rho = max_i r_i / g_ii <=
-    sqrt(eps), is solved by the diagonal solve plus one Jacobi step, whose
-    error |x - gram^-1 a_h_rhs|_inf <= rho**2 |x|_inf <= eps |x|_inf is
-    that of the LU solve every other certified Gram gets.  Otherwise (or
-    on a non-finite Gram) pinv_left decides, raising SingularMatrixError
-    when sigma_min / sigma_max < tol, and solves.
-    """
-    threshold = tol * tol + _GRAM_MIN_RATIO
-    lo, hi, dominant = _gram_discs(gram)
-    # a NaN lo compares False
-    if lo > 2.0 * threshold * hi:
-        if dominant:
-            return _jacobi_step(gram, a_h_rhs)
-        return np.linalg.solve(gram, a_h_rhs)
-    if hi < np.inf:
-        lam = np.linalg.eigvalsh(gram)
-        if lam[-1] > 0.0 and lam[0] / lam[-1] > threshold:
-            return np.linalg.solve(gram, a_h_rhs)
-    a, rhs = regression()
-    return pinv_left(a, tol) @ rhs
-
-
 def certified_gram_solves(grams, a_h_rhs, regression, tol=1e-12):
-    """certified_gram_solve on each Gram of a stack, one call per tier.
+    """pinv_left(a_i, tol) @ rhs_i for each Gram of a stack, solved from its Gram when it can.
 
-    grams (T, p, p) and a_h_rhs (T, p, r) stack T independent solves;
-    regression(i) returns the (a, rhs) of Gram i.  The discs are computed
-    for the whole stack and route each Gram on its own: every cleared Gram
-    that is diagonal to rounding takes one stacked Jacobi step, every other
-    cleared Gram goes to one stacked np.linalg.solve (if that raises, each
-    is solved alone), and each remaining Gram goes through
-    certified_gram_solve on its own, which reaches the same disc decision
-    and goes on to eigvalsh and pinv_left.  Returns (x, jacobi, eig, svd,
-    errors): x (T, p, r) with solution i in x[i], boolean arrays saying
-    which Grams took the Jacobi step, which ran eigvalsh and which formed
-    their regression for pinv_left, and a dict from the index of each Gram
-    that raised np.linalg.LinAlgError to the error (its x[i] is undefined).
-    Each solution, and each decision, is that of certified_gram_solve on
-    the Gram alone.
+    grams (T, p, p) and a_h_rhs (T, p, r) stack T independent solves, built
+    by the caller from structure as gram_i = a_i^H a_i and a_h_rhs_i = a_i^H
+    rhs_i (for a Khatri-Rao a, a Hadamard product of factor Grams);
+    regression(i) returns (a_i, rhs_i), called only for a Gram that is not
+    solved from its own entries.  The discs are computed for the whole stack
+    and route each Gram on its own.  A Gram is solved by the diagonal solve
+    plus one Jacobi step when its eigenvalue ratio lambda_min / lambda_max
+    exceeds twice threshold = tol**2 + _GRAM_MIN_RATIO by its Gershgorin
+    discs, lo > 2 * threshold * hi, a margin far above rounding, and it is
+    diagonal to rounding, rho = max_i r_i / g_ii <= sqrt(eps): the step's
+    error |x - gram^-1 a_h_rhs|_inf <= rho**2 |x|_inf <= eps |x|_inf is that
+    of an LU solve.  Every other Gram, a non-finite one included, goes to
+    pinv_left on its regression, which raises SingularMatrixError when
+    sigma_min / sigma_max < tol, and solves.  Returns (x, jacobi, errors):
+    x (T, p, r) with solution i in x[i], a boolean array saying which Grams
+    took the Jacobi step, and a dict from the index of each Gram that raised
+    np.linalg.LinAlgError to the error (its x[i] is undefined).  Each
+    solution, and each decision, is that of the Gram in a stack of one.
     """
     lo, hi, dominant = _gram_discs(grams)
-    cleared = lo > 2.0 * (tol * tol + _GRAM_MIN_RATIO) * hi
-    jacobi = cleared & dominant
-    eig = ~cleared & (hi < np.inf)
-    svd = np.zeros(len(grams), dtype=bool)
+    # a NaN lo compares False
+    jacobi = (lo > 2.0 * (tol * tol + _GRAM_MIN_RATIO) * hi) & dominant
     errors = {}
     if jacobi.all():
-        return _jacobi_step(grams, a_h_rhs), jacobi, eig, svd, errors
+        return _jacobi_step(grams, a_h_rhs), jacobi, errors
     x = np.empty(a_h_rhs.shape, dtype=np.result_type(grams, a_h_rhs))
     if jacobi.any():
         x[jacobi] = _jacobi_step(grams[jacobi], a_h_rhs[jacobi])
-    lu = cleared & ~jacobi
-    alone = np.flatnonzero(~cleared)
-    if lu.any():
+    for i in np.flatnonzero(~jacobi):
+        a, rhs = regression(i)
         try:
-            x[lu] = np.linalg.solve(grams[lu], a_h_rhs[lu])
-        except np.linalg.LinAlgError:
-            alone = np.flatnonzero(~jacobi)
-
-    for i in alone:
-
-        def logged(i=i):
-            svd[i] = True
-            return regression(i)
-
-        try:
-            x[i] = certified_gram_solve(grams[i], a_h_rhs[i], logged, tol)
+            x[i] = pinv_left(a, tol) @ rhs
         except np.linalg.LinAlgError as err:
             errors[i] = err
-    return x, jacobi, eig, svd, errors
+    return x, jacobi, errors
 
 
 def _svd_pinv(a, tol, side):

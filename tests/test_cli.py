@@ -1,6 +1,7 @@
 """CLI subcommands: run, demo, complexity."""
 
 import csv
+import signal
 import subprocess
 import sys
 
@@ -52,6 +53,30 @@ def test_run_non_finite_snr_range_exits_2(tiny_yaml, spec, capsys):
         main(["run", "--config", str(tiny_yaml), f"--snr={spec}"])
     assert exc.value.code == 2
     assert "--snr start, stop and step must be finite" in capsys.readouterr().err
+
+
+@pytest.fixture
+def one_second_limit():
+    # a grid that grows without end fails the test within a second instead
+    # of hanging it
+    def expire(signum, frame):
+        raise TimeoutError("--snr parsing did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("spec", ["1e20:2e20:5", "0:1e9:1e-3"])
+def test_run_snr_range_of_too_many_points_exits_2(tiny_yaml, spec, capsys, one_second_limit):
+    # 1e20 + 5 == 1e20 would never advance an accumulated value, and the
+    # second range asks for 1e12 points
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tiny_yaml), f"--snr={spec}"])
+    assert exc.value.code == 2
+    assert "--snr gives more than 10000 points" in capsys.readouterr().err
 
 
 def test_parse_snr_list():
@@ -170,6 +195,17 @@ def test_run_directory_out_exits_2(tiny_yaml, tmp_path, capsys):
     code = main(["run", "--config", str(tiny_yaml), "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["run", "complexity"])
+def test_ris_size_off_its_grid_exits_2(tmp_path, command, capsys):
+    # n_ris = 4 on the stock 5 x 5 grid is rejected when the config loads
+    path = tmp_path / "mismatch.yaml"
+    path.write_text(TINY_YAML.replace("  ris_rows: 2\n", ""))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "system.n_ris = 4 does not match the RIS grid (5, 2)" in captured.err
+    assert captured.out == ""
 
 
 def test_complexity_prints_counts(tmp_path, capsys):

@@ -21,6 +21,7 @@ from ristensor.estimators import (
     resolve_scaling,
     two_stage_estimate,
 )
+from ristensor.harness import ExperimentConfig, run_experiment
 from ristensor.metrics import aggregate_vector_nmse, nmse, stacked_parameter_vector
 from ristensor.signals import (
     ReceiveTensor,
@@ -445,35 +446,53 @@ def test_bad_frames_raise_no_numpy_warning(kind):
             assert est.failed and est.failure_reason == "non-finite frame"
 
 
-def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao():
-    # every sweep Gram on the stock schedules is certified by its Gershgorin
-    # discs and diagonal up to rounding, so no eigenvalues are computed, no
-    # Khatri-Rao regressor is formed and no LU solve runs (the Jacobi step)
-    calls = {"eigvalsh": 0, "khatri_rao": 0, "solve": 0}
+# configs the CLI can build, each run from -30 to 40 dB
+TRAFFIC_CONFIGS = {
+    "stock": {},
+    "m2k1n1l2": dict(
+        system=SystemConfig(m_ap=2, k_users=1, n_ris=1, pilot_len=2, off_stage_len=2),
+        channel=ChannelModelConfig(ris_rows=1, ris_cols=1),
+    ),
+    "m2k2n4l2": dict(
+        system=SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2),
+        channel=ChannelModelConfig(ris_rows=2, ris_cols=2),
+    ),
+    "n36_one_path": dict(
+        system=SystemConfig(n_ris=36),
+        channel=ChannelModelConfig(ris_rows=6, ris_cols=6, n_paths=1),
+    ),
+    "noiseless": dict(system=SystemConfig(noise_var=0.0)),
+    "fixed_geometry": dict(fixed_geometry=True),
+    "not_normalized": dict(channel=ChannelModelConfig(normalize_to_direct=False)),
+}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
 
-        return wrapper
+@pytest.mark.parametrize("name", sorted(TRAFFIC_CONFIGS))
+def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
+    # make_schedule builds only DFT Psi and DFT pilots, so every sweep Gram
+    # of a config the CLI runs is certified by its Gershgorin discs and
+    # diagonal up to rounding: each takes the Jacobi step, no Khatri-Rao
+    # regressor is formed and pinv_left never runs
+    flags = []
 
-    eigvalsh = counted("eigvalsh", np.linalg.eigvalsh)
-    khatri_rao = counted("khatri_rao", ristensor.estimators.khatri_rao)
-    solve = counted("solve", np.linalg.solve)
-    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh), mock.patch.object(
-        ristensor.estimators, "khatri_rao", khatri_rao
-    ), mock.patch.object(np.linalg, "solve", solve):
-        for snr_db in (-5.0, 0.0, 10.0, 20.0, 30.0):
-            for name in ("two_stage", "e_als"):
-                for seed in range(4):
-                    _, _, sched, recv = noisy_setup(name, seed=40 + seed, snr_db=snr_db)
-                    before = dict(calls)
-                    est = estimate(name, recv, sched, EstimatorConfig(), seed)
-                    assert not est.failed and est.iterations >= 2, (name, snr_db, seed)
-                    assert calls["eigvalsh"] == before["eigvalsh"], (name, snr_db, seed)
-                    assert calls["khatri_rao"] == before["khatri_rao"], (name, snr_db, seed)
-                    assert calls["solve"] == before["solve"], (name, snr_db, seed)
+    def solves(grams, a_h_rhs, regression, tol):
+        x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression, tol)
+        flags.append(jacobi)
+        return x, jacobi, errors
+
+    cfg = ExperimentConfig(
+        snr_grid_db=tuple(range(-30, 41, 10)), trials=20, master_seed=40,
+        estimators_enabled=("two_stage", "e_als"), **TRAFFIC_CONFIGS[name],
+    )
+    khatri_rao = mock.Mock(wraps=ristensor.estimators.khatri_rao)
+    pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
+            mock.patch.object(ristensor.estimators, "khatri_rao", khatri_rao), \
+            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+        records = run_experiment(cfg)
+    assert len(records) == 2 * 8 * 20 and not any(r.failure_flag for r in records)
+    assert flags and all(jacobi.all() for jacobi in flags)
+    assert khatri_rao.call_count == 0 and pinv_left.call_count == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,12 +620,14 @@ def test_stacked_als_ris_equals_each_frame_alone():
         assert_same_estimate(got, als_ris(stack[i], sched, cfg, np.random.default_rng(i)))
 
 
-def test_sweep_op_count_adds_the_eigenvalues_of_uncleared_grams():
-    # a random unit-modulus Psi: the discs clear few of its sweep Grams and
-    # none is diagonal to rounding, so every step is LU-solved (after an
-    # eigvalsh, p^3, for each Gram the discs leave): the 49,172 of a stock
-    # e_als sweep plus p^3 - 2 p M = 35,673 (joint, p=33) and n^3 - 2 n L =
-    # 15,225 (Z step) for the LU in place of the Jacobi step, 100,070
+def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
+    # a random unit-modulus Psi: no sweep Gram is diagonal to rounding, so
+    # every step forms its regressor for pinv_left.  Per e_als sweep (M=4,
+    # L=8, B=26, N=25, K_d=8, p=33) that is the stock 49,172 less the two
+    # Jacobi steps, p^2 M + 2 p M = 4,620 and N^2 L + 2 N L = 5,400, plus
+    # the joint fallback B L p + (p^2 B L + p^3) + p B L M = 296,769 and the
+    # Z-step fallback B M N + B M K_d L + (N^2 B M + N^3) + N B M L =
+    # 110,681: 446,602
     _, ch, _, _ = noisy_setup("e_als", seed=51)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(52)
@@ -615,35 +636,27 @@ def test_sweep_op_count_adds_the_eigenvalues_of_uncleared_grams():
         ris_phases=np.exp(2j * np.pi * rng.random((26, 25))),
     )
     recv = synthesize(ch, sched, system, rng)
-    ops, cubes = [], []
+    ops = []
     for sweeps in (1, 2):
-        sizes = []
-
-        def eigvalsh(gram):
-            sizes.append(gram.shape[0])
-            return np.linalg.eigvalsh.__wrapped__(gram)
-
-        eigvalsh.__wrapped__ = np.linalg.eigvalsh
         cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
-        with mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh.__wrapped__) as spy, \
-                mock.patch.object(ristensor.tensor_ops, "pinv_left") as pinv:
+        pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+        with mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
             est = e_als_estimate(recv, sched, cfg, np.random.default_rng(53))
         assert not est.failed and est.iterations == sweeps
-        assert pinv.call_count == 0
+        assert pinv_left.call_count == 2 * sweeps
         ops.append(est.op_count)
-        cubes.append(sum(call.args[0].shape[0] ** 3 for call in spy.call_args_list))
-    assert cubes[1] > cubes[0] > 0
-    assert ops[1] - ops[0] == 100_070 + cubes[1] - cubes[0]
+    assert ops[1] - ops[0] == 446_602
 
 
 def test_sweep_op_count_adds_the_pinv_fallback():
     # a Psi column scaled by 1e-6 puts the joint Gram's eigenvalue ratio
     # near 1e-12, below the Gram path's 1e-8 but above pinv_tol's square, so
-    # pinv_left solves the joint step from its regressor after the eigvalsh
-    # (the Z step's H_ra column grows to match, and its Gram stays clear and
-    # diagonal to rounding: the Jacobi step); so on top of the 49,172 of a
-    # stock e_als sweep, the joint step's tally has the LU's p^3 - 2 p M =
-    # 35,673 in place of the Jacobi step's, 84,845
+    # pinv_left solves the joint step from its regressor (the Z step's H_ra
+    # column grows to match, and its Gram stays clear and diagonal to
+    # rounding: the Jacobi step); so the joint step's tally is the 49,172 of
+    # a stock e_als sweep less its Jacobi step, p^2 M + 2 p M = 4,620 (p=33),
+    # that is 44,552, plus the regressor, pseudoinverse and apply of each
+    # pinv_left
     _, ch, _, _ = noisy_setup("e_als", seed=54)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(55)
@@ -655,23 +668,21 @@ def test_sweep_op_count_adds_the_pinv_fallback():
     ops, extra = [], []
     for sweeps in (1, 2):
         cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
-        eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
         pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-        with mock.patch.object(np.linalg, "eigvalsh", eigvalsh), \
-                mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+        with mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
             est = e_als_estimate(recv, sched, cfg, np.random.default_rng(56))
         assert not est.failed and est.iterations == sweeps
-        cost = sum(call.args[0].shape[0] ** 3 for call in eigvalsh.call_args_list)
+        cost = 0
         for call in pinv_left.call_args_list:
             rows, cols = call.args[0].shape
             if cols == n:   # Z step: KR(Psi, H_ra), its direct term, pinv, apply
                 cost += b * m * n + b * m * k * l + cols * cols * rows + cols**3 + cols * rows * l
             else:           # joint step: [KR(1, X^T) | KR(Psi, Z^T)], pinv, apply
                 cost += rows * cols + cols * cols * rows + cols**3 + cols * rows * m
-        assert eigvalsh.call_count >= pinv_left.call_count >= sweeps
+        assert pinv_left.call_count >= sweeps
         ops.append(est.op_count)
         extra.append(cost)
-    assert ops[1] - ops[0] == 84_845 + extra[1] - extra[0]
+    assert ops[1] - ops[0] == 44_552 + extra[1] - extra[0]
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

@@ -12,7 +12,6 @@ from ristensor.tensor_ops import (
     ShapeError,
     SingularMatrixError,
     _gram_discs,
-    certified_gram_solve,
     certified_gram_solves,
     crandn,
     dft_matrix,
@@ -154,14 +153,20 @@ def _with_singular_value_ratio(rng, rows, cols, ratio):
 
 
 def _solve_via_gram(a, rhs, tol=1e-12, discs=True):
-    # certified_gram_solve on an explicit regressor; discs=False leaves the
-    # decision to the eigenvalue check alone
+    # certified_gram_solves on a stack of one explicit regressor, raising its
+    # error; discs=False sends the Gram to pinv_left whatever its discs say
     def solve():
-        return certified_gram_solve(a.conj().T @ a, a.conj().T @ rhs, lambda: (a, rhs), tol)
+        x, _, errors = certified_gram_solves(
+            (a.conj().T @ a)[None], (a.conj().T @ rhs)[None], lambda i: (a, rhs), tol
+        )
+        if errors:
+            raise errors[0]
+        return x[0]
 
     if discs:
         return solve()
-    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=(0.0, 1.0, False)):
+    uncleared = (np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))
+    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=uncleared):
         return solve()
 
 
@@ -243,9 +248,9 @@ def test_an_inf_gram_goes_to_the_regression_without_a_warning():
     # the row sums show the inf before any disc is formed as inf - inf
     regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
     gram = np.array([[np.inf, 1.0], [1.0, 1.0]])
-    x = certified_gram_solve(gram, np.ones((2, 1)), regression)
-    regression.assert_called_once_with()
-    assert np.array_equal(x, np.ones((2, 1)))
+    x, jacobi, errors = certified_gram_solves(gram[None], np.ones((1, 2, 1)), regression)
+    regression.assert_called_once_with(0)
+    assert not jacobi[0] and not errors and np.array_equal(x[0], np.ones((2, 1)))
 
 
 SQRT_EPS = np.sqrt(np.finfo(float).eps)
@@ -266,11 +271,11 @@ def _assert_within_solve_rounding(got, lu, lam):
 
 
 def _tier_stack(rng, p=4, rows=9):
-    # regressors whose Grams take each tier: diagonal up to rounding (cleared
-    # by the discs and dominant: the Jacobi step), dense and well conditioned
-    # (eigvalsh), cond 1e6 (pinv_left), rank deficient (pinv_left raises),
-    # and diagonal with off-diagonal entries near 0.05 of it (cleared by the
-    # discs but not dominant: LU)
+    # regressors whose Grams take each route: diagonal up to rounding (cleared
+    # by the discs and dominant: the Jacobi step), dense and well conditioned,
+    # cond 1e6, rank deficient (pinv_left raises), and diagonal with
+    # off-diagonal entries near 0.05 of it (cleared by the discs but not
+    # dominant); all but the first go to pinv_left
     q, _ = np.linalg.qr(crandn(rng, (rows, p)))
     scales = np.array([1.0, 2.0, 3.0, 4.0])
     regressors = [
@@ -286,71 +291,54 @@ def _tier_stack(rng, p=4, rows=9):
     return regressors, rhs, grams, a_h_rhs
 
 
+def _alone(grams, a_h_rhs, i, regression):
+    # certified_gram_solves on Gram i in a stack of one
+    x, jacobi, errors = certified_gram_solves(
+        grams[i : i + 1], a_h_rhs[i : i + 1], lambda _: regression(i)
+    )
+    return x[0], jacobi[0], errors
+
+
 def test_stacked_gram_solves_equal_each_gram_alone():
     rng = np.random.default_rng(8)
     regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
-    order = [0, 1, 2, 3, 0, 1]   # cleared Grams around the others
+    order = [0, 1, 2, 3, 0, 1]   # Jacobi Grams around the others
+
+    def regression(i):
+        return regressors[order[i]], rhs[order[i]]
+
     grams, a_h_rhs = grams[order], a_h_rhs[order]
-    x, jacobi, eig, svd, errors = certified_gram_solves(
-        grams, a_h_rhs, lambda i: (regressors[order[i]], rhs[order[i]])
-    )
-    assert list(eig) == [False, True, True, True, False, True]
-    assert list(svd) == [False, False, True, True, False, False]
+    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
+    assert list(jacobi) == [True, False, False, False, True, False]
     assert list(errors) == [3] and isinstance(errors[3], SingularMatrixError)
     for i, j in enumerate(order):
+        alone, took_step, alone_errors = _alone(grams, a_h_rhs, i, regression)
+        assert took_step == jacobi[i] and list(alone_errors) == ([0] if i == 3 else [])
         if i != 3:
-            alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
             assert np.array_equal(x[i], alone)
-
-
-@pytest.mark.parametrize("order", [[0, 0], [0, 1, 0], [4, 4], [4, 1, 4], [4, 0, 1, 0, 4]])
-def test_a_failing_stacked_solve_is_redone_per_gram(order):
-    # if LAPACK raises on the stacked call (all Grams cleared, or only some),
-    # every Gram is solved alone, with the bits of its own solve; the Jacobi
-    # step (Gram 0) runs no LAPACK call
-    rng = np.random.default_rng(9)
-    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
-    grams, a_h_rhs = grams[order], a_h_rhs[order]
-    solve = np.linalg.solve
-
-    def no_stacks(a, b):
-        if a.ndim == 3:
-            raise np.linalg.LinAlgError("stacked")
-        return solve(a, b)
-
-    with mock.patch.object(np.linalg, "solve", no_stacks):
-        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, lambda i: (None, None))
-    assert not errors and not svd.any()
-    assert list(eig) == [j == 1 for j in order]
-    assert list(jacobi) == [j == 0 for j in order]
-    for i, j in enumerate(order):
-        alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
-        assert np.array_equal(x[i], alone)
+        if j in (1, 2):
+            assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
 
 
 def test_stacked_gram_solves_route_each_gram_on_its_own():
-    # a stack mixing every tier: one stacked LU call holds exactly the
-    # cleared Grams that are not dominant, the dominant ones take the Jacobi
-    # step around it, and each solution has the bits of its Gram alone
+    # a stack mixing every route: the dominant cleared Grams take the Jacobi
+    # step, every other Gram (cleared but not dominant included) forms its
+    # regression for pinv_left, and each solution has the bits of its Gram
+    # alone
     rng = np.random.default_rng(10)
     regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
     order = [4, 0, 1, 4, 2, 0, 3]
     grams, a_h_rhs = grams[order], a_h_rhs[order]
-    solve = mock.Mock(wraps=np.linalg.solve)
-    with mock.patch.object(np.linalg, "solve", solve):
-        x, jacobi, eig, svd, errors = certified_gram_solves(
-            grams, a_h_rhs, lambda i: (regressors[order[i]], rhs[order[i]])
-        )
+    regression = mock.Mock(side_effect=lambda i: (regressors[order[i]], rhs[order[i]]))
+    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
     assert list(jacobi) == [j == 0 for j in order]
-    assert list(eig) == [j in (1, 2, 3) for j in order]
-    assert list(svd) == [j in (2, 3) for j in order]
+    assert [call.args[0] for call in regression.call_args_list] == [0, 2, 3, 4, 6]
     assert list(errors) == [6]
-    stacked = [call.args[0] for call in solve.call_args_list if call.args[0].ndim == 3]
-    assert len(stacked) == 1 and np.array_equal(stacked[0], grams[[0, 3]])
     for i, j in enumerate(order):
         if j != 3:
-            alone = certified_gram_solve(grams[i], a_h_rhs[i], lambda: (regressors[j], rhs[j]))
-            assert np.array_equal(x[i], alone)
+            assert np.array_equal(x[i], _alone(grams, a_h_rhs, i, regression)[0])
+        if j != 0 and j != 3:
+            assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,9 +356,11 @@ def test_jacobi_step_runs_exactly_on_cleared_dominant_grams(p, r, spread_exp, rh
     # E scaled so that rho = max_i sum_{j != i} |g_ij| / g_ii lies rho_exp
     # decades from sqrt(eps), on either side of it but 2% clear, where the
     # rounding of the row sums decides; rho <= 0.1 keeps every |e_ij| <= rho
-    # and I + E definite.  A Gram takes the step (no LAPACK solve) exactly
+    # and I + E definite.  A Gram takes the step (no regression) exactly
     # when its discs clear and rho <= sqrt(eps), alone or in a stack, with
-    # the same bits either way and a result within the rounding of the LU
+    # the same bits either way and a result within the rounding of the LU;
+    # every other Gram is pinv_left of its regressor a = L^H, the Cholesky
+    # factor, against rhs = L^-1 a_h_rhs
     rng = np.random.default_rng(seed)
     grams = []
     for rho_exp in rho_exps:
@@ -391,22 +381,24 @@ def test_jacobi_step_runs_exactly_on_cleared_dominant_grams(p, r, spread_exp, rh
         diag = np.diag(gram).real
         cleared = np.min(diag - radii) > 2.0 * threshold * np.max(diag + radii)
         expected.append(bool(cleared and _dominance(gram) <= SQRT_EPS))
-
-    def no_regression(*_):
-        raise AssertionError("every Gram here is certified")
-
-    solve = mock.Mock(wraps=np.linalg.solve)
-    with mock.patch.object(np.linalg, "solve", solve):
-        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, no_regression)
+    chol = np.linalg.cholesky(grams)
+    regressors = chol.conj().transpose(0, 2, 1)
+    rhs = np.linalg.solve(chol, a_h_rhs)
+    regression = mock.Mock(side_effect=lambda i: (regressors[i], rhs[i]))
+    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
     assert list(jacobi) == expected and not errors
-    assert solve.call_count == (0 if all(expected) else 1)
-    for gram, b, x_i, took_step in zip(grams, a_h_rhs, x, expected):
-        solve.reset_mock()
-        with mock.patch.object(np.linalg, "solve", solve):
-            alone = certified_gram_solve(gram, b, no_regression)
-        assert solve.call_count == (0 if took_step else 1)
-        assert np.array_equal(x_i, alone)
-        _assert_within_solve_rounding(alone, np.linalg.solve(gram, b), np.linalg.eigvalsh(gram))
+    called = [call.args[0] for call in regression.call_args_list]
+    assert called == [i for i, took_step in enumerate(expected) if not took_step]
+    for i, took_step in enumerate(expected):
+        regression.reset_mock()
+        alone, alone_step, _ = _alone(grams, a_h_rhs, i, regression)
+        assert alone_step == took_step and regression.call_count == (0 if took_step else 1)
+        assert np.array_equal(x[i], alone)
+        if took_step:
+            lu = np.linalg.solve(grams[i], a_h_rhs[i])
+            _assert_within_solve_rounding(alone, lu, np.linalg.eigvalsh(grams[i]))
+        else:
+            assert np.array_equal(alone, pinv_left(regressors[i]) @ rhs[i])
 
 
 BAD_GRAMS = {
@@ -422,16 +414,18 @@ BAD_GRAMS = {
 def test_grams_the_discs_do_not_clear_never_take_the_jacobi_step(name):
     # a diagonal Gram has rho = 0, but the step needs the discs to clear
     # first; alone or beside a dominant Gram that does take it, the bad Gram
-    # goes to eigvalsh or its regression, without a numpy warning
+    # goes to its regression, without a numpy warning
     grams = np.array([BAD_GRAMS[name], [[1.0, 0.0], [0.0, 2.0]]])
     a_h_rhs = np.ones((2, 2, 1))
     regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, jacobi, eig, svd, errors = certified_gram_solves(grams, a_h_rhs, regression)
-        alone = certified_gram_solve(grams[0], a_h_rhs[0], lambda: regression(0))
-    assert list(jacobi) == [False, True] and list(svd) == [True, False] and not errors
-    assert np.array_equal(x[0], alone) and np.array_equal(x[1], [[1.0], [0.5]])
+        x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
+        regression.assert_called_once_with(0)
+        alone, alone_step, _ = _alone(grams, a_h_rhs, 0, regression)
+    assert list(jacobi) == [False, True] and not alone_step and not errors
+    assert np.array_equal(x[0], alone) and np.array_equal(x[0], np.ones((2, 1)))
+    assert np.array_equal(x[1], [[1.0], [0.5]])
 
 
 def test_dft_matrix_values():
@@ -497,7 +491,7 @@ def test_gram_discs_bracket_the_spectrum(
     assert hi >= lam[-1] - slack
     threshold = tol * tol + _GRAM_MIN_RATIO
     if lo > 2.0 * threshold * hi:
-        # a certified Gram is one the eigenvalue check also LU-solves
+        # a certified Gram has the eigenvalue ratio its discs claim
         assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
     # so the discs never change what the solve decides, nor what it returns
     # but where a cleared Gram is dominant and takes the Jacobi step
@@ -514,8 +508,8 @@ def test_gram_discs_bracket_the_spectrum(
 @pytest.mark.parametrize("ratio_over_threshold, certified", [(0.75, False), (1.5, False), (2.5, True)])
 def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
     # orthonormal Psi columns make the Gram diag(||z_n||^2) up to rounding,
-    # so its discs are its eigenvalues; they decide alone only beyond twice
-    # the threshold
+    # so its discs are its eigenvalues; they clear it for the Jacobi step
+    # only beyond twice the threshold, and below that it goes to pinv_left
     rng = np.random.default_rng(7)
     threshold = 1e-24 + _GRAM_MIN_RATIO
     psi = _with_singular_value_ratio(rng, 5, 3, 1.0)
@@ -523,16 +517,17 @@ def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
     z *= (np.sqrt([1.0, 0.5, ratio_over_threshold * threshold]) / np.linalg.norm(z, axis=1))[:, None]
     a = khatri_rao(psi, z.T)
     rhs = crandn(rng, (20, 2))
+    gram, a_h_rhs = a.conj().T @ a, a.conj().T @ rhs
 
-    eigvalsh = mock.Mock(wraps=np.linalg.eigvalsh)
-    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
-        got = _solve_via_gram(a, rhs)
-    assert (eigvalsh.call_count == 0) == certified
-    without = _solve_via_gram(a, rhs, discs=False)
+    regression = mock.Mock(return_value=(a, rhs))
+    x, jacobi, errors = certified_gram_solves(gram[None], a_h_rhs[None], regression)
+    assert list(jacobi) == [certified] and not errors
+    assert regression.call_count == (0 if certified else 1)
     if certified:   # and dominant: the Jacobi step
-        _assert_within_solve_rounding(got, without, np.linalg.eigvalsh(a.conj().T @ a))
+        lu = np.linalg.solve(gram, a_h_rhs)
+        _assert_within_solve_rounding(x[0], lu, np.linalg.eigvalsh(gram))
     else:
-        assert np.array_equal(got, without)
+        assert np.array_equal(x[0], pinv_left(a) @ rhs)
 
 
 def test_crandn_moments():
