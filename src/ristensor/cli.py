@@ -34,8 +34,9 @@ def _parse_snr_range(text):
     span = (stop + 1e-9 - start) / step
     if span >= _MAX_SNR_POINTS:
         raise argparse.ArgumentTypeError(f"--snr gives more than {_MAX_SNR_POINTS} points")
-    count = math.floor(span) + 1 if span >= 0 else 0
-    return tuple(round(start + i * step, 9) for i in range(count))
+    if span < 0:
+        raise argparse.ArgumentTypeError("--snr range has no points (start above stop)")
+    return tuple(round(start + i * step, 9) for i in range(math.floor(span) + 1))
 
 
 def _parse_snr_list(text):
@@ -47,9 +48,9 @@ def _parse_snr_list(text):
 
 def _apply_overrides(cfg, args):
     changes = {}
-    if getattr(args, "snr", None):
+    if getattr(args, "snr", None) is not None:
         changes["snr_grid_db"] = args.snr
-    if getattr(args, "snr_list", None):
+    if getattr(args, "snr_list", None) is not None:
         changes["snr_grid_db"] = args.snr_list
     if getattr(args, "trials", None) is not None:
         changes["trials"] = args.trials

@@ -10,16 +10,19 @@ Three approaches over the same training frame:
 * ls_baseline — one stacked linear LS solve for the vectorized direct and
   cascaded parameters, with no factor decoupling.
 
-All alternating updates are exact conditional LS steps, so the frame-fit
-residual recorded in residual_trace is non-increasing sweep over sweep.
-Each update's regressor is a Khatri-Rao product, so it is solved through
-the small Gram matrix built as a Hadamard product of factor Grams, with
-right-hand sides from the frame contracted once with the known phase
-schedule (tensor_ops.certified_gram_solves, which solves a Gram that its
-own entries certify and show diagonal to rounding by a Jacobi step): the
-regressor itself is formed only for any other Gram, whose SVD solves it
-and decides singularity.  Every estimator reports a frame holding NaN or
-inf as a failed estimate before any solve.
+Each alternating update's objective is within eps of its conditional LS
+minimum, so the frame-fit residual recorded in residual_trace is
+non-increasing sweep over sweep, up to rounding.  Each update's regressor is
+a Khatri-Rao product whose Gram is a Hadamard product of factor Grams, and
+the only sweep-invariant factor, the known schedule, bounds how far from
+diagonal any such Gram can be: certified once per call
+(tensor_ops.khatri_rao_coupling), each update is solved by dividing its
+right-hand side, from the frame contracted once with the phase schedule, by
+the Gram's diagonal from factor norms (tensor_ops.certified_gram_solves).
+No Gram is formed; the regressor itself is formed only for an update that
+is not certified, whose SVD solves it and decides singularity.  Every
+estimator reports a frame holding NaN or inf as a failed estimate before
+any solve.
 
 One sweep implementation serves every call: _alternating_fit runs on a
 stack of frames that share a schedule.  two_stage_estimate and
@@ -39,6 +42,7 @@ from .tensor_ops import (
     certified_gram_solves,
     crandn,
     khatri_rao,
+    khatri_rao_coupling,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
     pinv_with_ratio,
@@ -89,6 +93,10 @@ class ChannelEstimate:
 
 def _sqnorm(a):
     return float(np.vdot(a, a).real)
+
+
+def _abs2(a):
+    return a.real**2 + a.imag**2
 
 
 def _small_change(delta, current, threshold):
@@ -153,23 +161,27 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     fit of its frame alone in a stack of one: every product runs per slice,
     each slice of a C-ordered stack has the same layout, and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial factors.
-    Per sweep and frame, with a direct block of pilots X_d: one Gram solve
+    Per sweep and frame, with a direct block of pilots X_d: one solve
     refits the direct and RIS->AP channels together against the stacked
-    regressor [direct block | RIS block], then one Gram solve refits the
+    regressor [direct block | RIS block], then one solve refits the
     effective pilot-domain factor Z from the mode-2 unfolding with the
     direct contribution removed.  Both regressors are Khatri-Rao products,
-    KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), so each Gram is built from
-    small factor Grams: (K_d+N)^2 for the joint step, N^2 for Z.  Their
-    right-hand sides come from the frame contracted once with Psi^H along
-    the blocks, W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of
-    CP-ALS, since Psi is known), so neither regressor is formed for its
-    solve.  Each step solves the whole stack's Grams at once
-    (tensor_ops.certified_gram_solves), routing each Gram on its own: one
-    that its Gershgorin discs certify and that is diagonal to rounding, as
-    every Gram of the DFT schedules the harness builds is, takes one Jacobi
-    step, and any other forms its regressor for pinv_left; a frame's
-    op_count counts the Jacobi step, or the regressor, pseudoinverse and
-    apply cost of the pinv_left, that ran.  The squared residual of each
+    KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), with the known factor
+    [1 .. 1 | Psi] (or Psi) in every sweep, so its coupling, computed once
+    per call (tensor_ops.khatri_rao_coupling), bounds the scaled
+    off-diagonal of every Gram either step can take.  Their right-hand sides
+    come from the frame contracted once with Psi^H along the blocks,
+    W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of CP-ALS,
+    since Psi is known), and their Gram diagonals from factor norms,
+    (Psi^H Psi)_nn ||z_n||^2 and (Psi^H Psi)_nn ||h_ra[:, n]||^2 (plus the
+    constant B ||x_d,k||^2 of the direct block).  Each step solves the whole
+    stack at once (tensor_ops.certified_gram_solves), routing each frame on
+    its own: under a certifying schedule, as the DFT schedules the harness
+    builds are, a frame whose diagonal clears is solved by one division, its
+    objective within eps of the conditional minimum, and any other forms its
+    regressor for pinv_left; a frame's op_count counts the diagonal,
+    right-hand side and division, or the regressor, pseudoinverse and apply
+    cost of the pinv_left, that ran.  The squared residual of each
     sweep is ||Y - model||^2 from the model frame itself, its RIS term
     KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  A frame
     stops when the squared relative change of every factor drops to
@@ -199,18 +211,26 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     p = k_d + n
     tol = cfg.pinv_tol
 
-    # sweep-invariant: W as (N, M, L) per frame, Psi^H Psi, 1^T Psi, and the
-    # direct block's Gram B X_d* X_d^T and right-hand side X_d* (sum_b Y_b)^T
+    # sweep-invariant: W as (N, M, L) per frame, the diagonal of Psi^H Psi,
+    # 1^T Psi, and the direct block's diagonal B ||x_d,k||^2 and right-hand
+    # side X_d* (sum_b Y_b)^T; and the certificate: every joint Gram is that
+    # of KR([1 .. 1 | Psi], [X_d; Z]^T) and every Z Gram its RIS block, so
+    # one coupling bound covers them all
     w = np.ascontiguousarray((y @ psi.conj()).transpose(0, 3, 1, 2))
-    psi_gram = psi.conj().T @ psi
+    psi_sq = _abs2(psi).sum(axis=0)
     psi_sum = psi.sum(axis=0)
-    xd_conj = direct_pilots.conj()
-    gram = np.empty((len(y), p, p), dtype=complex)
-    gram[:, :k_d, :k_d] = b * (xd_conj @ direct_pilots.T)
+    coupling = khatri_rao_coupling(np.hstack([np.ones((b, k_d)), psi]), direct_pilots)
+    diag = np.empty((len(y), p))
+    diag[:, :k_d] = b * _abs2(direct_pilots).sum(axis=1)
     rhs = np.empty((len(y), p, m), dtype=complex)
-    rhs[:, :k_d] = xd_conj @ y.sum(axis=3).transpose(0, 2, 1)
+    rhs[:, :k_d] = direct_pilots.conj() @ y.sum(axis=3).transpose(0, 2, 1)
+    # W, Psi's column norms and sums, the certificate (the Grams of
+    # [1 .. 1 | Psi] and X_d, and the scaled bound), the direct diagonal,
+    # sum_b Y_b and the direct right-hand side
     ops = np.full(
-        len(y), m * l * b * n + n * n * b + b * n + k_d * k_d * l + m * l * b + k_d * l * m
+        len(y),
+        m * l * b * n + 2 * b * n + p * p * b + k_d * k_d * l + p * p + k_d * l
+        + m * l * b + k_d * l * m,
     )
     # per-frame cost of a pinv_left fallback in each step: its regressor
     # (and the Z step's direct term), the pseudoinverse and its apply
@@ -249,47 +269,44 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     for it in range(1, cfg.max_iters + 1):
         prev = (h_ua, h_ra, z)
 
-        # joint step: Gram blocks (1^T Psi) o (X_d* Z^T) and
-        # (Psi^H Psi) o (Z* Z^T); RIS rows sum_l conj(z[n, l]) W[n, :, l]
-        z_t, z_conj = z.transpose(0, 2, 1), z.conj()
-        cross = psi_sum * (xd_conj @ z_t)
-        gram = gram[: len(idx)]
-        gram[:, :k_d, k_d:] = cross
-        gram[:, k_d:, :k_d] = cross.conj().transpose(0, 2, 1)
-        gram[:, k_d:, k_d:] = psi_gram * (z_conj @ z_t)
-        rhs[:, k_d:] = (w @ z_conj[..., None])[..., 0]
-        joint, jacobi, errors = certified_gram_solves(gram, rhs, joint_regression, tol)
+        # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
+        # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
+        diag = diag[: len(idx)]
+        diag[:, k_d:] = psi_sq * _abs2(z).sum(axis=2)
+        rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
+        joint, divided, errors = certified_gram_solves(
+            diag, rhs, joint_regression, coupling, tol
+        )
         if errors:
-            idx, ops, y, w, rhs, joint, jacobi, *prev = drop(errors, it, joint, jacobi, *prev)
+            idx, ops, y, w, rhs, joint, divided, *prev = drop(errors, it, joint, divided, *prev)
             if not idx.size:
                 break
         joint = joint.transpose(0, 2, 1)
         h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
-        # factor Grams, Hadamard products, right-hand side, disc sums, then
-        # the Gram times the diagonal solve and its two divisions (Jacobi
-        # step), or the pinv_left fallback
-        ops += p * n * l + p * n + n * l * m + p * p
-        ops += np.where(jacobi, p * p * m + 2 * p * m, joint_svd)
+        # diagonal, right-hand side, then the division or the pinv_left
+        # fallback
+        ops += n * l + n + n * l * m
+        ops += np.where(divided, p * m, joint_svd)
 
-        # Z step against KR(Psi, H_ra), Gram (Psi^H Psi) o (H_ra^H H_ra),
-        # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the
-        # direct term conj(1^T Psi) o (H_ra^H H_ua X_d)
+        # Z step against KR(Psi, H_ra): diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2,
+        # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the direct
+        # term conj(1^T Psi) o (H_ra^H H_ua X_d)
         ra_h = h_ra.conj().transpose(0, 2, 1)
         direct = psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :] - direct
-        z, jacobi, errors = certified_gram_solves(
-            psi_gram * (ra_h @ h_ra), z_rhs, z_regression, tol
+        z, divided, errors = certified_gram_solves(
+            psi_sq * _abs2(h_ra).sum(axis=1), z_rhs, z_regression, coupling, tol
         )
         if errors:
-            idx, ops, y, w, rhs, z, jacobi, h_ua, h_ra, *prev = drop(
-                errors, it, z, jacobi, h_ua, h_ra, *prev
+            idx, ops, y, w, rhs, z, divided, h_ua, h_ra, *prev = drop(
+                errors, it, z, divided, h_ua, h_ra, *prev
             )
             if not idx.size:
                 break
-        # factor Gram, Hadamard product, right-hand side, direct term,
-        # disc sums, then the Jacobi step or the pinv_left fallback
-        ops += n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l + n * n
-        ops += np.where(jacobi, n * n * l + 2 * n * l, z_svd)
+        # diagonal, right-hand side, direct term, then the division or the
+        # pinv_left fallback
+        ops += n * m + n + n * l * m + n * m * k_d + n * k_d * l + n * l
+        ops += np.where(divided, n * l, z_svd)
 
         # squared frame-fit residual from the model frame itself, whose RIS
         # term is KR(H_ra, Z^T) Psi^T as (M*L, B); a Gram expansion would

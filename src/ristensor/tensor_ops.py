@@ -2,11 +2,13 @@
 
 Third-order arrays are numpy ndarrays of shape (M, L, B): B frontal slices,
 each M x L.  vec() is column-major everywhere, so unfoldings and stacking use
-Fortran-order reshapes.  Least-squares solves against structured regressors
-start from their small Gram matrices (certified_gram_solves): a Gram whose
-Gershgorin discs certify it and that is diagonal to rounding is solved by
-one Jacobi step, and every other goes to the SVD pseudoinverse, the one
-place that decides singularity.
+Fortran-order reshapes.  Least-squares solves against Khatri-Rao regressors
+need only the diagonals of their Grams where the known factor certifies,
+once per call, that every Gram it can take is diagonal to rounding
+(khatri_rao_coupling): each such solve is one division, its objective
+within eps of the conditional LS minimum (certified_gram_solves).  Every
+other solve goes to the SVD pseudoinverse, the one place that decides
+singularity.
 """
 
 import numpy as np
@@ -62,100 +64,87 @@ def pinv_with_ratio(a):
 
 
 # Smallest eigenvalue ratio lambda_min / lambda_max of a Gram a^H a solved
-# from its own entries (its discs must show twice this), i.e. cond(a) up to
-# 1e4.  A Gram solve loses about eps * cond(a)**2 where the SVD of a loses
-# about eps * cond(a), so below this the SVD is the more accurate solve; the
-# Gram's own rounding (about 1e3 * eps relative to lambda_max) lies far below
-# it, so no case the SVD would call singular can pass.
+# by division (its diagonal must show twice this), i.e. cond(a) up to 1e4.
+# A Gram solve loses about eps * cond(a)**2 where the SVD of a loses about
+# eps * cond(a), so below this the SVD is the more accurate solve; rounding
+# lies far below it, so no case the SVD would call singular can pass.
 _GRAM_MIN_RATIO = 1e-8
 
 
-# Largest dominance ratio rho = max_i r_i / g_ii, r_i = sum_{j != i} |g_ij|,
-# of a Gram solved by one Jacobi step: the step leaves an error of at most
-# rho**2 <= eps relative to the solution, the rounding of an LU solve.
-_JACOBI_MAX_RATIO = np.sqrt(np.finfo(float).eps)
+# Largest coupling rho (see khatri_rao_coupling) of Grams solved by division:
+# the division's objective then exceeds the LS minimum by at most
+# rho**2 (1 + rho) / (1 - rho) <= about eps relative, the rounding of an LU
+# solve.
+_MAX_COUPLING = np.sqrt(np.finfo(float).eps)
 
 
-def _gram_discs(gram):
-    """Gershgorin bounds (lo, hi) on a Hermitian Gram's eigenvalues, and its dominance.
+def _scaled_magnitudes(gram):
+    # |g_ij| / sqrt(g_ii g_jj)
+    d = gram.diagonal().real
+    return np.abs(gram) / np.sqrt(np.outer(d, d))
 
-    Every eigenvalue lies in some disc g_ii -+ r_i, r_i = sum_{j != i} |g_ij|.
-    With row sums s_i = |g_ii| + r_i, lo = min(g_ii - (s_i - g_ii)) and
-    hi = max(s_i) bracket the union of the discs.  dominant says that every
-    s_i - g_ii <= _JACOBI_MAX_RATIO * g_ii, i.e. rho <= sqrt(eps), tested
-    without a division; it means nothing for a Gram whose discs do not clear
-    (a zero Gram is "dominant").  A NaN or inf entry makes hi NaN or inf and
-    lo NaN, so no disc is formed as inf - inf.  A stack of Grams (..., p, p)
-    gives one (lo, hi, dominant) per Gram, each from the same row sums as
-    that Gram alone.
+
+def khatri_rao_coupling(left, known):
+    """Bound rho on the scaled off-diagonal of every Gram of a KR(left, V^T) regressor.
+
+    left (B, p) is the known factor; V (p, L) is unknown but for its leading
+    rows, known (k, L).  The Gram is G = C o F, C = left^H left and
+    F = V* V^T, so with S = diag(G)^1/2 it is G = S (I + E) S where
+    |E_ij| = |C_ij| / sqrt(C_ii C_jj) * |F_ij| / sqrt(F_ii F_jj).  F is PSD,
+    so by Cauchy-Schwarz its scaled entry is at most 1 whatever V is, and
+    between two known rows it is known exactly.  Returns the largest row
+    sum of that bound on |E|, which bounds ||E||_2; so one call covers every
+    Gram the regressor takes, of any V (or any sub-block of left's columns).
+    A zero or non-finite column of left, or a zero known row, gives NaN or
+    inf, which certifies nothing.
     """
-    rows = np.abs(gram).sum(axis=-1)
-    hi = rows.max(axis=-1)
-    diag = gram.diagonal(axis1=-2, axis2=-1).real.copy()   # contiguous: faster below
-    finite = hi < np.inf
-    all_finite = finite.all()
-    if not all_finite:
-        rows = np.where(finite[..., None], rows, 0.0)
-        diag = np.where(finite[..., None], diag, 0.0)
-    off = rows - diag
-    lo = (diag - off).min(axis=-1)
-    dominant = (off <= _JACOBI_MAX_RATIO * diag).all(axis=-1)
-    if not all_finite:
-        lo = np.where(finite, lo, np.nan)
-    return lo, hi, dominant
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = _scaled_magnitudes(left.conj().T @ left)
+        k = len(known)
+        bound[:k, :k] *= _scaled_magnitudes(known.conj() @ known.T)
+    np.fill_diagonal(bound, 0.0)
+    return bound.sum(axis=1).max()
 
 
-def _jacobi_step(gram, a_h_rhs):
-    # diagonal solve x0 = b / d and one Jacobi refinement x0 + (b - G x0) / d,
-    # d the real diagonal; elementwise but for one matmul per Gram, so the
-    # bits of a Gram do not depend on the stack it is in
-    d = gram.diagonal(axis1=-2, axis2=-1).real[..., None]
-    x = a_h_rhs / d
-    step = gram @ x
-    np.subtract(a_h_rhs, step, out=step)
-    step /= d
-    x += step
-    return x
+def certified_gram_solves(diag, a_h_rhs, regression, coupling, tol=1e-12):
+    """pinv_left(a_i, tol) @ rhs_i for each of a stack of Grams, by division where certified.
 
-
-def certified_gram_solves(grams, a_h_rhs, regression, tol=1e-12):
-    """pinv_left(a_i, tol) @ rhs_i for each Gram of a stack, solved from its Gram when it can.
-
-    grams (T, p, p) and a_h_rhs (T, p, r) stack T independent solves, built
-    by the caller from structure as gram_i = a_i^H a_i and a_h_rhs_i = a_i^H
-    rhs_i (for a Khatri-Rao a, a Hadamard product of factor Grams);
-    regression(i) returns (a_i, rhs_i), called only for a Gram that is not
-    solved from its own entries.  The discs are computed for the whole stack
-    and route each Gram on its own.  A Gram is solved by the diagonal solve
-    plus one Jacobi step when its eigenvalue ratio lambda_min / lambda_max
-    exceeds twice threshold = tol**2 + _GRAM_MIN_RATIO by its Gershgorin
-    discs, lo > 2 * threshold * hi, a margin far above rounding, and it is
-    diagonal to rounding, rho = max_i r_i / g_ii <= sqrt(eps): the step's
-    error |x - gram^-1 a_h_rhs|_inf <= rho**2 |x|_inf <= eps |x|_inf is that
-    of an LU solve.  Every other Gram, a non-finite one included, goes to
+    diag (T, p) holds the real diagonals of T Grams G_i = a_i^H a_i and
+    a_h_rhs (T, p, r) their right-hand sides a_i^H rhs_i, built by the
+    caller from structure; coupling is a bound rho on every Gram's scaled
+    off-diagonal (khatri_rao_coupling), and regression(i) returns
+    (a_i, rhs_i), called only for a Gram not solved by division.  With
+    G = S (I + E) S and ||E||_2 <= rho, the division x = a_h_rhs / diag
+    leaves the objective ||a x - rhs||^2 above its minimum, at x*, by
+    ||a (x - x*)||^2 <= rho**2 (1 + rho) / (1 - rho) ||a x*||^2, about eps
+    ||a x*||^2 for rho <= sqrt(eps); and the eigenvalue ratio of G is at
+    least (1 - rho) / (1 + rho) times min(diag) / max(diag).  So a Gram is
+    solved by division when rho <= sqrt(eps) and min(diag) > 2 * (tol**2 +
+    _GRAM_MIN_RATIO) * max(diag), a margin far above rounding; every other
+    Gram, one with a zero or non-finite diagonal entry included, goes to
     pinv_left on its regression, which raises SingularMatrixError when
-    sigma_min / sigma_max < tol, and solves.  Returns (x, jacobi, errors):
+    sigma_min / sigma_max < tol, and solves.  Returns (x, divided, errors):
     x (T, p, r) with solution i in x[i], a boolean array saying which Grams
-    took the Jacobi step, and a dict from the index of each Gram that raised
+    were divided, and a dict from the index of each Gram that raised
     np.linalg.LinAlgError to the error (its x[i] is undefined).  Each
     solution, and each decision, is that of the Gram in a stack of one.
     """
-    lo, hi, dominant = _gram_discs(grams)
-    # a NaN lo compares False
-    jacobi = (lo > 2.0 * (tol * tol + _GRAM_MIN_RATIO) * hi) & dominant
+    # a NaN coupling or diagonal compares False
+    threshold = 2.0 * (tol * tol + _GRAM_MIN_RATIO)
+    divided = (diag.min(axis=-1) > threshold * diag.max(axis=-1)) & (coupling <= _MAX_COUPLING)
     errors = {}
-    if jacobi.all():
-        return _jacobi_step(grams, a_h_rhs), jacobi, errors
-    x = np.empty(a_h_rhs.shape, dtype=np.result_type(grams, a_h_rhs))
-    if jacobi.any():
-        x[jacobi] = _jacobi_step(grams[jacobi], a_h_rhs[jacobi])
-    for i in np.flatnonzero(~jacobi):
+    if divided.all():
+        return a_h_rhs / diag[..., None], divided, errors
+    x = np.empty(a_h_rhs.shape, dtype=np.result_type(diag, a_h_rhs))
+    if divided.any():
+        x[divided] = a_h_rhs[divided] / diag[divided][..., None]
+    for i in np.flatnonzero(~divided):
         a, rhs = regression(i)
         try:
             x[i] = pinv_left(a, tol) @ rhs
         except np.linalg.LinAlgError as err:
             errors[i] = err
-    return x, jacobi, errors
+    return x, divided, errors
 
 
 def _svd_pinv(a, tol, side):

@@ -55,6 +55,17 @@ def test_run_non_finite_snr_range_exits_2(tiny_yaml, spec, capsys):
     assert "--snr start, stop and step must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["10:0:5", "0:-1:0.5"])
+def test_run_snr_range_with_no_points_exits_2(tiny_yaml, spec, capsys):
+    # a start above the stop gives no point; the config's own grid must not
+    # run in its place
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tiny_yaml), f"--snr={spec}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--snr range has no points" in captured.err and not captured.out
+
+
 @pytest.fixture
 def one_second_limit():
     # a grid that grows without end fails the test within a second instead

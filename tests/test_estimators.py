@@ -200,30 +200,27 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 41_500), ("e_als", e_als_estimate, 49_172)],
+    [("two_stage", two_stage_estimate, 24_050), ("e_als", e_als_estimate, 27_570)],
     ids=["two_stage", "e_als"],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
-    # every stock sweep Gram is diagonal up to rounding, so both steps take
-    # the Jacobi step: the Gram times the diagonal solve (p^2 r) and its two
-    # divisions (2 p r) where an LU solve costs p^3 + p^2 r.  Against the
-    # LU path's 73,850 (two_stage: M=4, L=8, B=N=25, p=25) and 101,870
-    # (e_als: B=26, p=33) that is 15,425 and 35,673 less in the joint step,
-    # 15,225 less in the Z step, and M*L*N - B*M*N = 800 - 2,500 (two_stage)
-    # or 800 - 2,600 (e_als) in the residual's Khatri-Rao product:
-    # 41,500 and 49,172
+    # the DFT schedules certify every sweep Gram, so both steps solve by
+    # division and no Gram is formed.  two_stage (M=4, L=8, B=N=25, K_d=0,
+    # p=25): joint step N L + N + N L M + p M = 1,125, Z step N M + N +
+    # N L M + N L + N L = 1,325, residual M L N + M L N B + M L B = 21,600:
+    # 24,050.  e_als (B=26, K_d=8, p=33): joint step 1,157, Z step 3,725
+    # (its direct term N M K_d + N K_d L is 2,400), residual 22,688: 27,570
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
     m, l, b = recv.tensor.shape
     k, n = sched.pilots.shape[0], sched.ris_phases.shape[1]
     k_d = k if mode == "e_als" else 0
     p = k_d + n
-    # joint step: factor Grams X_d* Z^T and Z* Z^T, Hadamard products,
-    # right-hand side from W, disc sums (p^2), Jacobi step
-    joint = p * n * l + p * n + n * l * m + p * p + p * p * m + 2 * p * m
-    # Z step: H_ra^H H_ra, Hadamard product, right-hand side from W, direct
-    # term H_ra^H H_ua X_d scaled by 1^T Psi, disc sums, Jacobi step
-    z_step = n * n * m + n * n + n * l * m + n * m * k_d + n * k_d * l + n * l
-    z_step += n * n + n * n * l + 2 * n * l
+    # joint step: diagonal (Psi^H Psi)_nn ||z_n||^2, right-hand side from
+    # W, division
+    joint = n * l + n + n * l * m + p * m
+    # Z step: diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2, right-hand side from
+    # W, direct term H_ra^H H_ua X_d scaled by 1^T Psi, division
+    z_step = n * m + n + n * l * m + n * m * k_d + n * k_d * l + n * l + n * l
     # residual: KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
     residual = m * l * n + m * l * n * b + m * k_d * l + m * l * b
     per_sweep = joint + z_step + residual
@@ -469,16 +466,16 @@ TRAFFIC_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(TRAFFIC_CONFIGS))
 def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
-    # make_schedule builds only DFT Psi and DFT pilots, so every sweep Gram
-    # of a config the CLI runs is certified by its Gershgorin discs and
-    # diagonal up to rounding: each takes the Jacobi step, no Khatri-Rao
-    # regressor is formed and pinv_left never runs
-    flags = []
+    # make_schedule builds only DFT Psi and DFT pilots, so the schedule of
+    # every config the CLI runs certifies every sweep Gram: each update is
+    # solved by division from a (T, p) diagonal, no p x p Gram and no
+    # Khatri-Rao regressor is formed, and pinv_left never runs
+    calls = []
 
-    def solves(grams, a_h_rhs, regression, tol):
-        x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression, tol)
-        flags.append(jacobi)
-        return x, jacobi, errors
+    def solves(diag, a_h_rhs, regression, coupling, tol):
+        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
+        calls.append((diag.shape, a_h_rhs.shape, divided))
+        return x, divided, errors
 
     cfg = ExperimentConfig(
         snr_grid_db=tuple(range(-30, 41, 10)), trials=20, master_seed=40,
@@ -491,7 +488,8 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
             mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
         records = run_experiment(cfg)
     assert len(records) == 2 * 8 * 20 and not any(r.failure_flag for r in records)
-    assert flags and all(jacobi.all() for jacobi in flags)
+    assert calls and all(divided.all() for *_, divided in calls)
+    assert all(len(diag) == 2 and diag == rhs[:2] for diag, rhs, _ in calls)
     assert khatri_rao.call_count == 0 and pinv_left.call_count == 0
 
 
@@ -507,33 +505,28 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
 )
 def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, joint, seed):
     # random non-DFT Psi and pilots, a random frame, and the sweep's own Z,
-    # H_ra and H_ua: every Gram and contracted right-hand side a sweep
-    # passes equals a^H a and a^H rhs of the regressor its fallback forms,
-    # with (e_als) and without (als_ris, K_d = 0) a direct block
+    # H_ra and H_ua: every Gram diagonal and contracted right-hand side a
+    # sweep passes equals the diagonal of a^H a and a^H rhs of the
+    # regressor its fallback forms, and the scaled off-diagonal of a^H a is
+    # within the call's coupling, with (e_als) and without (als_ris,
+    # K_d = 0) a direct block
     rng = np.random.default_rng(seed)
     l, b = k + extra_l, n + k + extra_b
     sched = TrainingSchedule(pilots=crandn(rng, (k, l)), ris_phases=crandn(rng, (b, n)))
     recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
     seen = []
 
-    def checked(grams, a_h_rhs, regression, tol=1e-12):
-        for i, gram in enumerate(grams):
+    def checked(diag, a_h_rhs, regression, coupling, tol=1e-12):
+        for i, d in enumerate(diag):
             a, rhs = regression(i)
-            for got, want in ((a_h_rhs[i], a.conj().T @ rhs), (gram, a.conj().T @ a)):
+            gram = a.conj().T @ a
+            for got, want in ((a_h_rhs[i], a.conj().T @ rhs), (d, gram.diagonal().real)):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            scaled = np.abs(gram) / np.sqrt(np.outer(d, d))
+            np.fill_diagonal(scaled, 0.0)
+            assert scaled.sum(axis=1).max() <= coupling * (1 + 1e-12) + 1e-12
             seen.append(a.shape[1])
-        return certified_gram_solves(grams, a_h_rhs, regression, tol)
-
-    cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", checked):
-        if joint:
-            est = e_als_estimate(recv, sched, cfg, rng)
-        else:
-            est = als_ris(recv.tensor, sched, cfg, rng)
-    k_d = k if joint else 0
-    assert seen[:2] == [k_d + n, n]
-    assert len(seen) == 2 * est.iterations or est.failed
-
+        return certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
 
 STACK_KINDS = ("synthesized", "zero", "one_nan", "scaled_up", "scaled_down")
 
@@ -621,13 +614,12 @@ def test_stacked_als_ris_equals_each_frame_alone():
 
 
 def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
-    # a random unit-modulus Psi: no sweep Gram is diagonal to rounding, so
-    # every step forms its regressor for pinv_left.  Per e_als sweep (M=4,
-    # L=8, B=26, N=25, K_d=8, p=33) that is the stock 49,172 less the two
-    # Jacobi steps, p^2 M + 2 p M = 4,620 and N^2 L + 2 N L = 5,400, plus
-    # the joint fallback B L p + (p^2 B L + p^3) + p B L M = 296,769 and the
-    # Z-step fallback B M N + B M K_d L + (N^2 B M + N^3) + N B M L =
-    # 110,681: 446,602
+    # a random unit-modulus Psi certifies no sweep Gram, so every step forms
+    # its regressor for pinv_left.  Per e_als sweep (M=4, L=8, B=26, N=25,
+    # K_d=8, p=33) that is the stock 27,570 less the two divisions, p M =
+    # 132 and N L = 200, plus the joint fallback B L p + (p^2 B L + p^3) +
+    # p B L M = 296,769 and the Z-step fallback B M N + B M K_d L +
+    # (N^2 B M + N^3) + N B M L = 110,681: 434,688
     _, ch, _, _ = noisy_setup("e_als", seed=51)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(52)
@@ -645,18 +637,18 @@ def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
         assert not est.failed and est.iterations == sweeps
         assert pinv_left.call_count == 2 * sweeps
         ops.append(est.op_count)
-    assert ops[1] - ops[0] == 446_602
+    assert ops[1] - ops[0] == 434_688
 
 
 def test_sweep_op_count_adds_the_pinv_fallback():
-    # a Psi column scaled by 1e-6 puts the joint Gram's eigenvalue ratio
-    # near 1e-12, below the Gram path's 1e-8 but above pinv_tol's square, so
+    # a Psi column scaled by 1e-6 leaves the schedule certified (its
+    # coupling is scale-free) but puts the joint Gram's diagonal ratio near
+    # 1e-12, below the division's 1e-8 but above pinv_tol's square, so
     # pinv_left solves the joint step from its regressor (the Z step's H_ra
-    # column grows to match, and its Gram stays clear and diagonal to
-    # rounding: the Jacobi step); so the joint step's tally is the 49,172 of
-    # a stock e_als sweep less its Jacobi step, p^2 M + 2 p M = 4,620 (p=33),
-    # that is 44,552, plus the regressor, pseudoinverse and apply of each
-    # pinv_left
+    # column grows to match, and its diagonal stays clear: the division);
+    # so the tally is the 27,570 of a stock e_als sweep less its joint
+    # division, p M = 132 (p=33), that is 27,438, plus the regressor,
+    # pseudoinverse and apply of each pinv_left
     _, ch, _, _ = noisy_setup("e_als", seed=54)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(55)
@@ -682,7 +674,63 @@ def test_sweep_op_count_adds_the_pinv_fallback():
         assert pinv_left.call_count >= sweeps
         ops.append(est.op_count)
         extra.append(cost)
-    assert ops[1] - ops[0] == 44_552 + extra[1] - extra[0]
+    assert ops[1] - ops[0] == 27_438 + extra[1] - extra[0]
+
+
+def _recording_solves(calls):
+    # certified_gram_solves that records each call's coupling and routes
+    def solves(diag, a_h_rhs, regression, coupling, tol):
+        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
+        calls.append((coupling, divided))
+        return x, divided, errors
+
+    return solves
+
+
+@pytest.mark.parametrize("kind", ["random", "constant"])
+def test_an_uncertified_schedule_sends_every_frame_to_pinv_left(kind):
+    # a random unit-modulus Psi, or a constant one (each scaled entry of its
+    # Gram is 1), has a coupling above sqrt(eps): every update of every
+    # frame in the stack goes to pinv_left, which solves the random one and
+    # finds the constant one singular
+    _, ch, _, _ = noisy_setup("e_als", seed=58)
+    system = SystemConfig(snr_db=10.0)
+    rng = np.random.default_rng(59)
+    psi = np.exp(2j * np.pi * rng.random((26, 25))) if kind == "random" else np.ones((26, 25))
+    sched = TrainingSchedule(pilots=make_pilots(8, 8, system.power), ris_phases=psi)
+    frames = [synthesize(ch, sched, system, rng) for _ in range(3)]
+    calls = []
+    pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+    cfg = EstimatorConfig(max_iters=2, conv_threshold=1e-300)
+    solves = _recording_solves(calls)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
+            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+        ests = e_als_estimate(frames, sched, cfg, [np.random.default_rng(i) for i in range(3)])
+    assert calls and all(c > np.sqrt(np.finfo(float).eps) for c, _ in calls)
+    assert not any(divided.any() for _, divided in calls)
+    assert pinv_left.call_count == sum(len(divided) for _, divided in calls)
+    if kind == "random":
+        assert not any(e.failed for e in ests) and len(calls) == 4
+    else:
+        assert all(e.failed and "singular" in e.failure_reason for e in ests)
+
+
+def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
+    # a zero frame fits H_ra = 0 in its first joint step, so the diagonal of
+    # its Z step is zero: that frame alone goes to pinv_left, which finds it
+    # singular, while the frames around it stay divided
+    _, _, sched, recv = noisy_setup("e_als", seed=60)
+    frames = [recv, ReceiveTensor(tensor=np.zeros_like(recv.tensor)), recv]
+    calls = []
+    pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+    solves = _recording_solves(calls)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
+            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+        ests = e_als_estimate(frames, sched, EstimatorConfig(), [np.random.default_rng(61)] * 3)
+    assert [list(divided) for _, divided in calls[:2]] == [[True] * 3, [True, False, True]]
+    assert all(divided.all() for _, divided in calls[2:]) and pinv_left.call_count == 1
+    assert ests[1].failed and "singular" in ests[1].failure_reason
+    assert not ests[0].failed and not ests[2].failed
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ristensor.tensor_ops
@@ -11,11 +11,11 @@ from ristensor.tensor_ops import (
     _GRAM_MIN_RATIO,
     ShapeError,
     SingularMatrixError,
-    _gram_discs,
     certified_gram_solves,
     crandn,
     dft_matrix,
     khatri_rao,
+    khatri_rao_coupling,
     pinv_left,
     pinv_right,
     unfold_mode1,
@@ -152,22 +152,33 @@ def _with_singular_value_ratio(rng, rows, cols, ratio):
     return (u * s) @ v.conj().T
 
 
-def _solve_via_gram(a, rhs, tol=1e-12, discs=True):
-    # certified_gram_solves on a stack of one explicit regressor, raising its
-    # error; discs=False sends the Gram to pinv_left whatever its discs say
-    def solve():
-        x, _, errors = certified_gram_solves(
-            (a.conj().T @ a)[None], (a.conj().T @ rhs)[None], lambda i: (a, rhs), tol
-        )
-        if errors:
-            raise errors[0]
-        return x[0]
+def _scaled_columns(rng, rows, cols, ratio):
+    # orthonormal columns scaled by s log-spaced from 1 down to ratio: a
+    # Gram diag(s**2) up to rounding, and sigma_min / sigma_max = ratio
+    q, _ = np.linalg.qr(crandn(rng, (rows, cols)))
+    return q * np.logspace(0.0, np.log10(ratio), cols)
 
-    if discs:
-        return solve()
-    uncleared = (np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))
-    with mock.patch.object(ristensor.tensor_ops, "_gram_discs", return_value=uncleared):
-        return solve()
+
+# no known rows: khatri_rao_coupling(a, NO_ROWS) bounds a's own Gram
+NO_ROWS = np.empty((0, 1))
+SQRT_EPS = np.sqrt(np.finfo(float).eps)
+EPS = np.finfo(float).eps
+
+
+def _col_sqnorms(a):
+    return (np.abs(a) ** 2).sum(axis=0)
+
+
+def _solve_via_gram(a, rhs, tol=1e-12):
+    # certified_gram_solves on a stack of one explicit regressor, certified
+    # by its own Gram, raising its error; returns (x, divided)
+    x, divided, errors = certified_gram_solves(
+        _col_sqnorms(a)[None], (a.conj().T @ rhs)[None], lambda i: (a, rhs),
+        khatri_rao_coupling(a, NO_ROWS), tol,
+    )
+    if errors:
+        raise errors[0]
+    return x[0], divided[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,17 +188,26 @@ def _solve_via_gram(a, rhs, tol=1e-12, discs=True):
     r=st.integers(1, 4),
     cond_exp=st.floats(0.0, 4.0),
     consistent=st.booleans(),
+    orthogonal=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gram_solve_matches_pinv_up_to_cond_1e4(p, extra, r, cond_exp, consistent, seed):
-    # normal equations lose about eps * cond(a)**2, for a consistent rhs too
+def test_gram_solve_matches_pinv_up_to_cond_1e4(
+    p, extra, r, cond_exp, consistent, orthogonal, seed
+):
+    # orthogonal columns scaled up to cond 1e3.8 are divided, a dense a goes
+    # to pinv_left unless its coupling rho is at most sqrt(eps); either way x
+    # is pinv(a) rhs to within eps * cond(a)**2, for a consistent rhs too,
+    # and a division to within rho * cond(a) more: x - x* = S^-1 E S x*
     rng = np.random.default_rng(seed)
     cond = 10.0**cond_exp
-    a = _with_singular_value_ratio(rng, p + extra, p, 1.0 / cond)
+    make = _scaled_columns if orthogonal else _with_singular_value_ratio
+    a = make(rng, p + extra, p, 1.0 / cond)
     rhs = a @ crandn(rng, (p, r)) if consistent else crandn(rng, (p + extra, r))
     expected = np.linalg.pinv(a) @ rhs
-    x = _solve_via_gram(a, rhs)
-    rtol = 100 * np.finfo(float).eps * cond**2
+    x, divided = _solve_via_gram(a, rhs)
+    if orthogonal and cond_exp <= 3.8:
+        assert divided
+    rtol = 100 * EPS * cond**2 + (2 * khatri_rao_coupling(a, NO_ROWS) * cond if divided else 0.0)
     assert np.linalg.norm(x - expected) <= rtol * np.linalg.norm(expected)
 
 
@@ -199,10 +219,13 @@ def test_gram_solve_matches_pinv_up_to_cond_1e4(p, extra, r, cond_exp, consisten
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gram_solve_is_pinv_left_beyond_cond_1e4(cols, extra, cond_exp, seed):
+    # a Gram diagonal to rounding whose diagonal shows an eigenvalue ratio
+    # below twice the threshold is pinv_left's
     rng = np.random.default_rng(seed)
-    a = _with_singular_value_ratio(rng, cols + extra, cols, 10.0**-cond_exp)
+    a = _scaled_columns(rng, cols + extra, cols, 10.0**-cond_exp)
     rhs = crandn(rng, (cols + extra, 2))
-    assert np.array_equal(_solve_via_gram(a, rhs), pinv_left(a) @ rhs)
+    x, divided = _solve_via_gram(a, rhs)
+    assert not divided and np.array_equal(x, pinv_left(a) @ rhs)
 
 
 def _raises_singular(solve):
@@ -221,14 +244,20 @@ def _raises_singular(solve):
     tol_exp=st.one_of(st.just(-12.0), st.floats(-12.0, -2.0)),
     ratio_exp=st.floats(-14.0, -2.0),
     near_tol=st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+    orthogonal=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gram_solve_raises_exactly_when_pinv_left_does(cols, extra, tol_exp, ratio_exp, near_tol, seed):
-    # sigma_min / sigma_max from 1e-2 down to 1e-14, some within 2.3e-6 relative of tol
+def test_gram_solve_raises_exactly_when_pinv_left_does(
+    cols, extra, tol_exp, ratio_exp, near_tol, orthogonal, seed
+):
+    # sigma_min / sigma_max from 1e-2 down to 1e-14, some within 2.3e-6
+    # relative of tol; the division needs twice tol**2 on the diagonal, so
+    # near tol the SVD always decides
     rng = np.random.default_rng(seed)
     tol = 10.0**tol_exp
     ratio = tol * 10.0**near_tol if near_tol is not None else 10.0**ratio_exp
-    a = _with_singular_value_ratio(rng, cols + extra, cols, ratio)
+    make = _scaled_columns if orthogonal else _with_singular_value_ratio
+    a = make(rng, cols + extra, cols, ratio)
     rhs = crandn(rng, (cols + extra, 2))
     by_gram = _raises_singular(lambda: _solve_via_gram(a, rhs, tol))
     by_svd = _raises_singular(lambda: pinv_left(a, tol))
@@ -245,201 +274,216 @@ def test_gram_solve_falls_back_on_a_non_finite_or_zero_gram():
 
 
 def test_an_inf_gram_goes_to_the_regression_without_a_warning():
-    # the row sums show the inf before any disc is formed as inf - inf
+    # an inf on the diagonal fails min > threshold * max before any division
     regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
-    gram = np.array([[np.inf, 1.0], [1.0, 1.0]])
-    x, jacobi, errors = certified_gram_solves(gram[None], np.ones((1, 2, 1)), regression)
+    diag = np.array([[np.inf, 1.0]])
+    x, divided, errors = certified_gram_solves(diag, np.ones((1, 2, 1)), regression, 0.0)
     regression.assert_called_once_with(0)
-    assert not jacobi[0] and not errors and np.array_equal(x[0], np.ones((2, 1)))
-
-
-SQRT_EPS = np.sqrt(np.finfo(float).eps)
-
-
-def _dominance(gram):
-    # rho = max_i sum_{j != i} |g_ij| / g_ii
-    diag = np.diag(gram).real
-    return np.max(np.abs(gram - np.diag(np.diag(gram))).sum(axis=1) / diag)
-
-
-def _assert_within_solve_rounding(got, lu, lam):
-    # the Jacobi step is within rho**2 <= eps of the solution, the LU solve
-    # within about p * eps * cond(G) of it
-    eps = np.finfo(float).eps
-    bound = 4 * len(lam) * eps * (lam[-1] / lam[0]) * np.linalg.norm(lu)
-    assert np.linalg.norm(got - lu) <= bound
+    assert not divided[0] and not errors and np.array_equal(x[0], np.ones((2, 1)))
 
 
 def _tier_stack(rng, p=4, rows=9):
-    # regressors whose Grams take each route: diagonal up to rounding (cleared
-    # by the discs and dominant: the Jacobi step), dense and well conditioned,
-    # cond 1e6, rank deficient (pinv_left raises), and diagonal with
-    # off-diagonal entries near 0.05 of it (cleared by the discs but not
-    # dominant); all but the first go to pinv_left
+    # regressors q diag(s) on one orthonormal q, so q's own coupling (of
+    # rounding size) certifies them all; their diagonals take each route:
+    # well conditioned (divided), cond 1e6 (pinv_left solves), a zero column
+    # and a NaN column (pinv_left raises)
     q, _ = np.linalg.qr(crandn(rng, (rows, p)))
-    scales = np.array([1.0, 2.0, 3.0, 4.0])
-    regressors = [
-        q * scales,
-        _with_singular_value_ratio(rng, rows, p, 0.3),
-        _with_singular_value_ratio(rng, rows, p, 1e-6),
-        np.hstack([q[:, :3], q[:, :1]]),
-        q @ (np.diag(scales) + 0.05 * np.triu(np.ones((p, p)), 1)),
-    ]
+    scales = ([1.0, 2.0, 3.0, 4.0], [1.0, 1e-2, 1e-4, 1e-6], [1.0, 2.0, 0.0, 4.0],
+              [1.0, np.nan, 3.0, 4.0])
+    regressors = [q * np.array(s) for s in scales]
     rhs = [crandn(rng, (rows, 2)) for _ in regressors]
-    grams = np.stack([a.conj().T @ a for a in regressors])
+    diag = np.stack([_col_sqnorms(a) for a in regressors])
     a_h_rhs = np.stack([a.conj().T @ r for a, r in zip(regressors, rhs)])
-    return regressors, rhs, grams, a_h_rhs
+    return regressors, rhs, diag, a_h_rhs, khatri_rao_coupling(q, NO_ROWS)
 
 
-def _alone(grams, a_h_rhs, i, regression):
+def _alone(diag, a_h_rhs, i, regression, coupling):
     # certified_gram_solves on Gram i in a stack of one
-    x, jacobi, errors = certified_gram_solves(
-        grams[i : i + 1], a_h_rhs[i : i + 1], lambda _: regression(i)
+    x, divided, errors = certified_gram_solves(
+        diag[i : i + 1], a_h_rhs[i : i + 1], lambda _: regression(i), coupling
     )
-    return x[0], jacobi[0], errors
+    return x[0], divided[0], errors
 
 
 def test_stacked_gram_solves_equal_each_gram_alone():
     rng = np.random.default_rng(8)
-    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
-    order = [0, 1, 2, 3, 0, 1]   # Jacobi Grams around the others
+    regressors, rhs, diag, a_h_rhs, coupling = _tier_stack(rng)
+    assert coupling <= SQRT_EPS
+    order = [0, 1, 2, 3, 0, 1]   # divided Grams around the others
 
     def regression(i):
         return regressors[order[i]], rhs[order[i]]
 
-    grams, a_h_rhs = grams[order], a_h_rhs[order]
-    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
-    assert list(jacobi) == [True, False, False, False, True, False]
-    assert list(errors) == [3] and isinstance(errors[3], SingularMatrixError)
+    diag, a_h_rhs = diag[order], a_h_rhs[order]
+    x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling)
+    assert list(divided) == [True, False, False, False, True, False]
+    assert list(errors) == [2, 3] and isinstance(errors[2], SingularMatrixError)
     for i, j in enumerate(order):
-        alone, took_step, alone_errors = _alone(grams, a_h_rhs, i, regression)
-        assert took_step == jacobi[i] and list(alone_errors) == ([0] if i == 3 else [])
-        if i != 3:
+        alone, alone_divided, alone_errors = _alone(diag, a_h_rhs, i, regression, coupling)
+        assert alone_divided == divided[i] and list(alone_errors) == ([0] if j in (2, 3) else [])
+        if j not in (2, 3):
             assert np.array_equal(x[i], alone)
-        if j in (1, 2):
+        if j == 1:
             assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
 
 
 def test_stacked_gram_solves_route_each_gram_on_its_own():
-    # a stack mixing every route: the dominant cleared Grams take the Jacobi
-    # step, every other Gram (cleared but not dominant included) forms its
+    # a stack mixing every route: the Grams with a clear diagonal are
+    # divided, every other (a zero or NaN entry included) forms its
     # regression for pinv_left, and each solution has the bits of its Gram
-    # alone
+    # alone; a coupling above sqrt(eps), or NaN, sends every Gram there
     rng = np.random.default_rng(10)
-    regressors, rhs, grams, a_h_rhs = _tier_stack(rng)
-    order = [4, 0, 1, 4, 2, 0, 3]
-    grams, a_h_rhs = grams[order], a_h_rhs[order]
+    regressors, rhs, diag, a_h_rhs, coupling = _tier_stack(rng)
+    order = [1, 0, 2, 0, 3, 1]
+    diag, a_h_rhs = diag[order], a_h_rhs[order]
     regression = mock.Mock(side_effect=lambda i: (regressors[order[i]], rhs[order[i]]))
-    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
-    assert list(jacobi) == [j == 0 for j in order]
-    assert [call.args[0] for call in regression.call_args_list] == [0, 2, 3, 4, 6]
-    assert list(errors) == [6]
+    x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling)
+    assert list(divided) == [j == 0 for j in order]
+    assert [call.args[0] for call in regression.call_args_list] == [0, 2, 4, 5]
+    assert list(errors) == [2, 4]
     for i, j in enumerate(order):
-        if j != 3:
-            assert np.array_equal(x[i], _alone(grams, a_h_rhs, i, regression)[0])
-        if j != 0 and j != 3:
+        if j in (0, 1):
+            assert np.array_equal(x[i], _alone(diag, a_h_rhs, i, regression, coupling)[0])
+        if j == 1:
             assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
+    for uncertified in (1.01 * SQRT_EPS, np.nan):
+        regression.reset_mock()
+        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, uncertified)
+        assert not divided.any() and regression.call_count == len(order)
+        assert list(errors) == [2, 4]
+        for i, j in enumerate(order):
+            if j in (0, 1):
+                assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
+
+
+def _excess_bound(rho):
+    # ||a (x - x*)||^2 / ||a x*||^2 of the division on a Gram S (I + E) S
+    # with ||E||_2 <= rho
+    return rho * rho * (1.0 + rho) / (1.0 - rho)
+
+
+def _joint_regressor(psi, x_d, z):
+    # [KR(1, X_d^T) | KR(Psi, Z^T)], the sweep's joint-step regressor, its
+    # known factor [1 .. 1 | Psi], and its Gram diagonal from factor norms
+    b, k_d = len(psi), len(x_d)
+    a = np.hstack([khatri_rao(np.ones((b, k_d)), x_d.T), khatri_rao(psi, z.T)])
+    left = np.hstack([np.ones((b, k_d)), psi])
+    diag = np.concatenate([b * _col_sqnorms(x_d.T), _col_sqnorms(psi) * _col_sqnorms(z.T)])
+    return a, left, diag
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    p=st.integers(1, 8),
-    r=st.integers(1, 4),
-    spread_exp=st.floats(0.0, 6.0),
-    rho_exps=st.lists(
-        st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 6.8)), min_size=1, max_size=4
-    ),
+    n=st.integers(1, 8),
+    k_d=st.integers(0, 4),
+    l=st.integers(1, 6),
+    extra=st.integers(0, 4),
+    pert_exp=st.floats(-16.0, -9.0),
+    spread_exp=st.floats(0.0, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_jacobi_step_runs_exactly_on_cleared_dominant_grams(p, r, spread_exp, rho_exps, seed):
-    # Hermitian Grams D^1/2 (I + E) D^1/2, D spread over up to 6 decades and
-    # E scaled so that rho = max_i sum_{j != i} |g_ij| / g_ii lies rho_exp
-    # decades from sqrt(eps), on either side of it but 2% clear, where the
-    # rounding of the row sums decides; rho <= 0.1 keeps every |e_ij| <= rho
-    # and I + E definite.  A Gram takes the step (no regression) exactly
-    # when its discs clear and rho <= sqrt(eps), alone or in a stack, with
-    # the same bits either way and a result within the rounding of the LU;
-    # every other Gram is pinv_left of its regressor a = L^H, the Cholesky
-    # factor, against rhs = L^-1 a_h_rhs
+def test_division_objective_is_within_the_coupling_bound(
+    n, k_d, l, extra, pert_exp, spread_exp, seed
+):
+    # joint-step regressors on DFT rows and pilots perturbed by 1e-16 to
+    # 1e-9, Z rows scaled over up to 5 decades.  Where the schedule's
+    # coupling rho is at most sqrt(eps) and the diagonal clears, the
+    # division with the diagonal from factor norms exceeds the objective
+    # minimum x* (for the same right-hand side a^H rhs) by ||a (x - x*)||^2
+    # <= rho**2 (1 + rho) / (1 - rho) ||a x*||^2.  Rounding allowance: each
+    # scaled entry of a computed Gram (of a, or of the known factor in the
+    # certificate) is an inner product of length rows = B L, off by at most
+    # rows * eps (Cauchy-Schwarz), so rho by p of them; the diagonal, the
+    # division and x* add (rows + 4) * eps relative.  Elsewhere the
+    # regression solves
     rng = np.random.default_rng(seed)
-    grams = []
-    for rho_exp in rho_exps:
-        d = 10.0 ** rng.uniform(-spread_exp, 0.0, p)
-        e = crandn(rng, (p, p))
-        e = np.sqrt(d)[:, None] * (e + e.conj().T) * np.sqrt(d)[None, :]
+    k_d = min(k_d, l)
+    b = n + 1 + extra
+    pert = 10.0**pert_exp
+    psi = dft_matrix(b)[:, 1 : n + 1] + pert * crandn(rng, (b, n))
+    x_d = dft_matrix(l)[:k_d] + pert * crandn(rng, (k_d, l))
+    z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
+    a, left, diag = _joint_regressor(psi, x_d, z)
+    rows, p = a.shape
+    rhs = crandn(rng, (rows, 2))
+    a_h_rhs = a.conj().T @ rhs
+    rho = khatri_rao_coupling(left, x_d)
+    regression = mock.Mock(return_value=(a, rhs))
+    x, divided, errors = certified_gram_solves(diag[None], a_h_rhs[None], regression, rho)
+    clear = diag.min() > 2.0 * (1e-24 + _GRAM_MIN_RATIO) * diag.max()
+    assert list(divided) == [bool(rho <= SQRT_EPS and clear)] and not errors
+    if not divided[0]:
+        assert np.array_equal(x[0], pinv_left(a) @ rhs)
+        return
+    # x* from the normal equations in scaled form, (I + E) u = S^-1 a^H rhs
+    gram = a.conj().T @ a
+    s = np.sqrt(gram.diagonal().real)
+    x_star = np.linalg.solve(gram / np.outer(s, s), a_h_rhs / s[:, None]) / s[:, None]
+    rho_rounded = rho + p * rows * EPS
+    allowed = np.sqrt(_excess_bound(rho_rounded)) + (rows + 4) * EPS
+    excess = np.linalg.norm(a @ (x[0] - x_star))
+    assert excess <= allowed * np.linalg.norm(a @ x_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    k_d=st.integers(0, 3),
+    l=st.integers(1, 5),
+    m=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    same_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_bounds_the_scaled_off_diagonal_of_any_factor(
+    n, k_d, l, m, extra, same_rows, seed
+):
+    # a random Psi and direct pilots X_d, and random factors Z and H_ra:
+    # the largest row sum of the scaled off-diagonal |E| of the joint Gram
+    # (of [KR(1, X_d^T) | KR(Psi, Z^T)]) and of the Z Gram (of
+    # KR(Psi, H_ra)) is at most the schedule's coupling rho, up to rounding;
+    # with no direct block and Z rows all alike, F's scaled entries are all
+    # 1 and rho is attained
+    rng = np.random.default_rng(seed)
+    b = n + k_d + extra
+    psi = crandn(rng, (b, n))
+    x_d = crandn(rng, (k_d, l))
+    z = np.repeat(crandn(rng, (1, l)), n, axis=0) if same_rows else crandn(rng, (n, l))
+    z *= 10.0 ** rng.uniform(-3.0, 0.0, (n, 1))
+    a, left, _ = _joint_regressor(psi, x_d, z)
+    rho = khatri_rao_coupling(left, x_d)
+    row_sums = []
+    for reg in (a, khatri_rao(psi, crandn(rng, (m, n)))):
+        gram = reg.conj().T @ reg
+        s = np.sqrt(gram.diagonal().real)
+        e = np.abs(gram) / np.outer(s, s)
         np.fill_diagonal(e, 0.0)
-        if p > 1:
-            e *= SQRT_EPS * 10.0**rho_exp / np.max(np.abs(e).sum(axis=1) / d)
-        gram = e + np.diag(d)
-        grams.append((gram + gram.conj().T) / 2)
-    grams = np.stack(grams)
-    a_h_rhs = crandn(rng, (len(grams), p, r))
-    threshold = 1e-24 + _GRAM_MIN_RATIO
-    expected = []
-    for gram in grams:
-        radii = np.abs(gram - np.diag(np.diag(gram))).sum(axis=1)
-        diag = np.diag(gram).real
-        cleared = np.min(diag - radii) > 2.0 * threshold * np.max(diag + radii)
-        expected.append(bool(cleared and _dominance(gram) <= SQRT_EPS))
-    chol = np.linalg.cholesky(grams)
-    regressors = chol.conj().transpose(0, 2, 1)
-    rhs = np.linalg.solve(chol, a_h_rhs)
-    regression = mock.Mock(side_effect=lambda i: (regressors[i], rhs[i]))
-    x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
-    assert list(jacobi) == expected and not errors
-    called = [call.args[0] for call in regression.call_args_list]
-    assert called == [i for i, took_step in enumerate(expected) if not took_step]
-    for i, took_step in enumerate(expected):
-        regression.reset_mock()
-        alone, alone_step, _ = _alone(grams, a_h_rhs, i, regression)
-        assert alone_step == took_step and regression.call_count == (0 if took_step else 1)
-        assert np.array_equal(x[i], alone)
-        if took_step:
-            lu = np.linalg.solve(grams[i], a_h_rhs[i])
-            _assert_within_solve_rounding(alone, lu, np.linalg.eigvalsh(grams[i]))
-        else:
-            assert np.array_equal(alone, pinv_left(regressors[i]) @ rhs[i])
+        row_sums.append(e.sum(axis=1).max())
+    assert max(row_sums) <= rho * (1 + 1e-12) + 1e-13
+    if same_rows and k_d == 0:
+        assert rho <= row_sums[0] * (1 + 1e-12) + 1e-13
 
 
-BAD_GRAMS = {
-    "nan": [[np.nan, 0.0], [0.0, 1.0]],
-    "inf": [[np.inf, 0.0], [0.0, 1.0]],
-    "zero": [[0.0, 0.0], [0.0, 0.0]],
-    "zero_diagonal_entry": [[0.0, 0.0], [0.0, 1.0]],
-    "rho_0_but_cond_1e20": [[1.0, 0.0], [0.0, 1e-20]],
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_GRAMS))
-def test_grams_the_discs_do_not_clear_never_take_the_jacobi_step(name):
-    # a diagonal Gram has rho = 0, but the step needs the discs to clear
-    # first; alone or beside a dominant Gram that does take it, the bad Gram
-    # goes to its regression, without a numpy warning
-    grams = np.array([BAD_GRAMS[name], [[1.0, 0.0], [0.0, 2.0]]])
-    a_h_rhs = np.ones((2, 2, 1))
-    regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x, jacobi, errors = certified_gram_solves(grams, a_h_rhs, regression)
-        regression.assert_called_once_with(0)
-        alone, alone_step, _ = _alone(grams, a_h_rhs, 0, regression)
-    assert list(jacobi) == [False, True] and not alone_step and not errors
-    assert np.array_equal(x[0], alone) and np.array_equal(x[0], np.ones((2, 1)))
-    assert np.array_equal(x[1], [[1.0], [0.5]])
-
-
-def test_dft_matrix_values():
-    np.testing.assert_array_equal(dft_matrix(1), [[1.0]])
-    np.testing.assert_allclose(dft_matrix(2), [[1, 1], [1, -1]], atol=1e-15)
-    f = dft_matrix(26)
-    np.testing.assert_allclose(f.conj().T @ f, 26 * np.eye(26), atol=1e-10 * 26)
-    np.testing.assert_allclose(f[0], np.ones(26), atol=1e-15)
-    np.testing.assert_allclose(np.abs(f), np.ones((26, 26)), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 25, 26])
-def test_dft_matrix_equals_fft_of_identity(n):
-    np.testing.assert_allclose(dft_matrix(n), np.fft.fft(np.eye(n)), rtol=0, atol=1e-13)
+def _assert_within_both_roundings(x, lu, gram):
+    # x is the division and lu an LU solve of one Gram G = S (I + E) S and
+    # right-hand side b.  Against the exact x* = G^-1 b, in the norm ||S .||:
+    # the division is x* + S^-1 E S x* to within its rounding, so
+    # ||S (x - x*)|| <= rho ||S x*|| + eps (1 + rho) ||S x*||, rho = ||E||_2
+    # <= the largest row sum of |E|.  LU (GEPP, which pivots on no such G:
+    # its off-diagonal is at most rho times the diagonal it meets) has
+    # backward error |dG| <= gamma |L||U|, gamma = 3 p eps for complex
+    # arithmetic, and |L||U| = S (I + |E| + O(rho**2)) S, so
+    # ||S (lu - x*)|| <= gamma (1 + rho + rho**2) / (1 - rho) ||S lu||
+    p = len(gram)
+    s = np.sqrt(gram.diagonal().real)
+    e = np.abs(gram) / np.outer(s, s)
+    np.fill_diagonal(e, 0.0)
+    rho = e.sum(axis=1).max()
+    gamma = 3 * p * EPS
+    lu_err = gamma * (1 + rho + rho * rho) / (1 - rho)
+    div_err = (rho + EPS * (1 + rho)) * (1 + lu_err)
+    scaled_lu = np.linalg.norm(s[:, None] * lu)
+    assert np.linalg.norm(s[:, None] * (x - lu)) <= (div_err + lu_err) * scaled_lu
 
 
 def _outcome(solve):
@@ -461,19 +505,23 @@ def _outcome(solve):
     tol_exp=st.floats(-12.0, -2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gram_discs_bracket_the_spectrum(
+@example(n=5, extra=0, l=1, k_d=0, family="dense", cond_exp=1e-09, spread_exp=0.0,
+         tol_exp=-2.0, seed=1)
+def test_division_and_lu_agree_within_both_roundings(
     n, extra, l, k_d, family, cond_exp, spread_exp, tol_exp, seed
 ):
-    # PSD Grams a^H a: the joint sweep Gram with direct block B X_d* X_d^T,
-    # cross block (1^T Psi) o (X_d* Z^T) and RIS block (Psi^H Psi) o (Z* Z^T),
-    # Z rows scaled over up to 5 decades, on DFT rows as the harness builds
-    # them (diagonal up to rounding) or on a random Psi with cond(Psi) up to
-    # 1e5; or a dense a with cond(a) up to 1e5
+    # the joint sweep regressor on DFT rows as the harness builds them (the
+    # schedule certifies every Gram) or on a random Psi with cond(Psi) up
+    # to 1e5, Z rows scaled over up to 5 decades; or a dense a with cond(a)
+    # up to 1e5, certified by its own Gram.  A divided Gram agrees with the
+    # LU solve of the same Gram and right-hand side within the rounding of
+    # both; every other Gram is pinv_left's, or singular with it
     rng = np.random.default_rng(seed)
     b = n + 1 + extra
     tol = 10.0**tol_exp
     if family == "dense":
         a = _with_singular_value_ratio(rng, n + extra, n, 10.0**-cond_exp)
+        coupling = khatri_rao_coupling(a, NO_ROWS)
     else:
         if family == "dft_sweep":
             psi = dft_matrix(b)[:, 1 : n + 1]
@@ -482,34 +530,33 @@ def test_gram_discs_bracket_the_spectrum(
             psi = _with_singular_value_ratio(rng, b, n, 10.0**-cond_exp)
             x_d = crandn(rng, (k_d, l))
         z = 10.0 ** rng.uniform(-spread_exp, 0.0, (n, 1)) * crandn(rng, (n, l))
-        a = np.hstack([khatri_rao(np.ones((b, x_d.shape[0])), x_d.T), khatri_rao(psi, z.T)])
-    gram = a.conj().T @ a
-    lo, hi, _ = _gram_discs(gram)
-    lam = np.linalg.eigvalsh(gram)
-    slack = 1e-12 * lam[-1]   # rounding of the computed spectrum
-    assert lo <= lam[0] + slack
-    assert hi >= lam[-1] - slack
-    threshold = tol * tol + _GRAM_MIN_RATIO
-    if lo > 2.0 * threshold * hi:
-        # a certified Gram has the eigenvalue ratio its discs claim
-        assert lam[-1] > 0.0 and lam[0] / lam[-1] > threshold
-    # so the discs never change what the solve decides, nor what it returns
-    # but where a cleared Gram is dominant and takes the Jacobi step
+        a, left, _ = _joint_regressor(psi, x_d, z)
+        coupling = khatri_rao_coupling(left, x_d)
     rhs = crandn(rng, (a.shape[0], 2))
-    with_discs = _outcome(lambda: _solve_via_gram(a, rhs, tol))
-    without = _outcome(lambda: _solve_via_gram(a, rhs, tol, discs=False))
-    if lo > 2.0 * threshold * hi and _dominance(gram) <= SQRT_EPS:
-        assert isinstance(with_discs, np.ndarray) and isinstance(without, np.ndarray)
-        _assert_within_solve_rounding(with_discs, without, lam)
+    gram, a_h_rhs = a.conj().T @ a, a.conj().T @ rhs
+
+    def solve():
+        x, divided, errors = certified_gram_solves(
+            gram.diagonal().real[None], a_h_rhs[None], lambda i: (a, rhs), coupling, tol
+        )
+        if errors:
+            raise errors[0]
+        return x[0], divided[0]
+
+    outcome = _outcome(solve)
+    if outcome != "singular" and outcome[1]:
+        _assert_within_both_roundings(outcome[0], np.linalg.solve(gram, a_h_rhs), gram)
     else:
-        assert np.array_equal(with_discs, without)
+        by_svd = _outcome(lambda: pinv_left(a, tol) @ rhs)
+        assert np.array_equal(outcome if outcome == "singular" else outcome[0], by_svd)
 
 
 @pytest.mark.parametrize("ratio_over_threshold, certified", [(0.75, False), (1.5, False), (2.5, True)])
 def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
-    # orthonormal Psi columns make the Gram diag(||z_n||^2) up to rounding,
-    # so its discs are its eigenvalues; they clear it for the Jacobi step
-    # only beyond twice the threshold, and below that it goes to pinv_left
+    # orthonormal Psi columns certify every Gram of KR(Psi, Z^T), which is
+    # then diag(||z_n||^2) up to rounding, so its diagonal shows its
+    # eigenvalues; they clear it for the division only beyond twice the
+    # threshold, and below that it goes to pinv_left
     rng = np.random.default_rng(7)
     threshold = 1e-24 + _GRAM_MIN_RATIO
     psi = _with_singular_value_ratio(rng, 5, 3, 1.0)
@@ -518,16 +565,60 @@ def test_certificate_needs_a_factor_2_margin(ratio_over_threshold, certified):
     a = khatri_rao(psi, z.T)
     rhs = crandn(rng, (20, 2))
     gram, a_h_rhs = a.conj().T @ a, a.conj().T @ rhs
+    coupling = khatri_rao_coupling(psi, np.empty((0, 4)))
+    assert coupling <= SQRT_EPS
 
     regression = mock.Mock(return_value=(a, rhs))
-    x, jacobi, errors = certified_gram_solves(gram[None], a_h_rhs[None], regression)
-    assert list(jacobi) == [certified] and not errors
+    x, divided, errors = certified_gram_solves(
+        gram.diagonal().real[None], a_h_rhs[None], regression, coupling
+    )
+    assert list(divided) == [certified] and not errors
     assert regression.call_count == (0 if certified else 1)
-    if certified:   # and dominant: the Jacobi step
-        lu = np.linalg.solve(gram, a_h_rhs)
-        _assert_within_solve_rounding(x[0], lu, np.linalg.eigvalsh(gram))
+    if certified:
+        _assert_within_both_roundings(x[0], np.linalg.solve(gram, a_h_rhs), gram)
     else:
         assert np.array_equal(x[0], pinv_left(a) @ rhs)
+
+
+BAD_DIAGONALS = {
+    "nan": [np.nan, 1.0],
+    "inf": [np.inf, 1.0],
+    "zero": [0.0, 0.0],
+    "zero_entry": [0.0, 1.0],
+    "cond_1e20": [1.0, 1e-20],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DIAGONALS))
+def test_bad_diagonals_never_take_the_division(name):
+    # alone or beside a Gram that is divided, a Gram whose diagonal does not
+    # clear goes to its regression, without a numpy warning, whatever the
+    # coupling
+    diag = np.array([BAD_DIAGONALS[name], [1.0, 2.0]])
+    a_h_rhs = np.ones((2, 2, 1))
+    regression = mock.Mock(return_value=(np.eye(2), np.ones((2, 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, 0.0)
+        regression.assert_called_once_with(0)
+        alone, alone_divided, _ = _alone(diag, a_h_rhs, 0, regression, 0.0)
+    assert list(divided) == [False, True] and not alone_divided and not errors
+    assert np.array_equal(x[0], alone) and np.array_equal(x[0], np.ones((2, 1)))
+    assert np.array_equal(x[1], [[1.0], [0.5]])
+
+
+def test_dft_matrix_values():
+    np.testing.assert_array_equal(dft_matrix(1), [[1.0]])
+    np.testing.assert_allclose(dft_matrix(2), [[1, 1], [1, -1]], atol=1e-15)
+    f = dft_matrix(26)
+    np.testing.assert_allclose(f.conj().T @ f, 26 * np.eye(26), atol=1e-10 * 26)
+    np.testing.assert_allclose(f[0], np.ones(26), atol=1e-15)
+    np.testing.assert_allclose(np.abs(f), np.ones((26, 26)), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 25, 26])
+def test_dft_matrix_equals_fft_of_identity(n):
+    np.testing.assert_allclose(dft_matrix(n), np.fft.fft(np.eye(n)), rtol=0, atol=1e-13)
 
 
 def test_crandn_moments():
