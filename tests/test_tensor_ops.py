@@ -144,25 +144,24 @@ def test_khatri_rao_gram_is_hadamard_of_factor_grams(i, j, r, seed):
     assert np.linalg.norm(kr.conj().T @ kr - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
-def _with_singular_value_ratio(rng, rows, cols, ratio):
-    # U diag(s) V^H with s log-spaced from 1 down to ratio
-    u, _ = np.linalg.qr(crandn(rng, (rows, cols)))
-    v, _ = np.linalg.qr(crandn(rng, (cols, cols)))
-    s = np.logspace(0.0, np.log10(ratio), cols)
-    return (u * s) @ v.conj().T
-
-
 def _scaled_columns(rng, rows, cols, ratio):
-    # orthonormal columns scaled by s log-spaced from 1 down to ratio: a
+    # orthonormal columns U scaled by s log-spaced from 1 down to ratio: a
     # Gram diag(s**2) up to rounding, and sigma_min / sigma_max = ratio
     q, _ = np.linalg.qr(crandn(rng, (rows, cols)))
     return q * np.logspace(0.0, np.log10(ratio), cols)
 
 
+def _with_singular_value_ratio(rng, rows, cols, ratio):
+    # U diag(s) V^H, a dense Gram with the same singular values
+    us = _scaled_columns(rng, rows, cols, ratio)
+    v, _ = np.linalg.qr(crandn(rng, (cols, cols)))
+    return us @ v.conj().T
+
+
 # no known rows: khatri_rao_coupling(a, NO_ROWS) bounds a's own Gram
 NO_ROWS = np.empty((0, 1))
-SQRT_EPS = np.sqrt(np.finfo(float).eps)
 EPS = np.finfo(float).eps
+SQRT_EPS = np.sqrt(EPS)
 
 
 def _col_sqnorms(a):
