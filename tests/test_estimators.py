@@ -528,6 +528,17 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
             seen.append(a.shape[1])
         return certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
 
+    cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", checked):
+        if joint:
+            est = e_als_estimate(recv, sched, cfg, rng)
+        else:
+            est = als_ris(recv.tensor, sched, cfg, rng)
+    k_d = k if joint else 0
+    assert seen[:2] == [k_d + n, n]
+    assert len(seen) == 2 * est.iterations or est.failed
+
+
 STACK_KINDS = ("synthesized", "zero", "one_nan", "scaled_up", "scaled_down")
 
 
