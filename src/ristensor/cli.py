@@ -56,15 +56,15 @@ def _apply_overrides(cfg, args):
         changes["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
         changes["master_seed"] = args.seed
-    if getattr(args, "estimators", None):
+    if getattr(args, "estimators", None) is not None:
         changes["estimators_enabled"] = tuple(
             name.strip() for name in args.estimators.split(",") if name.strip()
         )
     if getattr(args, "workers", None) is not None:
         changes["workers"] = args.workers
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         changes["output_path"] = args.out
-    if getattr(args, "format", None):
+    if getattr(args, "format", None) is not None:
         changes["output_format"] = args.format
     return dataclasses.replace(cfg, **changes) if changes else cfg
 

@@ -20,16 +20,18 @@ diagonal any such Gram can be: certified once per call
 right-hand side, from the frame contracted once with the phase schedule, by
 the Gram's diagonal from factor norms (tensor_ops.certified_gram_solves).
 No Gram is formed; the regressor itself is formed only for an update that
-is not certified, whose SVD solves it and decides singularity.  Every
-estimator reports a frame holding NaN or inf as a failed estimate before
-any solve.
+is not certified, whose SVD solves it and decides singularity.  One filter
+(_split_finite) makes every estimator report a frame holding NaN or inf as
+a failed estimate before any solve.
 
-One sweep implementation serves every call: _alternating_fit runs on a
-stack of frames that share a schedule.  two_stage_estimate and
-e_als_estimate take one frame, or a list of frames with a list of
-generators and then return a list; a single frame is a stack of one.  Every
-stack is C-ordered, so each frame's estimate is the one it gets alone, bit
-for bit, whatever else is in the stack.
+Every estimator takes one frame, or a list of frames (the ALS estimators
+with a list of generators) and then returns a list; a single frame is a
+stack of one.  One sweep implementation, _alternating_fit, serves both ALS
+estimators on a stack of frames that share a schedule, and ls_baseline
+solves its stack with one StackedLsSolver.solve.  Every product runs per
+slice and frames of one memory layout stack to slices of one layout (the
+harness's frames all share synthesize's), so each frame's estimate is the
+one it gets alone, bit for bit, whatever else is in the stack.
 """
 
 import dataclasses
@@ -115,10 +117,6 @@ def _pinv_cost(short, long):
 _NON_FINITE = "non-finite frame"
 
 
-def _all_finite(*frames):
-    return all(np.all(np.isfinite(f)) for f in frames)
-
-
 def _failure(err, iteration, ops, trace):
     return ChannelEstimate(
         iterations=iteration,
@@ -131,8 +129,13 @@ def _failure(err, iteration, ops, trace):
     )
 
 
-def _finite_slices(stack):
-    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+def _split_finite(*stacks):
+    # a failed estimate for each frame with NaN or inf in any stack (None for
+    # the others), the live frames' indices, and each stack cut to them
+    finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks])
+    live = np.flatnonzero(finite)
+    results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
+    return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
 
 
 def _as_list(recv, rng):
@@ -159,7 +162,7 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
 
     Returns one ChannelEstimate per frame, each equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
-    each slice of a C-ordered stack has the same layout, and generator
+    each slice of the stack has the same layout, and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial factors.
     Per sweep and frame, with a direct block of pilots X_d: one solve
     refits the direct and RIS->AP channels together against the stacked
@@ -184,24 +187,20 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     cost of the pinv_left, that ran.  The squared residual of each
     sweep is ||Y - model||^2 from the model frame itself, its RIS term
     KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  A frame
-    stops when the squared relative change of every factor drops to
-    conv_threshold, or after max_iters sweeps (converged=False, not an
-    error), and leaves the stack; so does a frame whose solve raises
-    LinAlgError, as a failed estimate with the sweep, op count and trace it
-    reached.  The user->RIS channel is recovered from Z on exit.  A 0 x L
-    X_d empties the direct block: h_ua is then M x 0, counts as converged,
-    and the sweep is the RIS-path fit.  A non-finite frame is a failed
-    estimate before any solve.
+    leaves the stack through one exit, which writes its result: when its
+    solve raises LinAlgError, as a failed estimate with the sweep, op count
+    and trace it reached; when the squared relative change of every factor
+    drops to conv_threshold, or after max_iters sweeps (converged=False,
+    not an error), as its estimate, the user->RIS channel recovered from Z
+    by the pilots' right pseudoinverse, computed once at set-up.  Pilots X
+    that pinv_right finds singular fail every frame at set-up, at iteration
+    0 with op_count 0, as a non-finite frame does.  A 0 x L X_d empties the
+    direct block: h_ua is then M x 0, counts as converged, and the sweep is
+    the RIS-path fit.
     """
-    results = [None] * len(y)
-    finite = _finite_slices(y)
-    for t in np.flatnonzero(~finite):
-        results[t] = _failure(_NON_FINITE, 0, 0, [])
-    idx = np.flatnonzero(finite)      # frame index of each stack slot
-    if idx.size == 0:
+    results, idx, y = _split_finite(y)   # idx: the frame index of each stack slot
+    if not idx.size:
         return results
-    if idx.size < len(y):
-        y = y[idx]
     m, l, b = y.shape[1:]
     psi = sched.ris_phases
     n = psi.shape[1]
@@ -210,6 +209,12 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     k_d = direct_pilots.shape[0]
     p = k_d + n
     tol = cfg.pinv_tol
+    try:
+        p_right = pinv_right(x, tol)   # recovers h_ur from Z as each frame leaves
+    except np.linalg.LinAlgError as err:
+        for t in idx:
+            results[t] = _failure(err, 0, 0, [])
+        return results
 
     # sweep-invariant: W as (N, M, L) per frame, the diagonal of Psi^H Psi,
     # 1^T Psi, and the direct block's diagonal B ||x_d,k||^2 and right-hand
@@ -256,14 +261,26 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         z.append(crandn(rng, (n, k)))
     h_ua, h_ra, z = np.stack(h_ua), np.stack(h_ra), np.stack(z) @ x
     traces = [[] for _ in results]
-    finished = {}   # frame index -> (h_ua, h_ra, z, iterations, converged, ops)
 
-    def drop(errors, it, *stacks):
-        # failed estimates for the slots in errors; the stacks without them
-        for j, err in errors.items():
-            results[idx[j]] = _failure(err, it, int(ops[j]), traces[idx[j]])
+    def leave(it, exits, *stacks):
+        # the one way out of the fit: exits maps each leaving slot to the
+        # LinAlgError its solve raised, for a failed estimate, or to whether
+        # it converged (False: stopped at max_iters), for its estimate with
+        # h_ur recovered from Z; returns the stacks without those slots
+        fits = [j for j, how in exits.items() if isinstance(how, bool)]
+        h_ur = dict(zip(fits, z[fits] @ p_right))
+        for j, how in exits.items():
+            i = idx[j]
+            if j in h_ur:
+                results[i] = ChannelEstimate(
+                    h_ua=h_ua[j], h_ur=h_ur[j], h_ra=h_ra[j], iterations=it, converged=how,
+                    op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
+                    residual_trace=tuple(traces[i]),
+                )
+            else:
+                results[i] = _failure(how, it, int(ops[j]), traces[i])
         keep = np.ones(len(idx), dtype=bool)
-        keep[list(errors)] = False
+        keep[list(exits)] = False
         return [a[keep] for a in (idx, ops, y, w, rhs, *stacks)]
 
     for it in range(1, cfg.max_iters + 1):
@@ -278,9 +295,7 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
             diag, rhs, joint_regression, coupling, tol
         )
         if errors:
-            idx, ops, y, w, rhs, joint, divided, *prev = drop(errors, it, joint, divided, *prev)
-            if not idx.size:
-                break
+            idx, ops, y, w, rhs, joint, divided, *prev = leave(it, errors, joint, divided, *prev)
         joint = joint.transpose(0, 2, 1)
         h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
         # diagonal, right-hand side, then the division or the pinv_left
@@ -298,11 +313,9 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
             psi_sq * _abs2(h_ra).sum(axis=1), z_rhs, z_regression, coupling, tol
         )
         if errors:
-            idx, ops, y, w, rhs, z, divided, h_ua, h_ra, *prev = drop(
-                errors, it, z, divided, h_ua, h_ra, *prev
+            idx, ops, y, w, rhs, z, divided, h_ua, h_ra, *prev = leave(
+                it, errors, z, divided, h_ua, h_ra, *prev
             )
-            if not idx.size:
-                break
         # diagonal, right-hand side, direct term, then the division or the
         # pinv_left fallback
         ops += n * m + n + n * l * m + n * m * k_d + n * k_d * l + n * l
@@ -329,36 +342,13 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
             done[j] = all(
                 _small_change(delta[j], new[j], cfg.conv_threshold) for new, delta in changes
             )
-            if done[j] or it == cfg.max_iters:
-                finished[i] = (h_ua[j], h_ra[j], z[j], it, bool(done[j]), int(ops[j]))
-        if done.all() or it == cfg.max_iters:
-            break
-        if done.any():
-            idx, ops, y, w, rhs, h_ua, h_ra, z = (
-                a[~done] for a in (idx, ops, y, w, rhs, h_ua, h_ra, z)
+        stop = np.flatnonzero(done | (it == cfg.max_iters))
+        if stop.size:
+            idx, ops, y, w, rhs, h_ua, h_ra, z = leave(
+                it, {j: bool(done[j]) for j in stop}, h_ua, h_ra, z
             )
-
-    if not finished:
-        return results
-    try:
-        p_right = pinv_right(x, tol)
-    except np.linalg.LinAlgError as err:
-        for i, (*_, iters, _, count) in finished.items():
-            results[i] = _failure(err, iters, count, traces[i])
-        return results
-    order = sorted(finished)
-    h_ur = np.stack([finished[i][2] for i in order]) @ p_right
-    for i, ur in zip(order, h_ur):
-        ua, ra, _, iters, converged, count = finished[i]
-        results[i] = ChannelEstimate(
-            h_ua=ua,
-            h_ur=ur,
-            h_ra=ra,
-            iterations=iters,
-            converged=converged,
-            op_count=count + _pinv_cost(k, l) + n * l * k,
-            residual_trace=tuple(traces[i]),
-        )
+        if not idx.size:
+            break
     return results
 
 
@@ -395,14 +385,10 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
     y = np.stack([r.tensor for r in recvs])
     v = np.stack([r.off_stage for r in recvs])
-    finite = _finite_slices(y) & _finite_slices(v)
-    results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
-    live = np.flatnonzero(finite)
+    results, live, y, v = _split_finite(y, v)
     if live.size:
         m, l, _ = y.shape[1:]
         k, l_off = sched.off_pilots.shape
-        if live.size < len(y):
-            y, v = y[live], v[live]
         try:
             h_ua = ls_direct_path(v, sched.off_pilots, cfg.pinv_tol)
         except np.linalg.LinAlgError as err:
@@ -470,12 +456,12 @@ class StackedLsSolver:
         # block mode product, then pilot mode product
         self.apply_ops = m * l * b * (n + 1) + m * k * l * (n + 1)
 
-    def solve(self, recv):
-        # theta[m, k, j] = sum_{l, b} P_pilot[k, l] P_phase[j, b] Y[m, l, b],
-        # flattened antenna fastest, then user, then [direct | RIS element]
-        y = np.asarray(recv.tensor)
+    def solve(self, y):
+        # theta[m, k, j] = sum_{l, b} P_pilot[k, l] P_phase[j, b] Y[m, l, b] for
+        # one (M, L, B) frame or each of a (T, M, L, B) stack, flattened
+        # antenna fastest, then user, then [direct | RIS element]
         theta = self.p_pilot @ (y @ self.p_phase.T)
-        return theta.reshape(-1, order="F")
+        return theta.swapaxes(-1, -3).reshape(*y.shape[:-3], -1)
 
 
 def ls_baseline(recv, sched, cfg, solver=None):
@@ -484,24 +470,31 @@ def ls_baseline(recv, sched, cfg, solver=None):
     Returns the parameter vector only: the cascaded block is the Khatri-Rao
     stacking of per-user cascaded matrices and is not decoupled into separate
     RIS-path factors.  A non-finite frame, or a theta that overflows, is
-    reported as a failed estimate.
+    reported as a failed estimate.  recv may be a list of frames, solved
+    together by one solver.solve on their stack, and a list of estimates is
+    returned, each equal, bit for bit, to that frame's estimate alone.
+    solver is the StackedLsSolver of sched, built here when None.
     """
-    if not _all_finite(recv.tensor):
-        return _failure(_NON_FINITE, 0, 0, [])
-    try:
-        if solver is None:
-            solver = StackedLsSolver(sched, recv.tensor.shape[0], cfg.pinv_tol)
-        theta = solver.solve(recv)
-    except np.linalg.LinAlgError as err:
-        return _failure(err, 0, 0, [])
-    if not np.all(np.isfinite(theta)):
-        return _failure("non-finite parameter estimate", 0, solver.apply_ops, [])
-    return ChannelEstimate(
-        theta=theta,
-        iterations=0,
-        converged=True,
-        op_count=solver.apply_ops,
-    )
+    recvs, _, single = _as_list(recv, None)
+    y = np.stack([r.tensor for r in recvs])
+    results, live, y = _split_finite(y)
+    if live.size:
+        try:
+            if solver is None:
+                solver = StackedLsSolver(sched, y.shape[1], cfg.pinv_tol)
+            thetas = solver.solve(y)
+        except np.linalg.LinAlgError as err:
+            for t in live:
+                results[t] = _failure(err, 0, 0, [])
+        else:
+            for t, theta in zip(live, thetas):
+                if np.all(np.isfinite(theta)):
+                    results[t] = ChannelEstimate(
+                        theta=theta, iterations=0, converged=True, op_count=solver.apply_ops
+                    )
+                else:
+                    results[t] = _failure("non-finite parameter estimate", 0, solver.apply_ops, [])
+    return results[0] if single else results
 
 
 def resolve_scaling(est, truth):

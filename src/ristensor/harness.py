@@ -4,9 +4,10 @@ Every (snr, trial) pair derives its own RNG substreams from the master seed,
 so the record set is bit-identical no matter how trials are chunked across
 workers; all enabled estimators inside a trial share one channel realization
 and one noise realization (paired comparison).  A chunk runs its trials in
-groups of GROUP_SIZE: each ALS estimator fits a group's frames in one
+groups of GROUP_SIZE: each enabled estimator solves a group's frames in one
 stacked call, whose estimates equal the per-trial ones bit for bit, so the
-grouping, like the chunking, leaves the records unchanged.
+grouping, like the chunking, leaves the records unchanged; each record's
+wall_time_seconds is its group's call time divided by the group size.
 """
 
 import csv
@@ -15,6 +16,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,11 +38,13 @@ from .validation import check_field_types, is_finite_number
 
 ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
 
+# the schedule, and so the frame, each estimator reads: ls solves the e_als frame
+_SCHEDULE_OF = {"two_stage": "two_stage", "e_als": "e_als", "ls": "e_als"}
 # fixed ordinals keep per-estimator init streams stable under any enabled subset
 _INIT_ORDINAL = {"two_stage": 0, "e_als": 1}
 _GEOMETRY_TAG = 104729  # entropy word marking the shared-geometry stream
-# trials a chunk fits per stacked ALS call: larger groups spread numpy's
-# per-call overhead thinner but hold more frames and temporaries at once
+# trials a chunk solves per stacked estimator call: larger groups spread
+# numpy's per-call overhead thinner but hold more frames and temporaries at once
 GROUP_SIZE = 8
 
 
@@ -78,6 +82,11 @@ class ExperimentConfig:
             )
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
         self.estimators_enabled = tuple(self.estimators_enabled)
+        # a repeat would redo the work and give two records one key
+        for name in ("snr_grid_db", "estimators_enabled"):
+            repeated = [v for v, count in Counter(getattr(self, name)).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"{name} repeats {repeated[0]!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.estimators_enabled:
@@ -87,6 +96,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown estimator {name!r}, choose from {', '.join(ESTIMATOR_NAMES)}"
                 )
+        if self.output_path == "":
+            raise ConfigError("output_path must not be empty")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if self.workers < 1:
@@ -134,11 +145,30 @@ def _build_section(cls, data, section):
         raise ConfigError(f"section '{section}': {err}") from err
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping key given twice; PyYAML keeps the later value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # the base class rejects a key that is no scalar (unhashable) and
+            # resolves a merge key (<<), which has no constructor of its own
+            if isinstance(key_node, yaml.ScalarNode) and not key_node.tag.endswith(":merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path):
     """Read a YAML experiment config; every omitted field keeps its default."""
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as err:
             raise ConfigError(f"{path}: {err}") from err
     if raw is None:
@@ -146,15 +176,18 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    kwargs = {}
+    kwargs, given = {}, {}
     for key, value in raw.items():
-        key = _KEY_ALIASES.get(key, key)
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key in {f.name for f in dataclasses.fields(ExperimentConfig)}:
-            kwargs[key] = value
+        name = _KEY_ALIASES.get(key, key)
+        if name in given:
+            raise ConfigError(f"{path}: '{given[name]}' and '{key}' both set {name}")
+        given[name] = key
+        if name in _SECTION_TYPES:
+            kwargs[name] = _build_section(_SECTION_TYPES[name], value, name)
+        elif name in {f.name for f in dataclasses.fields(ExperimentConfig)}:
+            kwargs[name] = value
         else:
-            raise ConfigError(f"unknown top-level key '{key}'")
+            raise ConfigError(f"unknown top-level key '{name}'")
     return ExperimentConfig(**kwargs)
 
 
@@ -218,14 +251,12 @@ def _init_rng(cfg, snr_index, trial_index, name):
 def _snr_setup(cfg, snr_index):
     """Per-SNR-point work shared by all its trials: system, schedules, LS solver."""
     system = dataclasses.replace(cfg.system, snr_db=cfg.snr_grid_db[snr_index])
-    schedules = {}
-    if "two_stage" in cfg.estimators_enabled:
-        schedules["two_stage"] = make_schedule(system, "two_stage")
-    if "e_als" in cfg.estimators_enabled or "ls" in cfg.estimators_enabled:
-        schedules["e_als"] = make_schedule(system, "e_als")
+    modes = {_SCHEDULE_OF[name] for name in cfg.estimators_enabled}
+    schedules = {mode: make_schedule(system, mode) for mode in sorted(modes)}
     ls_solver = None
     if "ls" in cfg.estimators_enabled:
-        ls_solver = StackedLsSolver(schedules["e_als"], system.m_ap, cfg.estimator.pinv_tol)
+        sched = schedules[_SCHEDULE_OF["ls"]]
+        ls_solver = StackedLsSolver(sched, system.m_ap, cfg.estimator.pinv_tol)
     return system, schedules, ls_solver
 
 
@@ -264,30 +295,28 @@ def _realize(cfg, system, schedules, snr_index, trial_index):
 def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
 
-    Each ALS estimator fits the group's frames in one stacked call, whose
-    wall time is split evenly over the group's records; ls runs per trial.
+    Each estimator solves the group's frames in one stacked call, whose
+    estimates equal the per-trial ones bit for bit, and whose wall time is
+    split evenly over the group's records.  The last argument is all that
+    differs: ls gets the cached solver, the ALS estimators their generators.
     """
     snr_db = cfg.snr_grid_db[snr_index]
     realized = [_realize(cfg, system, schedules, snr_index, trial) for trial in trials]
     out = [([], {}, channels) for channels, _, _ in realized]
     for name in cfg.estimators_enabled:
+        # looked up at call time, so a rebound module name is the one called
         if name == "ls":
-            estimates, walls = [], []
-            for _, received, _ in realized:
-                start = time.perf_counter()
-                estimates.append(
-                    ls_baseline(received["e_als"], schedules["e_als"], cfg.estimator, ls_solver)
-                )
-                walls.append(time.perf_counter() - start)
+            estimator, last = ls_baseline, ls_solver
         else:
             estimator = two_stage_estimate if name == "two_stage" else e_als_estimate
-            rngs = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
-            frames = [received[name] for _, received, _ in realized]
-            start = time.perf_counter()
-            estimates = estimator(frames, schedules[name], cfg.estimator, rngs)
-            walls = [(time.perf_counter() - start) / len(trials)] * len(trials)
-        for trial, (channels, _, chash), est, wall, (records, by_name, _) in zip(
-            trials, realized, estimates, walls, out
+            last = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
+        mode = _SCHEDULE_OF[name]
+        frames = [received[mode] for _, received, _ in realized]
+        start = time.perf_counter()
+        estimates = estimator(frames, schedules[mode], cfg.estimator, last)
+        wall = (time.perf_counter() - start) / len(trials)
+        for trial, (channels, _, chash), est, (records, by_name, _) in zip(
+            trials, realized, estimates, out
         ):
             records.append(_score(name, est, channels, system, snr_db, trial, wall, chash))
             by_name[name] = est

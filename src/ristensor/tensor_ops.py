@@ -63,11 +63,14 @@ def pinv_with_ratio(a):
     return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
 
 
-# Smallest eigenvalue ratio lambda_min / lambda_max of a Gram a^H a solved
-# by division (its diagonal must show twice this), i.e. cond(a) up to 1e4.
-# A Gram solve loses about eps * cond(a)**2 where the SVD of a loses about
-# eps * cond(a), so below this the SVD is the more accurate solve; rounding
-# lies far below it, so no case the SVD would call singular can pass.
+# Floor on the diagonal ratio min(d) / max(d) of a Gram a^H a solved by
+# division: the diagonal must show twice this (plus tol**2).  The
+# division's objective excess, at most rho**2 (1 + rho) / (1 - rho)
+# ||a x*||^2, holds whatever the diagonal; its forward error, from
+# x - x* = S^-1 E S x*, is ||x - x*||_inf <= rho sqrt(max d / min d)
+# ||x*||_inf, which this floor caps at about 7e3 rho, against about
+# eps * cond(a) for the SVD.  Rounding lies far below it, so no case the
+# SVD would call singular can pass.
 _GRAM_MIN_RATIO = 1e-8
 
 

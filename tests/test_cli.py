@@ -202,6 +202,32 @@ def test_run_non_string_output_exits_2(tmp_path, capsys):
     assert "error: output_path must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        ("--estimators=", "estimators_enabled must not be empty"),
+        ("--out=", "output_path must not be empty"),
+        # 9-decimal rounding gives 0.0 five times, then 1e-09
+        ("--snr=0:1e-9:1e-10", "snr_grid_db repeats 0.0"),
+        ("--estimators=e_als,e_als", "estimators_enabled repeats 'e_als'"),
+        ("--snr-list=10,10", "snr_grid_db repeats 10.0"),
+    ],
+)
+def test_run_empty_or_repeating_override_exits_2(tiny_yaml, capsys, arg, message):
+    # an empty override is not ignored in favour of the config's value
+    code = main(["run", "--config", str(tiny_yaml), arg])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_run_repeated_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY_YAML + "estimators: [ls]\nestimators_enabled: [e_als]\n")
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert "'estimators' and 'estimators_enabled' both set" in capsys.readouterr().err
+
+
 def test_run_directory_out_exits_2(tiny_yaml, tmp_path, capsys):
     code = main(["run", "--config", str(tiny_yaml), "--out", str(tmp_path)])
     assert code == 2

@@ -291,7 +291,7 @@ def test_ls_solver_matches_dense_pinv(m, k, extra_l, n, extra_b, seed):
     dense = dense_stacked_regressor(sched, m)
     assume(np.linalg.cond(dense) < 1e6)
     recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
-    theta = StackedLsSolver(sched, m).solve(recv)
+    theta = StackedLsSolver(sched, m).solve(recv.tensor)
     expected = np.linalg.pinv(dense) @ recv.tensor.reshape(-1, order="F")
     assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -565,7 +565,7 @@ def stack_frame(kind, ch, sched, system, rng):
 
 
 def assert_same_estimate(got, want):
-    for name in ("h_ua", "h_ra", "h_ur"):
+    for name in ("h_ua", "h_ra", "h_ur", "theta"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -577,7 +577,7 @@ def assert_same_estimate(got, want):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    mode=st.sampled_from(["two_stage", "e_als"]),
+    mode=st.sampled_from(["two_stage", "e_als", "ls"]),
     m=st.integers(1, 3),
     k=st.integers(1, 3),
     extra_l=st.integers(0, 1),
@@ -590,27 +590,36 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
     # one stacked call on frames of mixed kinds (a zero frame fails in its
     # first Z step, a NaN frame before any solve) returns, for every frame,
     # the estimate of that frame fitted alone, bit for bit: frames leave the
-    # stack as they converge or fail without changing the others
+    # stack as they converge or fail without changing the others; ls, whose
+    # stack always holds a NaN frame, solves the live frames' stack at once
     rng = np.random.default_rng(seed)
     l = k + extra_l
     system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=5.0)
     sched = TrainingSchedule(
         pilots=make_pilots(k, l, system.power),
-        ris_phases=make_phase_schedule(n, mode),
+        ris_phases=make_phase_schedule(n, "two_stage" if mode == "two_stage" else "e_als"),
         off_pilots=make_pilots(k, l, system.power) if mode == "two_stage" else None,
     )
+    if mode == "ls":
+        kinds = [*kinds, "one_nan"]
     frames = []
     for kind in kinds:
         ch = ChannelSet(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)),
                         h_ur=crandn(rng, (n, k)))
         frames.append(stack_frame(kind, ch, sched, system, rng))
-    estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
     cfg = EstimatorConfig(max_iters=max_iters, conv_threshold=1e-6)
     seeds = rng.integers(2**32, size=len(frames))
-    stacked = estimator(frames, sched, cfg, [np.random.default_rng(s) for s in seeds])
+    if mode == "ls":
+        stacked = ls_baseline(frames, sched, cfg)
+        alone = [ls_baseline(frame, sched, cfg) for frame in frames]
+        assert stacked[-1].failed and stacked[-1].failure_reason == "non-finite frame"
+    else:
+        estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
+        stacked = estimator(frames, sched, cfg, [np.random.default_rng(s) for s in seeds])
+        alone = [estimator(f, sched, cfg, np.random.default_rng(s)) for f, s in zip(frames, seeds)]
     assert len(stacked) == len(frames)
-    for frame, s, got in zip(frames, seeds, stacked):
-        assert_same_estimate(got, estimator(frame, sched, cfg, np.random.default_rng(s)))
+    for got, want in zip(stacked, alone):
+        assert_same_estimate(got, want)
 
 
 def test_stacked_als_ris_equals_each_frame_alone():
@@ -622,6 +631,28 @@ def test_stacked_als_ris_equals_each_frame_alone():
     assert stacked[1].failed and not stacked[0].failed and not stacked[2].failed
     for i, got in enumerate(stacked):
         assert_same_estimate(got, als_ris(stack[i], sched, cfg, np.random.default_rng(i)))
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "e_als"])
+def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
+    # pilots X with equal rows have no right pseudoinverse, so h_ur cannot
+    # be recovered from Z: every frame fails at set-up, at iteration 0 with
+    # no sweep run or counted (two_stage's op_count is its OFF stage alone);
+    # SystemConfig requires pilot_len >= k_users, so the schedule is hand-built
+    system = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
+    sched = make_schedule(system, mode)
+    sched = dataclasses.replace(sched, pilots=np.tile(sched.pilots[:1], (2, 1)))
+    ch = draw_channels(ChannelModelConfig(ris_rows=2, ris_cols=2), (2, 2, 4),
+                       np.random.default_rng(62))
+    frames = [synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)]
+    estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
+    ests = estimator(frames, sched, EstimatorConfig(), [np.random.default_rng(63)] * 3)
+    # the OFF stage's K^2 L' + K^3 + M L' K + M K L, each dimension 2
+    off_stage = 32 if mode == "two_stage" else 0
+    for est in ests:
+        assert est.failed and "singular" in est.failure_reason
+        assert est.iterations == est.failure_iteration == 0 and est.residual_trace == ()
+        assert est.op_count == off_stage
 
 
 def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():

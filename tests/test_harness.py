@@ -127,6 +127,45 @@ def test_config_rejects_unknown_top_level_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("trials: 1\ntrials: 5\n", "'trials'"),
+        ("system:\n  m_ap: 4\nsystem:\n  m_ap: 2\n", "'system'"),
+        ("system:\n  m_ap: 4\n  m_ap: 2\n", "'m_ap'"),
+        ("10: 1\n10: 2\n", "10"),
+    ],
+)
+def test_config_rejects_a_key_given_twice(tmp_path, text, key):
+    # PyYAML would keep the later value without a word
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"duplicate key {key}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("estimators: [ls]\nestimators_enabled: [e_als]\n", ("estimators", "estimators_enabled")),
+        ("output_path: a.csv\noutput: b.csv\n", ("output_path", "output")),
+        ("format: csv\noutput_format: json\n", ("format", "output_format")),
+    ],
+)
+def test_config_rejects_a_key_and_its_alias(tmp_path, text, keys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"'{keys[0]}' and '{keys[1]}' both set"):
+        load_config(path)
+
+
+def test_config_merge_key_may_be_overridden(tmp_path):
+    # a YAML merge key is not a repeat of the keys it merges in
+    path = tmp_path / "exp.yaml"
+    path.write_text("system:\n  <<: {m_ap: 4, k_users: 8}\n  m_ap: 2\n")
+    assert load_config(path).system.m_ap == 2
+
+
 def test_config_rejects_unknown_estimator(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("estimators: [genie]\n")
@@ -170,6 +209,11 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(fixed_geometry=None), "fixed_geometry"),
         (dict(channel=dict(normalize_to_direct="no")), "normalize_to_direct"),
         (dict(channel=dict(normalize_to_direct=1)), "normalize_to_direct"),
+        (dict(estimators_enabled=("e_als", "e_als")), "estimators_enabled repeats 'e_als'"),
+        (dict(estimators_enabled=("ls", "two_stage", "ls")), "estimators_enabled repeats 'ls'"),
+        (dict(snr_grid_db=(10.0, 10)), "snr_grid_db repeats 10.0"),
+        (dict(snr_grid_db=(0.0, 5.0, -0.0)), "snr_grid_db repeats 0.0"),
+        (dict(output_path=""), "output_path must not be empty"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -290,11 +334,14 @@ def test_serial_run_sets_up_once_per_snr_point(monkeypatch):
 
         return wrapper
 
-    for name in ("StackedLsSolver", "make_schedule"):
+    # through the harness's own names, as the benchmark's span wrappers are
+    estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
+    for name in ("StackedLsSolver", "make_schedule", *estimators):
         monkeypatch.setattr(ristensor.harness, name, counted(name))
     run_experiment(tiny_config(snr_grid_db=(0.0, 10.0, 20.0), trials=8))
-    # one LS solver and the two schedules per SNR point
-    assert calls == {"StackedLsSolver": 3, "make_schedule": 6}
+    # one LS solver and the two schedules per SNR point, and one stacked
+    # call per estimator on each SNR point's one group of 8 trials
+    assert calls == {"StackedLsSolver": 3, "make_schedule": 6, **dict.fromkeys(estimators, 3)}
 
 
 def test_estimator_subset_runs_alone():
