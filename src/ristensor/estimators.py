@@ -132,7 +132,9 @@ def _failure(err, iteration, ops, trace):
 def _split_finite(*stacks):
     # a failed estimate for each frame with NaN or inf in any stack (None for
     # the others), the live frames' indices, and each stack cut to them
-    finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks])
+    finite = np.logical_and.reduce(
+        [np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks]
+    )
     live = np.flatnonzero(finite)
     results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
     return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
