@@ -93,19 +93,31 @@ class ChannelEstimate:
         return self.h_ra @ self.h_ur
 
 
-def _sqnorm(a):
-    return float(np.vdot(a, a).real)
+def _sqnorms(a):
+    # squared norm along the last axis, as one BLAS dot per row of the float
+    # view: numpy's own reductions block a lone row differently from the
+    # rows of a stack, so they would make a frame's bits depend on its group
+    v = a.view(float)
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _abs2(a):
     return a.real**2 + a.imag**2
 
 
-def _small_change(delta, current, threshold):
-    # squared relative change against the current iterate; a vanishing
-    # denominator counts as converged
-    den = _sqnorm(current)
-    return den < 1e-300 or _sqnorm(delta) <= threshold * den
+def _small_change(current, previous, threshold):
+    # whether each slot's squared relative change against its current
+    # iterate is at most threshold; a vanishing current iterate counts as
+    # converged
+    slots = len(current)
+    den = _sqnorms(current.reshape(slots, -1))
+    num = _sqnorms((current - previous).reshape(slots, -1))
+    return (den < 1e-300) | (num <= threshold * den)
+
+
+def _solve_ops(divided, division, fallback):
+    # op count of a step's solves per slot: a scalar when every Gram was divided
+    return division if divided.all() else np.where(divided, division, fallback)
 
 
 def _pinv_cost(short, long):
@@ -147,6 +159,13 @@ def _as_list(recv, rng):
     return [recv], [rng], True
 
 
+def _stack(arrays):
+    # a C-ordered stack whatever its frames' layouts: np.stack keeps a layout
+    # its frames share and falls back to C order when one differs, which
+    # would change the other frames' slices, and so their bits
+    return np.array(arrays, order="C")
+
+
 def ls_direct_path(v, x_bar, tol=1e-12):
     """LS estimate of the direct channel from the RIS-OFF stage: V @ pinv_right(X_bar).
 
@@ -159,12 +178,12 @@ def ls_direct_path(v, x_bar, tol=1e-12):
     return v @ pinv_right(x_bar, tol)
 
 
-def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
-    """Alternating LS over a stack y (T, M, L, B) of frames sharing one schedule.
+def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
+    """Alternating LS over a C-ordered stack (T, M, L, B) of frames sharing one schedule.
 
     Returns one ChannelEstimate per frame, each equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
-    each slice of the stack has the same layout, and generator
+    every norm is one BLAS dot per slot or row (_sqnorms), and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial factors.
     Per sweep and frame, with a direct block of pilots X_d: one solve
     refits the direct and RIS->AP channels together against the stacked
@@ -198,9 +217,9 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     that pinv_right finds singular fail every frame at set-up, at iteration
     0 with op_count 0, as a non-finite frame does.  A 0 x L X_d empties the
     direct block: h_ua is then M x 0, counts as converged, and the sweep is
-    the RIS-path fit.
+    the RIS-path fit, which forms no direct-block product.
     """
-    results, idx, y = _split_finite(y)   # idx: the frame index of each stack slot
+    results, idx, y = _split_finite(stack)   # idx: the frame index of each stack slot
     if not idx.size:
         return results
     m, l, b = y.shape[1:]
@@ -223,22 +242,24 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
     # side X_d* (sum_b Y_b)^T; and the certificate: every joint Gram is that
     # of KR([1 .. 1 | Psi], [X_d; Z]^T) and every Z Gram its RIS block, so
     # one coupling bound covers them all
-    w = np.ascontiguousarray((y @ psi.conj()).transpose(0, 3, 1, 2))
+    w = psi.conj().T @ y.reshape(len(y), m * l, b).transpose(0, 2, 1)
+    w = w.reshape(len(y), n, m, l)
     psi_sq = _abs2(psi).sum(axis=0)
     psi_sum = psi.sum(axis=0)
     coupling = khatri_rao_coupling(np.hstack([np.ones((b, k_d)), psi]), direct_pilots)
     diag = np.empty((len(y), p))
     diag[:, :k_d] = b * _abs2(direct_pilots).sum(axis=1)
     rhs = np.empty((len(y), p, m), dtype=complex)
-    rhs[:, :k_d] = direct_pilots.conj() @ y.sum(axis=3).transpose(0, 2, 1)
     # W, Psi's column norms and sums, the certificate (the Grams of
     # [1 .. 1 | Psi] and X_d, and the scaled bound), the direct diagonal,
-    # sum_b Y_b and the direct right-hand side
-    ops = np.full(
-        len(y),
-        m * l * b * n + 2 * b * n + p * p * b + k_d * k_d * l + p * p + k_d * l
-        + m * l * b + k_d * l * m,
-    )
+    # and with a direct block sum_b Y_b and its right-hand side
+    ops = np.full(len(y), m * l * b * n + 2 * b * n + p * p * b + k_d * k_d * l + p * p + k_d * l)
+    # per-sweep cost of the Z step's direct term H_ra^H H_ua X_d scaled by 1^T Psi
+    z_direct = 0
+    if k_d:
+        rhs[:, :k_d] = direct_pilots.conj() @ y.sum(axis=3).transpose(0, 2, 1)
+        ops += m * l * b + k_d * l * m
+        z_direct = n * m * k_d + n * k_d * l + n * l
     # per-frame cost of a pinv_left fallback in each step: its regressor
     # (and the Z step's direct term), the pseudoinverse and its apply
     joint_svd = b * l * p + _pinv_cost(p, b * l) + p * b * l * m
@@ -252,8 +273,8 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
 
     def z_regression(j):
         # KR(Psi, H_ra) against the mode-2 unfolding less (1 (x) H_ua) X_d
-        direct = np.tile(h_ua[j], (b, 1)) @ direct_pilots
-        return khatri_rao(psi, h_ra[j]), unfold_mode2(y[j]).T - direct
+        direct = np.tile(joint[j, :k_d].T, (b, 1)) @ direct_pilots
+        return khatri_rao(psi, joint[j, k_d:].T), unfold_mode2(y[j]).T - direct
 
     h_ua, h_ra, z = [], [], []
     for t in idx:
@@ -261,94 +282,125 @@ def _alternating_fit(y, sched, direct_pilots, cfg, rngs):
         h_ua.append(crandn(rng, (m, k_d)))
         h_ra.append(crandn(rng, (m, n)))
         z.append(crandn(rng, (n, k)))
-    h_ua, h_ra, z = np.stack(h_ua), np.stack(h_ra), np.stack(z) @ x
-    traces = [[] for _ in results]
+    # joint holds [H_ua | H_ra]^T as (T, P, M), the layout its step solves for
+    joint = np.concatenate([np.stack(h_ua), np.stack(h_ra)], axis=2).transpose(0, 2, 1).copy()
+    z = np.stack(z) @ x
+    z_rows = _sqnorms(z)
+    traces = np.empty((len(results), cfg.max_iters))   # row t: frame t's residuals
+    # the residual's KR(H_ra, Z^T) (as N x M L) and model frame, reused by
+    # every sweep
+    ra_z_buf = np.empty((len(y), n, m, l), dtype=complex)
+    model_buf = np.empty((len(y), m, l, b), dtype=complex)
 
     def leave(it, exits, *stacks):
         # the one way out of the fit: exits maps each leaving slot to the
         # LinAlgError its solve raised, for a failed estimate, or to whether
         # it converged (False: stopped at max_iters), for its estimate with
-        # h_ur recovered from Z; returns the stacks without those slots
+        # h_ur recovered from Z; drops those slots from the fit's own stacks
+        # and returns the given stacks without them
+        nonlocal idx, ops, y, w, rhs
         fits = [j for j, how in exits.items() if isinstance(how, bool)]
         h_ur = dict(zip(fits, z[fits] @ p_right))
         for j, how in exits.items():
             i = idx[j]
             if j in h_ur:
                 results[i] = ChannelEstimate(
-                    h_ua=h_ua[j], h_ur=h_ur[j], h_ra=h_ra[j], iterations=it, converged=how,
+                    h_ua=joint[j, :k_d].copy().T, h_ur=h_ur[j], h_ra=joint[j, k_d:].copy().T,
+                    iterations=it, converged=how,
                     op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
-                    residual_trace=tuple(traces[i]),
+                    residual_trace=tuple(traces[i, :it].tolist()),
                 )
             else:
-                results[i] = _failure(how, it, int(ops[j]), traces[i])
-        keep = np.ones(len(idx), dtype=bool)
-        keep[list(exits)] = False
-        return [a[keep] for a in (idx, ops, y, w, rhs, *stacks)]
+                results[i] = _failure(how, it, int(ops[j]), traces[i, : it - 1].tolist())
+        # the last staying slots move into the leaving ones: in place in the
+        # frame-sized stacks, so no slot is copied twice and none allocated
+        # (the caller's stack is copied instead, once, and never written)
+        kept = len(idx) - len(exits)
+        moves = list(zip(
+            sorted(j for j in exits if j < kept),
+            (j for j in range(kept, len(idx)) if j not in exits),
+        ))
+
+        def compact(a):
+            for hole, mover in moves:
+                a[hole] = a[mover]
+            return a[:kept]
+
+        order = compact(np.arange(len(idx)))
+        y = y[order] if y is stack else compact(y)
+        w, rhs = compact(w), compact(rhs)
+        idx, ops = idx[order], ops[order]
+        return [a[order] for a in stacks]
 
     for it in range(1, cfg.max_iters + 1):
-        prev = (h_ua, h_ra, z)
+        prev_joint = joint
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
         diag = diag[: len(idx)]
-        diag[:, k_d:] = psi_sq * _abs2(z).sum(axis=2)
+        diag[:, k_d:] = psi_sq * z_rows
         rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
         )
         if errors:
-            idx, ops, y, w, rhs, joint, divided, *prev = leave(it, errors, joint, divided, *prev)
-        joint = joint.transpose(0, 2, 1)
-        h_ua, h_ra = joint[:, :, :k_d], joint[:, :, k_d:]
+            joint, divided, prev_joint, z = leave(it, errors, joint, divided, prev_joint, z)
+        prev_z = z
         # diagonal, right-hand side, then the division or the pinv_left
         # fallback
         ops += n * l + n + n * l * m
-        ops += np.where(divided, p * m, joint_svd)
+        ops += _solve_ops(divided, p * m, joint_svd)
 
         # Z step against KR(Psi, H_ra): diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2,
         # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the direct
         # term conj(1^T Psi) o (H_ra^H H_ua X_d)
-        ra_h = h_ra.conj().transpose(0, 2, 1)
-        direct = psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
-        z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :] - direct
+        ra_h = joint[:, k_d:].conj()
+        z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :]
+        if k_d:
+            h_ua = joint[:, :k_d].transpose(0, 2, 1)
+            z_rhs -= psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z, divided, errors = certified_gram_solves(
-            psi_sq * _abs2(h_ra).sum(axis=1), z_rhs, z_regression, coupling, tol
+            psi_sq * _sqnorms(joint[:, k_d:]), z_rhs, z_regression, coupling, tol
         )
+        del ra_h, z_rhs   # before the residual's allocations
         if errors:
-            idx, ops, y, w, rhs, z, divided, h_ua, h_ra, *prev = leave(
-                it, errors, z, divided, h_ua, h_ra, *prev
+            z, divided, joint, prev_joint, prev_z = leave(
+                it, errors, z, divided, joint, prev_joint, prev_z
             )
         # diagonal, right-hand side, direct term, then the division or the
         # pinv_left fallback
-        ops += n * m + n + n * l * m + n * m * k_d + n * k_d * l + n * l
-        ops += np.where(divided, n * l, z_svd)
+        ops += n * m + n + n * l * m + z_direct
+        ops += _solve_ops(divided, n * l, z_svd)
 
         # squared frame-fit residual from the model frame itself, whose RIS
         # term is KR(H_ra, Z^T) Psi^T as (M*L, B); a Gram expansion would
-        # cancel (the product lands in a C-ordered buffer so the reshape
-        # needs no copy, and the residual overwrites the model in place)
+        # cancel (KR's rows are outer products h_ra[:, n] z_n^T, formed by
+        # matmul, which needs no buffer where a broadcast product does; the
+        # residual overwrites the model in place)
         slots = len(idx)
-        ra_z = np.multiply(
-            h_ra[:, :, None], z.transpose(0, 2, 1)[:, None],
-            out=np.empty((slots, m, l, n), complex),
+        if not slots:   # every frame left by a failed solve
+            break
+        ra_z = np.matmul(joint[:, k_d:, :, None], z[:, :, None], out=ra_z_buf[:slots])
+        residual = model_buf[:slots]
+        np.matmul(
+            ra_z.reshape(slots, n, m * l).transpose(0, 2, 1), psi.T,
+            out=residual.reshape(slots, m * l, b),
         )
-        residual = (ra_z.reshape(slots, m * l, n) @ psi.T).reshape(slots, m, l, b)
-        del ra_z
         np.subtract(y, residual, out=residual)
-        residual -= (h_ua @ direct_pilots)[..., None]
+        if k_d:
+            residual -= (joint[:, :k_d].transpose(0, 2, 1) @ direct_pilots)[..., None]
         ops += m * l * n + m * l * n * b + m * k_d * l + m * l * b
-        changes = [(new, new - old) for new, old in zip((h_ua, h_ra, z), prev)]
-        done = np.zeros(slots, dtype=bool)
-        for j, i in enumerate(idx):
-            traces[i].append(_sqnorm(residual[j]))
-            done[j] = all(
-                _small_change(delta[j], new[j], cfg.conv_threshold) for new, delta in changes
-            )
+        traces[idx, it - 1] = _sqnorms(residual.reshape(slots, -1))
+        z_rows = _sqnorms(z)
+        done = (
+            _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
+            & _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
+            & _small_change(z, prev_z, cfg.conv_threshold)
+        )
+        del prev_joint, prev_z
         stop = np.flatnonzero(done | (it == cfg.max_iters))
         if stop.size:
-            idx, ops, y, w, rhs, h_ua, h_ra, z = leave(
-                it, {j: bool(done[j]) for j in stop}, h_ua, h_ra, z
-            )
+            joint, z, z_rows = leave(it, {j: bool(done[j]) for j in stop}, joint, z, z_rows)
         if not idx.size:
             break
     return results
@@ -361,7 +413,7 @@ def als_ris(q, sched, cfg, rng=None):
     is one (M, L, B) tensor, or a stack (T, M, L, B) fitted together with rng
     a list of T generators, which returns a list of estimates.
     """
-    q = np.ascontiguousarray(q)
+    q = np.ascontiguousarray(q)   # no copy of two_stage_estimate's stack
     no_direct = np.empty((0, sched.pilots.shape[1]))
     single = q.ndim == 3
     if single:
@@ -385,8 +437,8 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
     recvs, rngs, single = _as_list(recv, rng)
     if any(r.off_stage is None for r in recvs):
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
-    y = np.stack([r.tensor for r in recvs])
-    v = np.stack([r.off_stage for r in recvs])
+    y = _stack([r.tensor for r in recvs])
+    v = _stack([r.off_stage for r in recvs])
     results, live, y, v = _split_finite(y, v)
     if live.size:
         m, l, _ = y.shape[1:]
@@ -401,7 +453,9 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
             y -= (h_ua @ sched.pilots)[..., None]   # y is this call's own stack
             fits = als_ris(y, sched, cfg, [rngs[t] for t in live])
             for t, fit, direct in zip(live, fits, h_ua):
-                results[t] = dataclasses.replace(fit, h_ua=direct, op_count=fit.op_count + ops)
+                results[t] = dataclasses.replace(
+                    fit, h_ua=None if fit.failed else direct, op_count=fit.op_count + ops
+                )
     return results[0] if single else results
 
 
@@ -417,7 +471,7 @@ def e_als_estimate(recv, sched, cfg, rng=None):
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
     recvs, rngs, single = _as_list(recv, rng)
-    fits = _alternating_fit(np.stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
+    fits = _alternating_fit(_stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
     return fits[0] if single else fits
 
 
@@ -478,7 +532,7 @@ def ls_baseline(recv, sched, cfg, solver=None):
     solver is the StackedLsSolver of sched, built here when None.
     """
     recvs, _, single = _as_list(recv, None)
-    y = np.stack([r.tensor for r in recvs])
+    y = _stack([r.tensor for r in recvs])
     results, live, y = _split_finite(y)
     if live.size:
         try:

@@ -134,10 +134,12 @@ def certified_gram_solves(diag, a_h_rhs, regression, coupling, tol=1e-12):
     """
     # a NaN coupling or diagonal compares False
     threshold = 2.0 * (tol * tol + _GRAM_MIN_RATIO)
-    divided = (diag.min(axis=-1) > threshold * diag.max(axis=-1)) & (coupling <= _MAX_COUPLING)
+    certified = coupling <= _MAX_COUPLING
+    # when the stack's least diagonal entry clears its greatest, every Gram's does
+    if certified and diag.min(initial=np.inf) > threshold * diag.max(initial=0.0):
+        return a_h_rhs / diag[..., None], np.ones(len(diag), dtype=bool), {}
+    divided = (diag.min(axis=-1) > threshold * diag.max(axis=-1)) & certified
     errors = {}
-    if divided.all():
-        return a_h_rhs / diag[..., None], divided, errors
     x = np.empty(a_h_rhs.shape, dtype=np.result_type(diag, a_h_rhs))
     if divided.any():
         x[divided] = a_h_rhs[divided] / diag[divided][..., None]

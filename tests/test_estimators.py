@@ -200,16 +200,17 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 24_050), ("e_als", e_als_estimate, 27_570)],
+    [("two_stage", two_stage_estimate, 23_850), ("e_als", e_als_estimate, 27_570)],
     ids=["two_stage", "e_als"],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     # the DFT schedules certify every sweep Gram, so both steps solve by
     # division and no Gram is formed.  two_stage (M=4, L=8, B=N=25, K_d=0,
     # p=25): joint step N L + N + N L M + p M = 1,125, Z step N M + N +
-    # N L M + N L + N L = 1,325, residual M L N + M L N B + M L B = 21,600:
-    # 24,050.  e_als (B=26, K_d=8, p=33): joint step 1,157, Z step 3,725
-    # (its direct term N M K_d + N K_d L is 2,400), residual 22,688: 27,570
+    # N L M + N L = 1,125 (an empty direct block has no direct term),
+    # residual M L N + M L N B + M L B = 21,600: 23,850.  e_als (B=26,
+    # K_d=8, p=33): joint step 1,157, Z step 3,725 (its direct term
+    # N M K_d + N K_d L + N L is 2,600), residual 22,688: 27,570
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
     m, l, b = recv.tensor.shape
     k, n = sched.pilots.shape[0], sched.ris_phases.shape[1]
@@ -220,7 +221,8 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     joint = n * l + n + n * l * m + p * m
     # Z step: diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2, right-hand side from
     # W, direct term H_ra^H H_ua X_d scaled by 1^T Psi, division
-    z_step = n * m + n + n * l * m + n * m * k_d + n * k_d * l + n * l + n * l
+    direct = n * m * k_d + n * k_d * l + n * l if k_d else 0
+    z_step = n * m + n + n * l * m + direct + n * l
     # residual: KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
     residual = m * l * n + m * l * n * b + m * k_d * l + m * l * b
     per_sweep = joint + z_step + residual
@@ -539,15 +541,21 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
     assert len(seen) == 2 * est.iterations or est.failed
 
 
-STACK_KINDS = ("synthesized", "zero", "one_nan", "scaled_up", "scaled_down")
+STACK_KINDS = ("synthesized", "c_ordered", "zero", "one_nan", "scaled_up", "scaled_down")
 
 
 def stack_frame(kind, ch, sched, system, rng):
-    # every kind keeps the synthesized frame's memory layout, as the
-    # harness's frames all share one
+    # every kind but c_ordered keeps the synthesized frame's memory layout,
+    # as the harness's frames all share one; a C-ordered copy holds the same
+    # values in another layout
     recv = synthesize(ch, sched, system, rng)
     if kind == "synthesized":
         return recv
+    if kind == "c_ordered":
+        return ReceiveTensor(
+            tensor=np.ascontiguousarray(recv.tensor),
+            off_stage=None if recv.off_stage is None else np.ascontiguousarray(recv.off_stage),
+        )
 
     def change(a):
         if a is None:
@@ -588,10 +596,11 @@ def assert_same_estimate(got, want):
 )
 def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_iters, seed):
     # one stacked call on frames of mixed kinds (a zero frame fails in its
-    # first Z step, a NaN frame before any solve) returns, for every frame,
-    # the estimate of that frame fitted alone, bit for bit: frames leave the
-    # stack as they converge or fail without changing the others; ls, whose
-    # stack always holds a NaN frame, solves the live frames' stack at once
+    # first Z step, a NaN frame before any solve, a C-ordered frame differs
+    # only in layout) returns, for every frame, the estimate of that frame
+    # fitted alone, bit for bit: frames leave the stack as they converge or
+    # fail without changing the others; ls, whose stack always holds a NaN
+    # frame, solves the live frames' stack at once
     rng = np.random.default_rng(seed)
     l = k + extra_l
     system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=5.0)
@@ -623,22 +632,40 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
 
 
 def test_stacked_als_ris_equals_each_frame_alone():
+    # the fit drops leaving frames from its stacks in place, but never from
+    # the caller's C-ordered stack, which it takes without a copy
     _, ch, sched, recv = noisy_setup("two_stage", seed=50)
     q = recv.tensor - (ch.h_ua @ sched.pilots)[:, :, None]
-    stack = np.stack([q, np.zeros_like(q), 2.0 * q])
+    stack = np.ascontiguousarray(np.stack([q, np.zeros_like(q), 2.0 * q]))
+    before = stack.copy()
     cfg = EstimatorConfig()
     stacked = als_ris(stack, sched, cfg, [np.random.default_rng(i) for i in range(3)])
     assert stacked[1].failed and not stacked[0].failed and not stacked[2].failed
+    assert np.array_equal(stack, before)
     for i, got in enumerate(stacked):
         assert_same_estimate(got, als_ris(stack[i], sched, cfg, np.random.default_rng(i)))
+
+
+def test_squared_norms_of_a_row_do_not_depend_on_its_stack():
+    # numpy's own reductions (einsum, sum) cut a lone row longer than their
+    # 8192-element buffer into pieces but reduce a stack's rows whole; the
+    # BLAS dot per row gives each row the same bits alone and in a stack
+    rng = np.random.default_rng(70)
+    for size in (3, 832, 5000):
+        rows = crandn(rng, (5, size))
+        stacked = ristensor.estimators._sqnorms(rows)
+        for i, row in enumerate(rows):
+            assert stacked[i] == ristensor.estimators._sqnorms(row[None].copy())[0]
 
 
 @pytest.mark.parametrize("mode", ["two_stage", "e_als"])
 def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
     # pilots X with equal rows have no right pseudoinverse, so h_ur cannot
     # be recovered from Z: every frame fails at set-up, at iteration 0 with
-    # no sweep run or counted (two_stage's op_count is its OFF stage alone);
-    # SystemConfig requires pilot_len >= k_users, so the schedule is hand-built
+    # no sweep run or counted (two_stage's op_count is its OFF stage alone)
+    # and, like every failed estimate, no channel estimate, two_stage's
+    # OFF-stage direct path included; SystemConfig requires pilot_len >=
+    # k_users, so the schedule is hand-built
     system = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
     sched = make_schedule(system, mode)
     sched = dataclasses.replace(sched, pilots=np.tile(sched.pilots[:1], (2, 1)))
@@ -653,6 +680,7 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
         assert est.failed and "singular" in est.failure_reason
         assert est.iterations == est.failure_iteration == 0 and est.residual_trace == ()
         assert est.op_count == off_stage
+        assert est.h_ua is None and est.h_ur is None and est.h_ra is None
 
 
 def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():

@@ -295,18 +295,43 @@ def test_worker_count_does_not_change_records():
 
 
 def test_worker_count_does_not_change_records_across_group_makeups():
-    # stock dimensions, 21 trials: workers 1, 2 and 3 cut each SNR point into
-    # chunks of 21, 11 + 10 and 7 + 7 + 7 trials, so the stacked ALS calls
-    # see groups of 8, 8, 5 / 8, 3, 8, 2 / 7, 7, 7 frames
-    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=21, master_seed=11)
-    assert base.trials % ristensor.harness.GROUP_SIZE
+    # stock dimensions, 70 trials: workers 1, 2 and 3 cut each SNR point into
+    # chunks of 70, 35 + 35 and 24 + 24 + 22 trials, which run as 5, 3 and 2
+    # groups each, so the stacked calls see groups of 14 / 11 or 12 / 11 or 12
+    # frames
+    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=70, master_seed=11)
+    groups = [math.ceil(chunk / ristensor.harness.GROUP_SIZE) for chunk in (70, 35, 24)]
+    assert groups == [5, 3, 2]
     runs = [
         records_without_wall_time(run_experiment(dataclasses.replace(base, workers=workers)))
         for workers in (1, 2, 3)
     ]
-    assert len(runs[0]) == 2 * 21 * 3
+    assert len(runs[0]) == 2 * 70 * 3
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def test_chunk_runs_balanced_groups(monkeypatch):
+    # 34 trials run as three stacked calls of 11, 11 and 12 frames per
+    # estimator, not as 16, 16 and a straggler of 2
+    sizes = {}
+
+    def sized(name):
+        original = getattr(ristensor.harness, name)
+
+        def wrapper(frames, *args):
+            sizes.setdefault(name, []).append(len(frames))
+            return original(frames, *args)
+
+        return wrapper
+
+    assert ristensor.harness.GROUP_SIZE == 16
+    estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
+    for name in estimators:
+        monkeypatch.setattr(ristensor.harness, name, sized(name))
+    records = ristensor.harness._run_chunk(tiny_config(trials=34), 0, 0, 34)
+    assert sizes == {name: [11, 11, 12] for name in estimators}
+    assert sorted({r.trial_index for r in records}) == list(range(34))
 
 
 def test_group_records_equal_single_trial_records():
