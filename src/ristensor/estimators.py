@@ -27,7 +27,9 @@ a failed estimate before any solve.
 Every estimator takes one frame, or a list of frames (the ALS estimators
 with a list of generators) and then returns a list; a single frame is a
 stack of one.  One sweep implementation, _alternating_fit, serves both ALS
-estimators on a stack of frames that share a schedule, and ls_baseline
+estimators on a stack of frames that share a schedule, which frames leave
+at the end of the sweep in which they converge, fail or reach max_iters; a
+failed solve's estimate is written where it raises.  ls_baseline
 solves its stack with one StackedLsSolver.solve.  Every product runs per
 slice and frames of one memory layout stack to slices of one layout (the
 harness's frames all share synthesize's), so each frame's estimate is the
@@ -207,17 +209,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     right-hand side and division, or the regressor, pseudoinverse and apply
     cost of the pinv_left, that ran.  The squared residual of each
     sweep is ||Y - model||^2 from the model frame itself, its RIS term
-    KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  A frame
-    leaves the stack through one exit, which writes its result: when its
-    solve raises LinAlgError, as a failed estimate with the sweep, op count
-    and trace it reached; when the squared relative change of every factor
-    drops to conv_threshold, or after max_iters sweeps (converged=False,
-    not an error), as its estimate, the user->RIS channel recovered from Z
-    by the pilots' right pseudoinverse, computed once at set-up.  Pilots X
-    that pinv_right finds singular fail every frame at set-up, at iteration
-    0 with op_count 0, as a non-finite frame does.  A 0 x L X_d empties the
-    direct block: h_ua is then M x 0, counts as converged, and the sweep is
-    the RIS-path fit, which forms no direct-block product.
+    KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  When a
+    frame's solve raises LinAlgError, its failed estimate is written there,
+    with the sweep, op count and trace it reached, and its undefined update
+    takes back its previous iterate.  Frames leave the stack at one exit,
+    at the end of each sweep: a frame that failed, and a frame whose
+    factors' squared relative changes all drop to conv_threshold or that
+    has run max_iters sweeps (converged=False, not an error), with its
+    estimate, the user->RIS channel recovered from Z by the pilots' right
+    pseudoinverse, computed once at set-up.  The fit owns the stack it is
+    given and overwrites it as frames leave.  Pilots X that pinv_right
+    finds singular fail every frame at set-up, at iteration 0 with op_count
+    0, as a non-finite frame does.  A 0 x L X_d empties the direct block:
+    h_ua is then M x 0, counts as converged, and the sweep is the RIS-path
+    fit, which forms no direct-block product.
     """
     results, idx, y = _split_finite(stack)   # idx: the frame index of each stack slot
     if not idx.size:
@@ -231,7 +236,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     p = k_d + n
     tol = cfg.pinv_tol
     try:
-        p_right = pinv_right(x, tol)   # recovers h_ur from Z as each frame leaves
+        p_right = pinv_right(x, tol)   # recovers h_ur from Z at the exit
     except np.linalg.LinAlgError as err:
         for t in idx:
             results[t] = _failure(err, 0, 0, [])
@@ -292,59 +297,28 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     ra_z_buf = np.empty((len(y), n, m, l), dtype=complex)
     model_buf = np.empty((len(y), m, l, b), dtype=complex)
 
-    def leave(it, exits, *stacks):
-        # the one way out of the fit: exits maps each leaving slot to the
-        # LinAlgError its solve raised, for a failed estimate, or to whether
-        # it converged (False: stopped at max_iters), for its estimate with
-        # h_ur recovered from Z; drops those slots from the fit's own stacks
-        # and returns the given stacks without them
-        nonlocal idx, ops, y, w, rhs
-        fits = [j for j, how in exits.items() if isinstance(how, bool)]
-        h_ur = dict(zip(fits, z[fits] @ p_right))
-        for j, how in exits.items():
-            i = idx[j]
-            if j in h_ur:
-                results[i] = ChannelEstimate(
-                    h_ua=joint[j, :k_d].copy().T, h_ur=h_ur[j], h_ra=joint[j, k_d:].copy().T,
-                    iterations=it, converged=how,
-                    op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
-                    residual_trace=tuple(traces[i, :it].tolist()),
-                )
-            else:
-                results[i] = _failure(how, it, int(ops[j]), traces[i, : it - 1].tolist())
-        # the last staying slots move into the leaving ones: in place in the
-        # frame-sized stacks, so no slot is copied twice and none allocated
-        # (the caller's stack is copied instead, once, and never written)
-        kept = len(idx) - len(exits)
-        moves = list(zip(
-            sorted(j for j in exits if j < kept),
-            (j for j in range(kept, len(idx)) if j not in exits),
-        ))
-
-        def compact(a):
-            for hole, mover in moves:
-                a[hole] = a[mover]
-            return a[:kept]
-
-        order = compact(np.arange(len(idx)))
-        y = y[order] if y is stack else compact(y)
-        w, rhs = compact(w), compact(rhs)
-        idx, ops = idx[order], ops[order]
-        return [a[order] for a in stacks]
+    def fail(it, errors, new, old):
+        # a failed estimate for each slot whose solve raised, with the sweep,
+        # op count and trace it reached; its undefined row of new takes back
+        # the previous iterate, and the slot stays to the sweep's exit
+        for j, err in errors.items():
+            if not failed[j]:
+                failed[j] = True
+                results[idx[j]] = _failure(err, it, int(ops[j]), traces[idx[j], : it - 1].tolist())
+            new[j] = old[j]
 
     for it in range(1, cfg.max_iters + 1):
+        failed = np.zeros(len(idx), dtype=bool)
         prev_joint = joint
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
-        diag = diag[: len(idx)]
         diag[:, k_d:] = psi_sq * z_rows
         rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
         )
-        if errors:
-            joint, divided, prev_joint, z = leave(it, errors, joint, divided, prev_joint, z)
+        fail(it, errors, joint, prev_joint)
         prev_z = z
         # diagonal, right-hand side, then the division or the pinv_left
         # fallback
@@ -363,10 +337,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             psi_sq * _sqnorms(joint[:, k_d:]), z_rhs, z_regression, coupling, tol
         )
         del ra_h, z_rhs   # before the residual's allocations
-        if errors:
-            z, divided, joint, prev_joint, prev_z = leave(
-                it, errors, z, divided, joint, prev_joint, prev_z
-            )
+        fail(it, errors, z, prev_z)
         # diagonal, right-hand side, direct term, then the division or the
         # pinv_left fallback
         ops += n * m + n + n * l * m + z_direct
@@ -378,10 +349,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         # matmul, which needs no buffer where a broadcast product does; the
         # residual overwrites the model in place)
         slots = len(idx)
-        if not slots:   # every frame left by a failed solve
-            break
-        ra_z = np.matmul(joint[:, k_d:, :, None], z[:, :, None], out=ra_z_buf[:slots])
-        residual = model_buf[:slots]
+        ra_z = np.matmul(joint[:, k_d:, :, None], z[:, :, None], out=ra_z_buf)
+        residual = model_buf
         np.matmul(
             ra_z.reshape(slots, n, m * l).transpose(0, 2, 1), psi.T,
             out=residual.reshape(slots, m * l, b),
@@ -398,10 +367,31 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             & _small_change(z, prev_z, cfg.conv_threshold)
         )
         del prev_joint, prev_z
-        stop = np.flatnonzero(done | (it == cfg.max_iters))
-        if stop.size:
-            joint, z, z_rows = leave(it, {j: bool(done[j]) for j in stop}, joint, z, z_rows)
-        if not idx.size:
+
+        # the one exit: each frame that converged or reached max_iters leaves
+        # with its estimate, h_ur recovered from Z, and a failed one with the
+        # estimate fail wrote; the last staying slots move into the stopped
+        # ones, and the frame-sized arrays are cut to the frames that stay
+        stop = done | failed | (it == cfg.max_iters)
+        if not stop.any():
+            continue
+        fits = np.flatnonzero(stop & ~failed)
+        for j, h_ur in zip(fits, z[fits] @ p_right):
+            i = idx[j]
+            results[i] = ChannelEstimate(
+                h_ua=joint[j, :k_d].copy().T, h_ur=h_ur, h_ra=joint[j, k_d:].copy().T,
+                iterations=it, converged=bool(done[j]),
+                op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
+                residual_trace=tuple(traces[i, :it].tolist()),
+            )
+        kept = slots - np.count_nonzero(stop)
+        holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
+        stacks = [y, w, rhs, idx, ops, joint, z, z_rows]
+        for a in stacks:
+            a[holes] = a[movers]
+        y, w, rhs, idx, ops, joint, z, z_rows = (a[:kept] for a in stacks)
+        diag, ra_z_buf, model_buf = diag[:kept], ra_z_buf[:kept], model_buf[:kept]
+        if not kept:
             break
     return results
 
@@ -413,7 +403,7 @@ def als_ris(q, sched, cfg, rng=None):
     is one (M, L, B) tensor, or a stack (T, M, L, B) fitted together with rng
     a list of T generators, which returns a list of estimates.
     """
-    q = np.ascontiguousarray(q)   # no copy of two_stage_estimate's stack
+    q = np.array(q, order="C")   # the fit's own stack, which it overwrites
     no_direct = np.empty((0, sched.pilots.shape[1]))
     single = q.ndim == 3
     if single:
@@ -426,7 +416,7 @@ def als_ris(q, sched, cfg, rng=None):
 
 
 def two_stage_estimate(recv, sched, cfg, rng=None):
-    """RIS OFF-ON estimator: direct path from the OFF stage, RIS path by als_ris.
+    """RIS OFF-ON estimator: direct path from the OFF stage, RIS path as in als_ris.
 
     The estimated direct contribution is subtracted from every block before
     the alternating fit, so its estimation error lands in the stage-2 noise.
@@ -451,7 +441,7 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
         else:
             ops = _pinv_cost(k, l_off) + m * l_off * k + m * k * l
             y -= (h_ua @ sched.pilots)[..., None]   # y is this call's own stack
-            fits = als_ris(y, sched, cfg, [rngs[t] for t in live])
+            fits = _alternating_fit(y, sched, np.empty((0, l)), cfg, [rngs[t] for t in live])
             for t, fit, direct in zip(live, fits, h_ua):
                 results[t] = dataclasses.replace(
                     fit, h_ua=None if fit.failed else direct, op_count=fit.op_count + ops

@@ -129,20 +129,23 @@ def certified_gram_solves(diag, a_h_rhs, regression, coupling, tol=1e-12):
     sigma_min / sigma_max < tol, and solves.  Returns (x, divided, errors):
     x (T, p, r) with solution i in x[i], a boolean array saying which Grams
     were divided, and a dict from the index of each Gram that raised
-    np.linalg.LinAlgError to the error (its x[i] is undefined).  Each
-    solution, and each decision, is that of the Gram in a stack of one.
+    np.linalg.LinAlgError to the error (its x[i] is undefined, for the
+    caller to overwrite).  Each solution, and each decision, is that of the
+    Gram in a stack of one.  A complex divided by a real is its product with
+    the real's reciprocal, bit for bit, so the division multiplies by one
+    reciprocal per diagonal entry, which needs no broadcast divisor.
     """
     # a NaN coupling or diagonal compares False
     threshold = 2.0 * (tol * tol + _GRAM_MIN_RATIO)
     certified = coupling <= _MAX_COUPLING
     # when the stack's least diagonal entry clears its greatest, every Gram's does
     if certified and diag.min(initial=np.inf) > threshold * diag.max(initial=0.0):
-        return a_h_rhs / diag[..., None], np.ones(len(diag), dtype=bool), {}
+        return a_h_rhs * (1.0 / diag)[..., None], np.ones(len(diag), dtype=bool), {}
     divided = (diag.min(axis=-1) > threshold * diag.max(axis=-1)) & certified
     errors = {}
     x = np.empty(a_h_rhs.shape, dtype=np.result_type(diag, a_h_rhs))
     if divided.any():
-        x[divided] = a_h_rhs[divided] / diag[divided][..., None]
+        x[divided] = a_h_rhs[divided] * (1.0 / diag[divided])[..., None]
     for i in np.flatnonzero(~divided):
         a, rhs = regression(i)
         try:

@@ -1,6 +1,7 @@
 """CLI subcommands: run, demo, complexity."""
 
 import csv
+import json
 import signal
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from ristensor.cli import _parse_snr_list, _parse_snr_range, main
+from ristensor.harness import read_records_json
 
 
 TINY_YAML = (
@@ -140,6 +142,31 @@ def test_run_estimator_subset(tiny_yaml, tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["estimator_name"] for row in rows] == ["ls"]
+
+
+def test_run_seed_override_changes_the_channels(tiny_yaml, tmp_path):
+    # --seed replaces the config's master_seed (3), which draws every
+    # trial's channels and frames, so their hash follows it
+    hashes = {}
+    for seed in (None, "3", "4"):
+        out = tmp_path / f"results-{seed}.csv"
+        extra = [] if seed is None else ["--seed", seed]
+        assert main(["run", "--config", str(tiny_yaml), "--out", str(out), *extra]) == 0
+        with open(out, newline="") as fh:
+            hashes[seed] = {row["channel_hash"] for row in csv.DictReader(fh)}
+    assert len(hashes[None]) == 1
+    assert hashes["3"] == hashes[None] != hashes["4"]
+
+
+def test_run_json_format_writes_readable_records(tiny_yaml, tmp_path):
+    out = tmp_path / "results.out"
+    code = main(["run", "--config", str(tiny_yaml), "--format", "json", "--out", str(out)])
+    assert code == 0
+    document = json.loads(out.read_text())
+    assert document["config"]["output_format"] == "json"
+    records = read_records_json(out)
+    assert sorted(r.estimator_name for r in records) == ["e_als", "ls", "two_stage"]
+    assert [r.channel_hash for r in records] == [r["channel_hash"] for r in document["records"]]
 
 
 def test_run_missing_config_exits_2(capsys, tmp_path):

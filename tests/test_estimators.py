@@ -598,9 +598,10 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
     # one stacked call on frames of mixed kinds (a zero frame fails in its
     # first Z step, a NaN frame before any solve, a C-ordered frame differs
     # only in layout) returns, for every frame, the estimate of that frame
-    # fitted alone, bit for bit: frames leave the stack as they converge or
-    # fail without changing the others; ls, whose stack always holds a NaN
-    # frame, solves the live frames' stack at once
+    # fitted alone, bit for bit: frames leave the stack at the end of the
+    # sweep in which they converge or fail without changing the others; ls,
+    # whose stack always holds a NaN frame, solves the live frames' stack at
+    # once
     rng = np.random.default_rng(seed)
     l = k + extra_l
     system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=5.0)
@@ -632,8 +633,8 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
 
 
 def test_stacked_als_ris_equals_each_frame_alone():
-    # the fit drops leaving frames from its stacks in place, but never from
-    # the caller's C-ordered stack, which it takes without a copy
+    # the fit drops stopped frames in place from the stack it owns, which
+    # als_ris copies from the caller's, so the caller's stack is not written
     _, ch, sched, recv = noisy_setup("two_stage", seed=50)
     q = recv.tensor - (ch.h_ua @ sched.pilots)[:, :, None]
     stack = np.ascontiguousarray(np.stack([q, np.zeros_like(q), 2.0 * q]))
@@ -801,6 +802,44 @@ def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
     assert all(divided.all() for _, divided in calls[2:]) and pinv_left.call_count == 1
     assert ests[1].failed and "singular" in ests[1].failure_reason
     assert not ests[0].failed and not ests[2].failed
+
+
+@pytest.mark.parametrize("estimator", [two_stage_estimate, e_als_estimate])
+def test_a_solve_that_raises_fails_its_frame_alone(estimator):
+    # the second joint step reports slot 1's solve as raised and leaves its
+    # row NaN: that frame fails in sweep 2 with its first sweep's trace,
+    # its previous iterate, put back, keeps the NaN out of every later solve,
+    # and the frames around it keep the estimates of the unmocked call
+    mode = "two_stage" if estimator is two_stage_estimate else "e_als"
+    system, ch, sched, _ = noisy_setup(mode, seed=64, snr_db=0.0)
+    frames = [synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)]
+    cfg = EstimatorConfig()
+
+    def fit():
+        return estimator(frames, sched, cfg, [np.random.default_rng(65 + i) for i in range(3)])
+
+    calls = []
+
+    def solves(diag, a_h_rhs, regression, coupling, tol):
+        assert np.isfinite(diag).all() and np.isfinite(a_h_rhs).all()
+        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
+        calls.append(len(diag))
+        if len(calls) == 3:   # joint, Z, then the second sweep's joint step
+            x[1] = np.nan
+            errors = {1: SingularMatrixError("forced")}
+        return x, divided, errors
+
+    want = fit()
+    assert all(est.iterations > 2 for est in want)
+    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves):
+        got = fit()
+    assert calls[:3] == [3, 3, 3]
+    assert got[1].failed and got[1].failure_reason == "forced"
+    assert got[1].iterations == got[1].failure_iteration == 2
+    assert got[1].residual_trace == want[1].residual_trace[:1]
+    assert got[1].h_ua is None and got[1].h_ur is None and got[1].h_ra is None
+    for i in (0, 2):
+        assert_same_estimate(got[i], want[i])
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():

@@ -330,7 +330,9 @@ def test_stacked_gram_solves_route_each_gram_on_its_own():
     # a stack mixing every route: the Grams with a clear diagonal are
     # divided, every other (a zero or NaN entry included) forms its
     # regression for pinv_left, and each solution has the bits of its Gram
-    # alone; a coupling above sqrt(eps), or NaN, sends every Gram there
+    # alone and of the plain division, which the product with the
+    # diagonal's reciprocals reproduces; a coupling above sqrt(eps), or
+    # NaN, sends every Gram there
     rng = np.random.default_rng(10)
     regressors, rhs, diag, a_h_rhs, coupling = _tier_stack(rng)
     order = [1, 0, 2, 0, 3, 1]
@@ -343,6 +345,8 @@ def test_stacked_gram_solves_route_each_gram_on_its_own():
     for i, j in enumerate(order):
         if j in (0, 1):
             assert np.array_equal(x[i], _alone(diag, a_h_rhs, i, regression, coupling)[0])
+        if divided[i]:
+            assert np.array_equal(x[i], a_h_rhs[i] / diag[i][:, None])
         if j == 1:
             assert np.array_equal(x[i], pinv_left(regressors[j]) @ rhs[j])
     for uncertified in (1.01 * SQRT_EPS, np.nan):
