@@ -102,9 +102,10 @@ def _print_aggregate_table(aggregates, stream):
 
 def _run_and_report(cfg):
     records = run_experiment(cfg)
-    _print_aggregate_table(aggregate_records(records), sys.stdout)
+    aggregates = aggregate_records(records)
+    _print_aggregate_table(aggregates, sys.stdout)
     if cfg.output_path:
-        emit_results(records, cfg.output_path, cfg.output_format, config=cfg)
+        emit_results(records, cfg.output_path, cfg.output_format, cfg, aggregates)
         print(f"wrote {len(records)} records to {cfg.output_path}")
     return 0
 

@@ -37,6 +37,7 @@ one it gets alone, bit for bit, whatever else is in the stack.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ import numpy as np
 from .tensor_ops import (
     SingularMatrixError,
     certified_gram_solves,
-    crandn,
     khatri_rao,
     khatri_rao_coupling,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
@@ -154,6 +154,23 @@ def _split_finite(*stacks):
     return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
 
 
+def _crandn_stacks(rngs, shapes):
+    # what successive crandn(rng, shape) calls return for each generator, bit
+    # for bit, from one call of it: its standard normals are cut in crandn's
+    # order (real part, then imaginary part, per shape) and made complex for
+    # all generators at once, one (len(rngs), *shape) stack per shape
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = np.empty((len(rngs), 2 * sum(sizes)))
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
+    out, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = draws[:, start:start + size], draws[:, start + size:start + 2 * size]
+        out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(len(rngs), *shape))
+        start += 2 * size
+    return out
+
+
 def _as_list(recv, rng):
     # one frame and one generator, or equal-length lists of both
     if isinstance(recv, (list, tuple)):
@@ -186,7 +203,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     Returns one ChannelEstimate per frame, each equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
     every norm is one BLAS dot per slot or row (_sqnorms), and generator
-    rngs[t] (None: default_rng(init_seed)) draws frame t's initial factors.
+    rngs[t] (None: default_rng(init_seed)) draws frame t's initial H_ua,
+    H_ra and Z in one call, the values three crandn calls would give.
     Per sweep and frame, with a direct block of pilots X_d: one solve
     refits the direct and RIS->AP channels together against the stacked
     regressor [direct block | RIS block], then one solve refits the
@@ -281,15 +299,16 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         direct = np.tile(joint[j, :k_d].T, (b, 1)) @ direct_pilots
         return khatri_rao(psi, joint[j, k_d:].T), unfold_mode2(y[j]).T - direct
 
-    h_ua, h_ra, z = [], [], []
-    for t in idx:
-        rng = rngs[t] if rngs[t] is not None else np.random.default_rng(cfg.init_seed)
-        h_ua.append(crandn(rng, (m, k_d)))
-        h_ra.append(crandn(rng, (m, n)))
-        z.append(crandn(rng, (n, k)))
+    # each frame's initial H_ua, H_ra and Z, as three crandn calls would draw
+    # them, from one call of its generator
+    h_ua, h_ra, z = _crandn_stacks(
+        [rngs[t] if rngs[t] is not None else np.random.default_rng(cfg.init_seed) for t in idx],
+        ((m, k_d), (m, n), (n, k)),
+    )
     # joint holds [H_ua | H_ra]^T as (T, P, M), the layout its step solves for
-    joint = np.concatenate([np.stack(h_ua), np.stack(h_ra)], axis=2).transpose(0, 2, 1).copy()
-    z = np.stack(z) @ x
+    joint = np.concatenate([h_ua, h_ra], axis=2).transpose(0, 2, 1).copy()
+    z = z @ x
+    del h_ua, h_ra   # copied into joint; freed before the sweep's buffers
     z_rows = _sqnorms(z)
     traces = np.empty((len(results), cfg.max_iters))   # row t: frame t's residuals
     # the residual's KR(H_ra, Z^T) (as N x M L) and model frame, reused by

@@ -237,9 +237,10 @@ def _score(name, est, channels, system, snr_db, trial_index, wall, chash):
 
 
 def _trial_streams(cfg, snr_index, trial_index):
-    root = np.random.SeedSequence([cfg.master_seed, snr_index, trial_index])
-    channel_ss, noise_ss, _reserved = root.spawn(3)
-    return channel_ss, noise_ss
+    # children 0 and 1 of SeedSequence([master_seed, snr_index, trial_index]),
+    # built by their spawn keys: the channel stream and the noise stream
+    entropy = [cfg.master_seed, snr_index, trial_index]
+    return tuple(np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(2))
 
 
 def _init_rng(cfg, snr_index, trial_index, name):
@@ -285,7 +286,8 @@ def _realize(cfg, system, schedules, snr_index, trial_index):
         cfg.channel, dims, np.random.default_rng(channel_ss), geometry_rng=geometry_rng
     )
     # one generator per schedule, same seed: both frames see the identical
-    # (M, T) noise draw, which is what makes the comparison paired
+    # (M, T) noise draw, which is what makes the comparison paired; each
+    # frame is one Khatri-Rao product plus its direct term and noise
     received = {
         mode: synthesize(channels, sched, system, np.random.default_rng(noise_ss))
         for mode, sched in schedules.items()
@@ -302,9 +304,10 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     differs: ls gets the cached solver, the ALS estimators their generators.
     """
     snr_db = cfg.snr_grid_db[snr_index]
+    names = cfg.estimators_enabled
     realized = [_realize(cfg, system, schedules, snr_index, trial) for trial in trials]
     out = [([], {}, channels) for channels, _, _ in realized]
-    for name in cfg.estimators_enabled:
+    for i, name in enumerate(names):
         # looked up at call time, so a rebound module name is the one called
         if name == "ls":
             estimator, last = ls_baseline, ls_solver
@@ -321,6 +324,10 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
         ):
             records.append(_score(name, est, channels, system, snr_db, trial, wall, chash))
             by_name[name] = est
+        # a schedule's frames go once the last estimator that reads them is done
+        if mode not in {_SCHEDULE_OF[later] for later in names[i + 1:]}:
+            for _, received, _ in realized:
+                del received[mode]
     return out
 
 
@@ -414,10 +421,15 @@ def _csv_cell(column, value):
     return str(value)
 
 
-def emit_results(records, path, fmt="csv", config=None):
-    """Write records to path as CSV rows or a JSON document with aggregates."""
+def emit_results(records, path, fmt="csv", config=None, aggregates=None):
+    """Write records to path as CSV rows or a JSON document with aggregates.
+
+    Returns the aggregates, aggregate_records(records) unless given.
+    """
     if not records:
         raise ValueError("no records to emit")
+    if aggregates is None:
+        aggregates = aggregate_records(records)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -429,15 +441,16 @@ def emit_results(records, path, fmt="csv", config=None):
     elif fmt == "json":
         document = {
             "config": dataclasses.asdict(config) if config is not None else None,
-            "records": [dataclasses.asdict(rec) for rec in records],
-            "aggregates": aggregate_records(records),
+            # asdict's deep copy of each record's scalar fields is wasted work
+            "records": [{col: getattr(rec, col) for col in CSV_COLUMNS} for rec in records],
+            "aggregates": aggregates,
         }
         with open(path, "w") as fh:
             json.dump(document, fh, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return aggregate_records(records)
+    return aggregates
 
 
 def read_records_json(path):

@@ -4,7 +4,10 @@ A training frame is B blocks of L pilot symbols; the RIS holds one phase
 pattern per block.  The two-stage scheme prepends a RIS-OFF stage of length
 off_stage_len, the joint scheme keeps the RIS on for all B = N + 1 blocks.
 The noiseless (M, L, B) frame is [[H_ua, X^T, 1_B]] + [[H_ra, Z^T, Psi]] with
-Z = H_ur X: block b is (H_ua + H_ra * diag(psi_b) * H_ur) @ X.
+Z = H_ur X: block b is (H_ua + H_ra * diag(psi_b) * H_ur) @ X.  The RIS
+term's mode-3 unfolding is Psi times the N Khatri-Rao rows h_ra[:, n] z_n^T,
+so synthesize forms it as one matrix product, the model frame the ALS
+residual forms too.
 """
 
 import dataclasses
@@ -114,13 +117,16 @@ class ReceiveTensor:
 
 
 def synthesize(channels, sched, cfg, rng):
-    """Noisy received frame for one channel realization.
+    """Noisy received frame for one channel realization, a C-ordered (M, L, B) array.
 
-    Noise is one CN(0, noise_var) draw of shape (M, T) consumed in time order
-    (OFF stage first, then block by block), so schedules with equal (M, T)
-    fed from identically seeded generators see the same noise realization.
+    The RIS term is R^T Psi^T as (M*L, B), with row n of R the outer product
+    h_ra[:, n] z_n^T flattened row by row (Z = H_ur X): one product, whose
+    entries equal the triple sum over (n, m, l) to rounding.  Noise is one
+    CN(0, noise_var) draw of shape (M, T) consumed in time order (OFF stage
+    first, then block by block), so schedules with equal (M, T) fed from
+    identically seeded generators see the same noise realization.
     """
-    m, l = cfg.m_ap, cfg.pilot_len
+    m, l, n = cfg.m_ap, cfg.pilot_len, cfg.n_ris
     b = sched.blocks
     x = sched.pilots
     if channels.h_ua.shape != (m, cfg.k_users):
@@ -131,12 +137,11 @@ def synthesize(channels, sched, cfg, rng):
     l_off = 0 if sched.off_pilots is None else sched.off_pilots.shape[1]
     noise = np.sqrt(cfg.noise_var) * crandn(rng, (m, l_off + b * l))
     off = None if sched.off_pilots is None else channels.h_ua @ sched.off_pilots + noise[:, :l_off]
-    # direct + RIS term over (H_ra, Psi, Z = H_ur X) + noise column l_off + b*L + i at [:, i, b]
-    tensor = (
-        (channels.h_ua @ x)[:, :, None]
-        + np.einsum("mn,bn,nl->mlb", channels.h_ra, sched.ris_phases, channels.h_ur @ x)
-        + noise[:, l_off:].reshape(m, l, b, order="F")
-    )
+    # RIS term + direct term + noise column l_off + b*L + i at [:, i, b]
+    ris_rows = (channels.h_ra.T[:, :, None] * (channels.h_ur @ x)[:, None, :]).reshape(n, m * l)
+    tensor = (ris_rows.T @ sched.ris_phases.T).reshape(m, l, b)
+    tensor += (channels.h_ua @ x)[:, :, None]
+    tensor += noise[:, l_off:].reshape(m, l, b, order="F")
     return ReceiveTensor(tensor=tensor, off_stage=off)
 
 

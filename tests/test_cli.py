@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import ristensor.cli
+import ristensor.harness
 from ristensor.cli import _parse_snr_list, _parse_snr_range, main
 from ristensor.harness import read_records_json
 
@@ -167,6 +169,24 @@ def test_run_json_format_writes_readable_records(tiny_yaml, tmp_path):
     records = read_records_json(out)
     assert sorted(r.estimator_name for r in records) == ["e_als", "ls", "two_stage"]
     assert [r.channel_hash for r in records] == [r["channel_hash"] for r in document["records"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_aggregates_once(tiny_yaml, tmp_path, monkeypatch, fmt):
+    # the table, the JSON document and emit_results' return value share one
+    # aggregation of the run's records
+    calls = []
+    aggregate_records = ristensor.harness.aggregate_records
+
+    def counted(records):
+        calls.append(len(records))
+        return aggregate_records(records)
+
+    monkeypatch.setattr(ristensor.harness, "aggregate_records", counted)
+    monkeypatch.setattr(ristensor.cli, "aggregate_records", counted)
+    out = tmp_path / f"results.{fmt}"
+    assert main(["run", "--config", str(tiny_yaml), "--format", fmt, "--out", str(out)]) == 0
+    assert calls == [3]
 
 
 def test_run_missing_config_exits_2(capsys, tmp_path):

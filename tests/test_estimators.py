@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ristensor.estimators
@@ -176,6 +176,30 @@ def test_e_als_determinism():
     np.testing.assert_array_equal(a.h_ur, b.h_ur)
     assert a.iterations == b.iterations
     assert a.residual_trace == b.residual_trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=3),
+    frames=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shapes=[(4, 8), (4, 25), (25, 8)], frames=3, seed=0)   # e_als at stock dims
+@example(shapes=[(4, 0), (4, 25), (25, 8)], frames=2, seed=1)   # two_stage: no direct block
+def test_one_draw_per_generator_equals_successive_crandn_calls(shapes, frames, seed):
+    # the initial factors of _alternating_fit are what crandn would give,
+    # bit for bit, and leave each generator where crandn would
+    seqs = np.random.SeedSequence(seed).spawn(frames)
+    rngs = [np.random.default_rng(q) for q in seqs]
+    stacks = ristensor.estimators._crandn_stacks(rngs, shapes)
+    assert len(stacks) == len(shapes)
+    for t, (q, rng) in enumerate(zip(seqs, rngs)):
+        ref = np.random.default_rng(q)
+        for stack, shape in zip(stacks, shapes):
+            want = crandn(ref, shape)
+            assert stack[t].shape == want.shape and stack[t].dtype == want.dtype
+            assert stack[t].tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_e_als_monotone_residual():
@@ -541,20 +565,21 @@ def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, j
     assert len(seen) == 2 * est.iterations or est.failed
 
 
-STACK_KINDS = ("synthesized", "c_ordered", "zero", "one_nan", "scaled_up", "scaled_down")
+STACK_KINDS = ("synthesized", "f_ordered", "zero", "one_nan", "scaled_up", "scaled_down")
 
 
 def stack_frame(kind, ch, sched, system, rng):
-    # every kind but c_ordered keeps the synthesized frame's memory layout,
-    # as the harness's frames all share one; a C-ordered copy holds the same
-    # values in another layout
+    # every kind but f_ordered keeps the synthesized frame's memory layout,
+    # C order, as the harness's frames all share it; a Fortran-ordered copy
+    # holds the same values in another layout
     recv = synthesize(ch, sched, system, rng)
+    assert recv.tensor.flags.c_contiguous
     if kind == "synthesized":
         return recv
-    if kind == "c_ordered":
+    if kind == "f_ordered":
         return ReceiveTensor(
-            tensor=np.ascontiguousarray(recv.tensor),
-            off_stage=None if recv.off_stage is None else np.ascontiguousarray(recv.off_stage),
+            tensor=np.asfortranarray(recv.tensor),
+            off_stage=None if recv.off_stage is None else np.asfortranarray(recv.off_stage),
         )
 
     def change(a):
@@ -596,8 +621,8 @@ def assert_same_estimate(got, want):
 )
 def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_iters, seed):
     # one stacked call on frames of mixed kinds (a zero frame fails in its
-    # first Z step, a NaN frame before any solve, a C-ordered frame differs
-    # only in layout) returns, for every frame, the estimate of that frame
+    # first Z step, a NaN frame before any solve, a Fortran-ordered frame
+    # differs only in layout) returns, for every frame, the estimate of that frame
     # fitted alone, bit for bit: frames leave the stack at the end of the
     # sweep in which they converge or fail without changing the others; ls,
     # whose stack always holds a NaN frame, solves the live frames' stack at

@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import importlib.util
+import json
 import math
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -280,6 +282,87 @@ def test_channel_hash_varies_across_trials_and_snrs():
     assert len(set(flat)) == len(flat)
 
 
+def test_trial_streams_are_the_first_two_spawned_children():
+    cfg = tiny_config(master_seed=31)
+    for snr_index, trial_index in ((0, 0), (2, 5)):
+        got = ristensor.harness._trial_streams(cfg, snr_index, trial_index)
+        root = np.random.SeedSequence([cfg.master_seed, snr_index, trial_index])
+        want = root.spawn(3)[:2]
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert (a.entropy, a.spawn_key, a.pool_size, a.n_children_spawned) == (
+                b.entropy, b.spawn_key, b.pool_size, b.n_children_spawned
+            )
+            np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
+            np.testing.assert_array_equal(
+                np.random.default_rng(a).standard_normal(16),
+                np.random.default_rng(b).standard_normal(16),
+            )
+
+
+# NMSE columns of a fixed-seed stock run, (snr_db, trial, estimator) -> the
+# non-empty ones of nmse_aggregate, _h_ua, _h_ur, _h_ra, _cascade in order
+PINNED_NMSE = {
+    (0, 0, 'e_als'): (0.008306744607414, 0.001476686312463, 0.01482698224737, 0.004770933035833, 0.003578826650055),
+    (0, 0, 'ls'): (0.02130206329247,),
+    (0, 0, 'two_stage'): (0.02676425871703, 0.02562252385951, 0.02623977060712, 0.007538017316869, 0.004822899990916),
+    (0, 1, 'e_als'): (0.01508718046568, 0.00202408400732, 0.03111376407094, 0.009301469923549, 0.01790959814587),
+    (0, 1, 'ls'): (0.04283858939687,),
+    (0, 1, 'two_stage'): (0.07677229210173, 0.06290311317523, 0.06769112385593, 0.03124874948759, 0.06802741012267),
+    (0, 2, 'e_als'): (0.007472232372177, 0.002606268216255, 0.007885954414538, 0.002336941426868, 0.01801966370828),
+    (0, 2, 'ls'): (0.01921471779013,),
+    (0, 2, 'two_stage'): (0.03389884072083, 0.0528330628383, 0.02027545331265, 0.003490199673952, 0.04869473791112),
+    (20, 0, 'e_als'): (0.0001568171384052, 3.00975453738e-05, 0.0002430380540754, 8.882007618267e-05, 0.0001404488340101),
+    (20, 0, 'ls'): (0.0004627651735192,),
+    (20, 0, 'two_stage'): (0.0005647741266412, 0.0005723270890675, 0.0004361428023215, 0.0001294125137945, 0.000202609799948),
+    (20, 1, 'e_als'): (0.0001461215119867, 2.70462427904e-05, 0.0002184560171625, 7.120803048614e-05, 0.001656367028507),
+    (20, 1, 'ls'): (0.0003982413521958,),
+    (20, 1, 'two_stage'): (0.000588030629473, 0.0006420596578696, 0.0003841477214834, 0.0001092658469048, 0.004169461884053),
+    (20, 2, 'e_als'): (0.0001791917488955, 2.28339161235e-05, 0.0005400956723328, 0.0002122282165993, 0.0006057391468324),
+    (20, 2, 'ls'): (0.0004911049816635,),
+    (20, 2, 'two_stage'): (0.000710535797264, 0.0005060096240184, 0.001092005470535, 0.0003184619549501, 0.001971078088063),
+}
+
+
+def test_fixed_seed_run_pins_every_nmse():
+    # a change to any stream or draw order moves these by far more than the
+    # tolerance; a change of rounding alone (another product order) does not
+    cfg = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=3, master_seed=2024)
+    records = run_experiment(cfg)
+    assert len(records) == len(PINNED_NMSE)
+    columns = ("nmse_aggregate", "nmse_h_ua", "nmse_h_ur", "nmse_h_ra", "nmse_cascade")
+    for rec in records:
+        got = [getattr(rec, c) for c in columns if getattr(rec, c) is not None]
+        want = PINNED_NMSE[(rec.snr_db, rec.trial_index, rec.estimator_name)]
+        assert not rec.failure_flag
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_frames_are_released_after_the_last_estimator_that_reads_them(monkeypatch):
+    # the e_als fit runs after two_stage's, and nothing after it reads the
+    # two_stage frames: none of them may still be alive when it starts
+    frames = {"two_stage": [], "e_als": []}
+    synthesize = ristensor.harness.synthesize
+    e_als_estimate = ristensor.harness.e_als_estimate
+
+    def tracked_synthesize(channels, sched, cfg, rng):
+        recv = synthesize(channels, sched, cfg, rng)
+        frames["two_stage" if sched.off_pilots is not None else "e_als"].append(weakref.ref(recv))
+        return recv
+
+    def checked_e_als(*args, **kwargs):
+        assert frames["two_stage"] and all(ref() is None for ref in frames["two_stage"])
+        assert all(ref() is not None for ref in frames["e_als"])
+        return e_als_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(ristensor.harness, "synthesize", tracked_synthesize)
+    monkeypatch.setattr(ristensor.harness, "e_als_estimate", checked_e_als)
+    cfg = tiny_config(trials=3, estimators_enabled=("two_stage", "e_als", "ls"))
+    records = run_experiment(cfg)
+    assert len(records) == 9 and not any(r.failure_flag for r in records)
+    assert all(ref() is None for refs in frames.values() for ref in refs)
+
+
 def test_rerun_is_deterministic():
     cfg = tiny_config(trials=2)
     first = records_without_wall_time(run_experiment(cfg))
@@ -490,6 +573,30 @@ def test_json_round_trip(tmp_path):
     assert aggregates == aggregate_records(records)
     back = read_records_json(out)
     assert [dataclasses.asdict(r) for r in back] == [dataclasses.asdict(r) for r in records]
+
+
+def test_json_document_bytes_equal_the_asdict_document(tmp_path):
+    # records are written from their fields, not through dataclasses.asdict,
+    # and aggregates passed in are written as given; the bytes are the same
+    cfg = tiny_config(trials=2)
+    records = run_experiment(cfg) + _synthetic_records()
+    aggregates = aggregate_records(records)
+    want = tmp_path / "want.json"
+    with open(want, "w") as fh:
+        json.dump(
+            {
+                "config": dataclasses.asdict(cfg),
+                "records": [dataclasses.asdict(rec) for rec in records],
+                "aggregates": aggregates,
+            },
+            fh,
+            indent=2,
+        )
+        fh.write("\n")
+    for given in (None, aggregates):
+        out = tmp_path / "results.json"
+        assert emit_results(records, out, "json", cfg, given) == aggregates
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_emit_rejects_empty_records(tmp_path):

@@ -147,6 +147,39 @@ def test_synthesize_matches_factor_model_and_noise_layout(m, k, extra_l, n, b, l
         assert noisy.off_stage is None and quiet.off_stage is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 4),
+    extra_l=st.integers(0, 3),
+    n=st.integers(1, 30),
+    mode=st.sampled_from(["two_stage", "e_als"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noiseless_frame_matches_the_triple_sum(m, k, extra_l, n, mode, seed):
+    # the frame's RIS term is one Khatri-Rao product; the reference is the
+    # triple sum over (n, m, l) as one einsum, and the factor model's unfoldings
+    rng = np.random.default_rng(seed)
+    l = k + extra_l
+    ch = ChannelSet(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)), h_ur=crandn(rng, (n, k)))
+    cfg = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l)
+    sched = TrainingSchedule(
+        pilots=make_pilots(k, l, cfg.power),
+        ris_phases=make_phase_schedule(n, mode),
+        off_pilots=make_pilots(k, l, cfg.power) if mode == "two_stage" else None,
+    )
+    x = sched.pilots
+    frame = noiseless_tensor(ch, sched, cfg).tensor
+    want = (ch.h_ua @ x)[:, :, None] + np.einsum(
+        "mn,bn,nl->mlb", ch.h_ra, sched.ris_phases, ch.h_ur @ x
+    )
+    assert frame.shape == want.shape == (m, l, sched.blocks)
+    assert np.linalg.norm(frame - want) <= 1e-13 * np.linalg.norm(want)
+    y1, y2 = model_unfoldings(ch, sched)
+    assert np.linalg.norm(unfold_mode1(frame) - y1) <= 1e-13 * np.linalg.norm(y1)
+    assert np.linalg.norm(unfold_mode2(frame) - y2) <= 1e-13 * np.linalg.norm(y2)
+
+
 def test_off_stage_present_only_for_two_stage():
     cfg = SystemConfig(snr_db=10.0)
     ch = default_channels()
