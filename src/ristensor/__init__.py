@@ -21,7 +21,6 @@ from .estimators import (
     als_ris,
     e_als_estimate,
     ls_baseline,
-    ls_direct_path,
     resolve_scaling,
     two_stage_estimate,
 )
@@ -31,7 +30,6 @@ from .harness import (
     aggregate_records,
     emit_results,
     load_config,
-    read_records_json,
     run_experiment,
     run_trial,
 )

@@ -185,18 +185,6 @@ def _stack(arrays):
     return np.array(arrays, order="C")
 
 
-def ls_direct_path(v, x_bar, tol=1e-12):
-    """LS estimate of the direct channel from the RIS-OFF stage: V @ pinv_right(X_bar).
-
-    v may be one (M, L') OFF-stage matrix or a stack (T, M, L') of them.
-    """
-    v = np.asarray(v)
-    x_bar = np.asarray(x_bar)
-    if v.shape[-1] != x_bar.shape[1]:
-        raise ValueError(f"OFF-stage length mismatch: {v.shape} vs pilots {x_bar.shape}")
-    return v @ pinv_right(x_bar, tol)
-
-
 def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     """Alternating LS over a C-ordered stack (T, M, L, B) of frames sharing one schedule.
 
@@ -415,6 +403,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     return results
 
 
+# no package caller; kept because perfbench/spans.py wraps this name
 def als_ris(q, sched, cfg, rng=None):
     """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
 
@@ -453,7 +442,7 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
         m, l, _ = y.shape[1:]
         k, l_off = sched.off_pilots.shape
         try:
-            h_ua = ls_direct_path(v, sched.off_pilots, cfg.pinv_tol)
+            h_ua = v @ pinv_right(sched.off_pilots, cfg.pinv_tol)
         except np.linalg.LinAlgError as err:
             for t in live:
                 results[t] = _failure(err, 0, 0, [])
@@ -514,8 +503,6 @@ class StackedLsSolver:
                 f"stacked LS regressor {rows}x{cols}: "
                 f"singular value ratio {ratio:.3e} below tol {tol:.1e}"
             )
-        self.rows = rows
-        self.cols = cols
         self.p_phase = p_phase      # (N+1, B)
         self.p_pilot = p_pilot      # (K, L)
         # block mode product, then pilot mode product

@@ -355,8 +355,10 @@ def run_experiment(cfg):
         for snr_index in range(len(cfg.snr_grid_db))
         for start in range(0, cfg.trials, chunk)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a forked pool starts every worker at its first submit: none beyond the chunks
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
             records = [record for future in futures for record in future.result()]
     else:
@@ -421,15 +423,10 @@ def _csv_cell(column, value):
     return str(value)
 
 
-def emit_results(records, path, fmt="csv", config=None, aggregates=None):
-    """Write records to path as CSV rows or a JSON document with aggregates.
-
-    Returns the aggregates, aggregate_records(records) unless given.
-    """
+def emit_results(records, path, fmt, config, aggregates):
+    """Write records to path as CSV rows or a JSON document with config and aggregates."""
     if not records:
         raise ValueError("no records to emit")
-    if aggregates is None:
-        aggregates = aggregate_records(records)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -440,7 +437,7 @@ def emit_results(records, path, fmt="csv", config=None, aggregates=None):
                 )
     elif fmt == "json":
         document = {
-            "config": dataclasses.asdict(config) if config is not None else None,
+            "config": dataclasses.asdict(config),
             # asdict's deep copy of each record's scalar fields is wasted work
             "records": [{col: getattr(rec, col) for col in CSV_COLUMNS} for rec in records],
             "aggregates": aggregates,
@@ -450,11 +447,3 @@ def emit_results(records, path, fmt="csv", config=None, aggregates=None):
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return aggregates
-
-
-def read_records_json(path):
-    """Inverse of the JSON emission, for round-tripping result files."""
-    with open(path) as fh:
-        document = json.load(fh)
-    return [TrialRecord(**rec) for rec in document["records"]]

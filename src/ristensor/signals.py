@@ -60,12 +60,10 @@ class SystemConfig:
         return extra + self.blocks(mode) * self.pilot_len
 
     def validate_for(self, mode):
-        m, k, n, l = self.m_ap, self.k_users, self.n_ris, self.pilot_len
-        b = self.blocks(mode)
+        # e_als's B*L >= N+K always holds: (N+1)*L >= N+K as pilot_len >= k_users
+        m, n, l, b = self.m_ap, self.n_ris, self.pilot_len, self.blocks(mode)
         if mode == "two_stage" and m * l * b < n * (m + l):
             raise ValueError("two_stage needs M*L*B >= N*(M+L) for full-rank factors")
-        if mode == "e_als" and b * l < n + k:
-            raise ValueError("e_als needs B*L >= N+K for a full-row-rank stacked regressor")
 
 
 @dataclass

@@ -1,17 +1,21 @@
 """CLI subcommands: run, demo, complexity."""
 
 import csv
+import dataclasses
 import json
+import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ristensor.cli
 import ristensor.harness
 from ristensor.cli import _parse_snr_list, _parse_snr_range, main
-from ristensor.harness import read_records_json
+from ristensor.harness import TrialRecord
 
 
 TINY_YAML = (
@@ -166,15 +170,14 @@ def test_run_json_format_writes_readable_records(tiny_yaml, tmp_path):
     assert code == 0
     document = json.loads(out.read_text())
     assert document["config"]["output_format"] == "json"
-    records = read_records_json(out)
+    records = [TrialRecord(**rec) for rec in document["records"]]
     assert sorted(r.estimator_name for r in records) == ["e_als", "ls", "two_stage"]
     assert [r.channel_hash for r in records] == [r["channel_hash"] for r in document["records"]]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_aggregates_once(tiny_yaml, tmp_path, monkeypatch, fmt):
-    # the table, the JSON document and emit_results' return value share one
-    # aggregation of the run's records
+    # the table and the JSON document share one aggregation of the run's records
     calls = []
     aggregate_records = ristensor.harness.aggregate_records
 
@@ -316,6 +319,41 @@ def test_demo_smoke(capsys):
     assert "default scenario" in out
     assert "mean aggregate NMSE" in out
     assert "e_als" in out and "two_stage" in out and "ls" in out
+
+
+def test_table_counts_failures_excluded_from_means(tiny_yaml, monkeypatch, capsys):
+    synthesize = ristensor.harness.synthesize
+
+    def nan_frame(*args, **kwargs):
+        recv = synthesize(*args, **kwargs)
+        tensor = recv.tensor.copy()
+        tensor[0, 0, 0] = np.nan
+        return dataclasses.replace(recv, tensor=tensor)
+
+    monkeypatch.setattr(ristensor.harness, "synthesize", nan_frame)
+    assert main(["run", "--config", str(tiny_yaml)]) == 0
+    # one trial at one SNR point, failed by each of the three estimators
+    assert "failures excluded from means: 3\n" in capsys.readouterr().out
+
+
+def test_demo_runs_without_scipy(tmp_path):
+    # the package depends on numpy and pyyaml alone (pyproject.toml)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ristensor.cli\n"
+        "raise SystemExit(ristensor.cli.main(['demo', '--trials', '1']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "mean aggregate NMSE" in proc.stdout
 
 
 def test_module_entry_point(tiny_yaml):

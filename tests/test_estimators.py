@@ -17,7 +17,6 @@ from ristensor.estimators import (
     als_ris,
     e_als_estimate,
     ls_baseline,
-    ls_direct_path,
     resolve_scaling,
     two_stage_estimate,
 )
@@ -32,7 +31,7 @@ from ristensor.signals import (
     make_schedule,
     synthesize,
 )
-from ristensor.tensor_ops import SingularMatrixError, certified_gram_solves, crandn
+from ristensor.tensor_ops import SingularMatrixError, certified_gram_solves, crandn, pinv_right
 
 DIMS = (4, 8, 25)
 
@@ -53,15 +52,31 @@ def noisy_setup(mode, seed=0, snr_db=10.0):
     return cfg, ch, sched, recv
 
 
-def test_ls_direct_path_recovers_exactly():
+def test_off_stage_ls_recovers_direct_path_exactly():
     rng = np.random.default_rng(0)
     h = crandn(rng, (4, 8))
     x_bar = make_pilots(8, 8, 2.0)
-    est = ls_direct_path(h @ x_bar, x_bar)
+    est = (h @ x_bar) @ pinv_right(x_bar)
     assert nmse(est, h) <= 1e-10
     # DFT rows make the pseudoinverse a scaled hermitian transpose
     np.testing.assert_allclose(est, (h @ x_bar) @ x_bar.conj().T / (8 * 2.0), atol=1e-10)
-    np.testing.assert_array_equal(ls_direct_path(np.zeros((4, 8)), x_bar), np.zeros((4, 8)))
+    # two_stage_estimate's direct path is that product on its OFF stage
+    cfg, ch, sched, recv = noiseless_setup("two_stage", seed=5)
+    est = two_stage_estimate(recv, sched, EstimatorConfig(), np.random.default_rng(6))
+    np.testing.assert_array_equal(est.h_ua, recv.off_stage @ pinv_right(sched.off_pilots))
+
+
+def test_singular_off_pilots_fail_every_frame():
+    # an all-zero X_bar has no right pseudoinverse: the OFF-stage LS raises
+    # once for the stack, and every frame is a failed estimate without h_ua
+    cfg, ch, sched, recv = noiseless_setup("two_stage", seed=7)
+    sched = dataclasses.replace(sched, off_pilots=np.zeros_like(sched.off_pilots))
+    ests = two_stage_estimate([recv] * 3, sched, EstimatorConfig(),
+                              [np.random.default_rng(s) for s in range(3)])
+    for est in ests:
+        assert est.failed
+        assert est.failure_reason.startswith("pinv_right of 8x8 matrix: singular value ratio")
+        assert est.h_ua is None and est.h_ra is None and est.h_ur is None
 
 
 def test_als_rank_one_case():
@@ -272,7 +287,9 @@ def test_ls_baseline_square_at_default_dims():
     cfg = SystemConfig()
     sched = make_schedule(cfg, "e_als")
     solver = StackedLsSolver(sched, cfg.m_ap)
-    assert solver.rows == solver.cols == 832
+    # square factors make the 832 x 832 regressor square: M*L*B = M*K*(N+1)
+    assert solver.p_phase.shape == (26, 26)
+    assert solver.p_pilot.shape == (8, 8)
 
 
 def test_ls_baseline_tiny_hand_system():

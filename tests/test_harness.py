@@ -7,6 +7,7 @@ import json
 import math
 import weakref
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from ristensor.harness import (
     aggregate_records,
     emit_results,
     load_config,
-    read_records_json,
     run_experiment,
     run_trial,
 )
@@ -394,6 +394,44 @@ def test_worker_count_does_not_change_records_across_group_makeups():
     assert runs[2] == runs[0]
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "snr_grid_db, trials, workers, pools",
+    [
+        ((10.0,), 2, 64, [2]),         # two chunks of one trial: a pool of 2, not 64
+        ((0.0, 10.0), 2, 3, [3]),      # four chunks, three workers
+        ((10.0,), 1, 4, []),           # one chunk runs serially
+    ],
+    ids=["two-chunks", "four-chunks", "one-chunk"],
+)
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, snr_grid_db, trials, workers, pools):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(ristensor.harness, "ProcessPoolExecutor", InlinePool)
+    base = tiny_config(snr_grid_db=snr_grid_db, trials=trials)
+    records = run_experiment(dataclasses.replace(base, workers=workers))
+    assert InlinePool.sizes == pools
+    assert records_without_wall_time(records) == records_without_wall_time(run_experiment(base))
+
+
 def test_chunk_runs_balanced_groups(monkeypatch):
     # 34 trials run as three stacked calls of 11, 11 and 12 frames per
     # estimator, not as 16, 16 and a straggler of 2
@@ -515,7 +553,9 @@ def test_aggregate_mean_and_failure_exclusion():
     assert entry["trials"] == 3
     assert entry["failures"] == 1
     assert entry["mean_nmse_aggregate"] == pytest.approx(0.2)
-    assert entry["median_nmse_aggregate"] == pytest.approx(0.2)
+    # the even count's median is the mean of its middle pair, as a float
+    assert entry["median_nmse_aggregate"] == (0.1 + 0.3) / 2
+    assert type(entry["median_nmse_aggregate"]) is float
     assert entry["mean_iterations"] == pytest.approx(5.0)
     assert entry["mean_wall_time_seconds"] == pytest.approx(1.0)
     assert entry["mean_analytic_ops"] is None
@@ -531,6 +571,7 @@ def test_aggregate_counts_nonconverged_trials_and_max_iterations():
         TrialRecord(trial_index=3, iterations=25, converged=False, failure_flag=True, **shared),
     ]
     [entry] = aggregate_records(records)
+    assert entry["median_nmse_aggregate"] == 0.2
     assert entry["nonconverged"] == 2
     assert entry["max_iterations"] == 20
     [only_failed] = aggregate_records(records[3:])
@@ -542,7 +583,7 @@ def test_csv_emission_layout(tmp_path):
     cfg = tiny_config()
     records = run_experiment(cfg)
     out = tmp_path / "results.csv"
-    emit_results(records, out, fmt="csv")
+    emit_results(records, out, "csv", cfg, aggregate_records(records))
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # header + one row per estimator
     rows = list(csv.reader(lines))
@@ -555,9 +596,10 @@ def test_csv_emission_layout(tmp_path):
 
 
 def test_csv_floats_round_trip(tmp_path):
-    records = run_experiment(tiny_config())
+    cfg = tiny_config()
+    records = run_experiment(cfg)
     out = tmp_path / "results.csv"
-    emit_results(records, out, fmt="csv")
+    emit_results(records, out, "csv", cfg, aggregate_records(records))
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row, rec in zip(rows, records):
@@ -569,15 +611,18 @@ def test_json_round_trip(tmp_path):
     cfg = tiny_config(trials=2)
     records = run_experiment(cfg)
     out = tmp_path / "results.json"
-    aggregates = emit_results(records, out, fmt="json", config=cfg)
-    assert aggregates == aggregate_records(records)
-    back = read_records_json(out)
+    aggregates = aggregate_records(records)
+    emit_results(records, out, "json", cfg, aggregates)
+    with open(out) as fh:
+        document = json.load(fh)
+    assert document["aggregates"] == aggregates
+    back = [TrialRecord(**rec) for rec in document["records"]]
     assert [dataclasses.asdict(r) for r in back] == [dataclasses.asdict(r) for r in records]
 
 
 def test_json_document_bytes_equal_the_asdict_document(tmp_path):
     # records are written from their fields, not through dataclasses.asdict,
-    # and aggregates passed in are written as given; the bytes are the same
+    # and the aggregates as given; the bytes are the same
     cfg = tiny_config(trials=2)
     records = run_experiment(cfg) + _synthetic_records()
     aggregates = aggregate_records(records)
@@ -593,15 +638,22 @@ def test_json_document_bytes_equal_the_asdict_document(tmp_path):
             indent=2,
         )
         fh.write("\n")
-    for given in (None, aggregates):
-        out = tmp_path / "results.json"
-        assert emit_results(records, out, "json", cfg, given) == aggregates
-        assert out.read_bytes() == want.read_bytes()
+    out = tmp_path / "results.json"
+    emit_results(records, out, "json", cfg, aggregates)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_emit_rejects_empty_records(tmp_path):
     with pytest.raises(ValueError, match="no records"):
-        emit_results([], tmp_path / "x.csv")
+        emit_results([], tmp_path / "x.csv", "csv", tiny_config(), [])
+
+
+def test_emit_rejects_an_unknown_format(tmp_path):
+    records = _synthetic_records()
+    out = tmp_path / "results.xml"
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_results(records, out, "xml", tiny_config(), aggregate_records(records))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
