@@ -5,11 +5,13 @@ sum of n_paths specular components with CN(0, 1) gains and uniformly drawn
 angles; the AP is a half-wavelength ULA, the RIS a half-wavelength URA.
 """
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import crandn
+from .tensor_ops import crandn_stacks, stack_row
 from .validation import check_field_types
 
 LINKS = ("ua", "ra", "ur")
@@ -47,7 +49,10 @@ class ChannelModelConfig:
 
 @dataclass
 class Geometry:
-    """Path angles (radians) for one realization; arrays indexed [user, path] where per-user."""
+    """Path angles (radians) for one realization; arrays indexed [user, path] where per-user.
+
+    A stack of G realizations puts a leading G axis on every array.
+    """
 
     ra_ap: np.ndarray      # (R,)   AP-side angle of each RIS->AP path
     ra_el: np.ndarray      # (R,)   RIS-side elevation
@@ -59,7 +64,10 @@ class Geometry:
 
 @dataclass
 class ChannelSet:
-    """Ground-truth channel triple: direct (M, K), RIS->AP (M, N), user->RIS (N, K)."""
+    """Ground-truth channel triple: direct (M, K), RIS->AP (M, N), user->RIS (N, K).
+
+    A stack of G realizations puts a leading G axis on every array.
+    """
 
     h_ua: np.ndarray
     h_ra: np.ndarray
@@ -108,47 +116,89 @@ def steer_ura(grid, theta, psi, spacing=0.5):
     return (a_y[:, None] * a_x).reshape((rows * cols,) + np.shape(theta))
 
 
+def _as_stack(rng):
+    # a lone generator is a stack of one, whose row is the result
+    if isinstance(rng, np.random.Generator):
+        return [rng], True
+    return list(rng), False
+
+
 def draw_geometry(cfg, dims, rng):
-    """Draw all path angles: AP angles and elevations on [0, pi/2), azimuths on [0, pi)."""
+    """Draw all path angles: AP angles and elevations on [0, pi/2), azimuths on [0, pi).
+
+    rng is one generator, or a list of G whose geometries stack along a
+    leading axis of every angle array.  Each generator makes one draw, the
+    bits of one uniform(0, high) call per field in field order.
+    """
+    rngs, one = _as_stack(rng)
     _, k, _ = dims
     r = cfg.n_paths
     half = np.pi / 2.0
-    return Geometry(
-        ra_ap=rng.uniform(0.0, half, r),
-        ra_el=rng.uniform(0.0, half, r),
-        ra_az=rng.uniform(0.0, np.pi, r),
-        ua_ap=rng.uniform(0.0, half, (k, r)),
-        ur_el=rng.uniform(0.0, half, (k, r)),
-        ur_az=rng.uniform(0.0, np.pi, (k, r)),
-    )
+    shapes = ((r,), (r,), (r,), (k, r), (k, r), (k, r))
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = np.empty((len(rngs), sum(sizes)))
+    for row, gen in zip(draws, rngs):
+        gen.random(out=row)
+    # uniform(0, high) returns high * random()
+    draws *= np.repeat([half, half, np.pi, half, half, np.pi], sizes)
+    fields = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+    geom = Geometry(*(f.reshape(len(rngs), *shape) for f, shape in zip(fields, shapes)))
+    return stack_row(geom, 0) if one else geom
 
 
 def channels_from_geometry(cfg, dims, geom, rng):
-    """Draw CN(0, 1) path gains for a fixed geometry and assemble the channel triple."""
+    """Draw CN(0, 1) path gains for a fixed geometry and assemble the channel triple.
+
+    rng is one generator, or a list of G: each draws its gains in one call
+    (the bits of crandn for the RIS->AP, user->AP and user->RIS gains in
+    turn) and the channel arrays stack along a leading G axis.  geom is one
+    angle set that every realization shares, or a stack of G.
+    """
+    rngs, one = _as_stack(rng)
     m, k, n = dims
     grid = (cfg.ris_rows, cfg.ris_cols)
     if cfg.ris_rows * cfg.ris_cols != n:
         raise ValueError(f"RIS grid {grid} does not match {n} elements")
     gains = link_gains(cfg)
-    r = cfg.n_paths
+    g, r = len(rngs), cfg.n_paths
+    alpha_ra, alpha_ua, alpha_ur = crandn_stacks(rngs, ((r,), (k, r), (k, r)))
 
-    alpha_ra = crandn(rng, r)
-    alpha_ua = crandn(rng, (k, r))
-    alpha_ur = crandn(rng, (k, r))
+    # a shared angle set is broadcast to every row
+    angles = {
+        f.name: np.broadcast_to(
+            getattr(geom, f.name), (g, r) if f.name.startswith("ra") else (g, k, r)
+        )
+        for f in dataclasses.fields(geom)
+    }
 
-    # steering arrays hold one column per path: (M, R), (N, R), (M, K, R), (N, K, R)
-    a_ra = steer_ula(m, geom.ra_ap, cfg.spacing)
-    b_ra = steer_ura(grid, geom.ra_el, geom.ra_az, cfg.spacing)
-    a_ua = steer_ula(m, geom.ua_ap, cfg.spacing)
-    b_ur = steer_ura(grid, geom.ur_el, geom.ur_az, cfg.spacing)
-    h_ra = np.sqrt(gains["ra"]) * ((a_ra * alpha_ra) @ b_ra.conj().T)
-    h_ua = np.sqrt(gains["ua"]) * np.einsum("mkr,kr->mk", a_ua, alpha_ua)
-    h_ur = np.sqrt(gains["ur"]) * np.einsum("nkr,kr->nk", b_ur, alpha_ur)
+    def stacked(steering):
+        # the element axis, first from steer_*, goes behind the stack axis
+        return np.ascontiguousarray(np.moveaxis(steering, 0, 1))
 
-    return ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
+    # steering arrays hold one column per path: (G, M, R), (G, N, R), (G, M, K, R), (G, N, K, R)
+    a_ra = stacked(steer_ula(m, angles["ra_ap"], cfg.spacing))
+    b_ra = stacked(steer_ura(grid, angles["ra_el"], angles["ra_az"], cfg.spacing))
+    a_ua = stacked(steer_ula(m, angles["ua_ap"], cfg.spacing))
+    b_ur = stacked(steer_ura(grid, angles["ur_el"], angles["ur_az"], cfg.spacing))
+    h_ra = np.sqrt(gains["ra"]) * ((a_ra * alpha_ra[:, None, :]) @ b_ra.conj().swapaxes(1, 2))
+    h_ua = np.sqrt(gains["ua"]) * np.einsum("gmkr,gkr->gmk", a_ua, alpha_ua)
+    h_ur = np.sqrt(gains["ur"]) * np.einsum("gnkr,gkr->gnk", b_ur, alpha_ur)
+
+    channels = ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
+    return stack_row(channels, 0) if one else channels
 
 
 def draw_channels(cfg, dims, rng, geometry_rng=None):
-    """One channel realization for dims = (M, K, N); angles redrawn unless geometry_rng is given."""
-    geom = draw_geometry(cfg, dims, geometry_rng if geometry_rng is not None else rng)
-    return channels_from_geometry(cfg, dims, geom, rng)
+    """Channel realizations for dims = (M, K, N); angles redrawn unless geometry_rng is given.
+
+    rng is one generator, for one realization, or a list of G for G
+    realizations stacked along a leading axis of each channel array; a lone
+    generator's realization is the stack of one's row.  Generator g draws
+    its angles, then its gains, in one call each, so row g does not depend
+    on the rest of the stack.  geometry_rng draws one angle set that every
+    realization shares.
+    """
+    rngs, one = _as_stack(rng)
+    geom = draw_geometry(cfg, dims, rngs if geometry_rng is None else geometry_rng)
+    channels = channels_from_geometry(cfg, dims, geom, rngs)
+    return stack_row(channels, 0) if one else channels

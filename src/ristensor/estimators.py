@@ -37,7 +37,6 @@ one it gets alone, bit for bit, whatever else is in the stack.
 """
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ import numpy as np
 from .tensor_ops import (
     SingularMatrixError,
     certified_gram_solves,
+    crandn_stacks,
     khatri_rao,
     khatri_rao_coupling,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
@@ -152,23 +152,6 @@ def _split_finite(*stacks):
     live = np.flatnonzero(finite)
     results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
     return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
-
-
-def _crandn_stacks(rngs, shapes):
-    # what successive crandn(rng, shape) calls return for each generator, bit
-    # for bit, from one call of it: its standard normals are cut in crandn's
-    # order (real part, then imaginary part, per shape) and made complex for
-    # all generators at once, one (len(rngs), *shape) stack per shape
-    sizes = [math.prod(shape) for shape in shapes]
-    draws = np.empty((len(rngs), 2 * sum(sizes)))
-    for row, rng in zip(draws, rngs):
-        rng.standard_normal(out=row)
-    out, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        re, im = draws[:, start:start + size], draws[:, start + size:start + 2 * size]
-        out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(len(rngs), *shape))
-        start += 2 * size
-    return out
 
 
 def _as_list(recv, rng):
@@ -289,7 +272,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
     # each frame's initial H_ua, H_ra and Z, as three crandn calls would draw
     # them, from one call of its generator
-    h_ua, h_ra, z = _crandn_stacks(
+    h_ua, h_ra, z = crandn_stacks(
         [rngs[t] if rngs[t] is not None else np.random.default_rng(cfg.init_seed) for t in idx],
         ((m, k_d), (m, n), (n, k)),
     )

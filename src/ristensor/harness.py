@@ -3,12 +3,18 @@
 Every (snr, trial) pair derives its own RNG substreams from the master seed,
 so the record set is bit-identical no matter how trials are chunked across
 workers; all enabled estimators inside a trial share one channel realization
-and one noise realization (paired comparison).  A chunk runs its trials in
-the fewest groups of at most GROUP_SIZE, balanced to within one trial: each
-enabled estimator solves a group's frames in one stacked call, whose
-estimates equal the per-trial ones bit for bit, so the grouping, like the
-chunking, leaves the records unchanged; each record's wall_time_seconds is
-its group's call time divided by the group size.
+and one noise realization (paired comparison): the trial's noise is drawn
+once per training length, so schedules of equal length share the draw.  A
+chunk runs its trials in the fewest groups of at most GROUP_SIZE, balanced
+to within one trial.  A group is realized in one stacked pass, one
+draw_channels call and one synthesize call per schedule for all its trials,
+in which each trial's generators fill its own row, so a trial's channels,
+frames and hash are the ones it gets alone.  Each enabled estimator then
+solves the group's frames in one stacked call, whose estimates equal the
+per-trial ones bit for bit, so the grouping, like the chunking, leaves the
+records unchanged; each record's wall_time_seconds is its group's call time
+divided by the group size.  The pool gets no more workers than usable CPUs
+or chunks.
 """
 
 import csv
@@ -16,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +41,8 @@ from .estimators import (
     two_stage_estimate,
 )
 from .metrics import aggregate_vector_nmse, complexity_formula, nmse
-from .signals import SystemConfig, make_schedule, synthesize
+from .signals import SystemConfig, draw_noise, make_schedule, synthesize
+from .tensor_ops import stack_row
 from .validation import check_field_types, is_finite_number
 
 ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
@@ -82,6 +90,13 @@ class ExperimentConfig:
                 f"snr_grid_db must be a non-empty list of finite numbers, got {self.snr_grid_db!r}"
             )
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
+        for snr_db in self.snr_grid_db:
+            try:
+                power = dataclasses.replace(self.system, snr_db=snr_db).power
+            except OverflowError:   # 10 ** (snr_db / 10) past the largest float
+                power = math.inf
+            if not math.isfinite(power):
+                raise ConfigError(f"snr_grid_db point {snr_db!r} dB overflows the pilot power")
         self.estimators_enabled = tuple(self.estimators_enabled)
         # a repeat would redo the work and give two records one key
         for name in ("snr_grid_db", "estimators_enabled"):
@@ -192,14 +207,15 @@ def load_config(path):
     return ExperimentConfig(**kwargs)
 
 
-def _channel_hash(channels, received):
+def _channel_hash(channels, received, row):
+    # one trial's row of each stacked array: contiguous, so hashed in place
     digest = hashlib.sha256()
     for arr in (channels.h_ua, channels.h_ra, channels.h_ur):
-        digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(arr[row])
     for mode in sorted(received):
-        digest.update(np.ascontiguousarray(received[mode].tensor).tobytes())
+        digest.update(received[mode].tensor[row])
         if received[mode].off_stage is not None:
-            digest.update(np.ascontiguousarray(received[mode].off_stage).tobytes())
+            digest.update(received[mode].off_stage[row])
     return digest.hexdigest()[:16]
 
 
@@ -273,61 +289,68 @@ def run_trial(cfg, snr_index, trial_index, details=False):
     return records
 
 
-def _realize(cfg, system, schedules, snr_index, trial_index):
-    """One trial's channels, its frame per schedule, and their hash."""
-    channel_ss, noise_ss = _trial_streams(cfg, snr_index, trial_index)
-    dims = (system.m_ap, system.k_users, system.n_ris)
+def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
+    """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
+
+    The group is realized in one stacked pass: one draw_channels call for
+    every trial's channels and one synthesize call per schedule for every
+    trial's frame, each trial drawing from its own streams, so its row is
+    the one it gets alone.  Each estimator solves the group's frames in one
+    stacked call, whose estimates equal the per-trial ones bit for bit, and
+    whose wall time is split evenly over the group's records.  The last
+    argument is all that differs: ls gets the cached solver, the ALS
+    estimators their generators.
+    """
+    snr_db = cfg.snr_grid_db[snr_index]
+    names = cfg.estimators_enabled
+    streams = [_trial_streams(cfg, snr_index, trial) for trial in trials]
     geometry_rng = None
     if cfg.fixed_geometry:
         geometry_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, _GEOMETRY_TAG])
         )
+    # draw_channels, synthesize and the estimators are looked up at call
+    # time, so a rebound module name is the one called
     channels = draw_channels(
-        cfg.channel, dims, np.random.default_rng(channel_ss), geometry_rng=geometry_rng
+        cfg.channel,
+        (system.m_ap, system.k_users, system.n_ris),
+        [np.random.default_rng(channel_ss) for channel_ss, _ in streams],
+        geometry_rng=geometry_rng,
     )
-    # one generator per schedule, same seed: both frames see the identical
-    # (M, T) noise draw, which is what makes the comparison paired; each
-    # frame is one Khatri-Rao product plus its direct term and noise
-    received = {
-        mode: synthesize(channels, sched, system, np.random.default_rng(noise_ss))
-        for mode, sched in schedules.items()
-    }
-    return channels, received, _channel_hash(channels, received)
-
-
-def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
-    """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
-
-    Each estimator solves the group's frames in one stacked call, whose
-    estimates equal the per-trial ones bit for bit, and whose wall time is
-    split evenly over the group's records.  The last argument is all that
-    differs: ls gets the cached solver, the ALS estimators their generators.
-    """
-    snr_db = cfg.snr_grid_db[snr_index]
-    names = cfg.estimators_enabled
-    realized = [_realize(cfg, system, schedules, snr_index, trial) for trial in trials]
-    out = [([], {}, channels) for channels, _, _ in realized]
+    # one noise draw per trial and training length T, from the trial's noise
+    # stream: schedules of equal T (the stock config) see the identical noise,
+    # which is what makes the comparison paired
+    noise, received = {}, {}
+    for mode, sched in schedules.items():
+        t = system.training_len(mode)
+        if t not in noise:
+            noise[t] = draw_noise([np.random.default_rng(ss) for _, ss in streams], system, t)
+        received[mode] = synthesize(channels, sched, system, noise[t])
+    del noise
+    rows = range(len(trials))
+    hashes = [_channel_hash(channels, received, row) for row in rows]
+    out = [([], {}, stack_row(channels, row)) for row in rows]
     for i, name in enumerate(names):
-        # looked up at call time, so a rebound module name is the one called
         if name == "ls":
             estimator, last = ls_baseline, ls_solver
         else:
             estimator = two_stage_estimate if name == "two_stage" else e_als_estimate
             last = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
         mode = _SCHEDULE_OF[name]
-        frames = [received[mode] for _, received, _ in realized]
+        frames = [stack_row(received[mode], row) for row in rows]
         start = time.perf_counter()
         estimates = estimator(frames, schedules[mode], cfg.estimator, last)
         wall = (time.perf_counter() - start) / len(trials)
-        for trial, (channels, _, chash), est, (records, by_name, _) in zip(
-            trials, realized, estimates, out
+        for trial, chash, est, (records, by_name, trial_channels) in zip(
+            trials, hashes, estimates, out
         ):
-            records.append(_score(name, est, channels, system, snr_db, trial, wall, chash))
+            records.append(_score(name, est, trial_channels, system, snr_db, trial, wall, chash))
             by_name[name] = est
-        # a schedule's frames go once the last estimator that reads them is done
+        # a schedule's frames go once the last estimator that reads them is
+        # done (each trial's frame is a view that holds the whole stack until
+        # frames is rebound)
         if mode not in {_SCHEDULE_OF[later] for later in names[i + 1:]}:
-            for _, received, _ in realized:
-                del received[mode]
+            del received[mode]
     return out
 
 
@@ -345,18 +368,27 @@ def _run_chunk(cfg, snr_index, start, stop):
     return records
 
 
+def _usable_cpus():
+    # the CPUs this process may run on, which an affinity mask can narrow
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(cfg):
     """All (snr, trial) pairs for every enabled estimator, sorted deterministically."""
-    # one chunk per SNR point per worker, so each chunk's set-up is shared by
-    # as many trials as possible
-    chunk = math.ceil(cfg.trials / cfg.workers)
+    # no more workers than usable CPUs, capped before chunking so that chunks
+    # stay as large as they can: one chunk per SNR point per worker, so each
+    # chunk's set-up is shared by as many trials as possible
+    workers = min(cfg.workers, _usable_cpus())
+    chunk = math.ceil(cfg.trials / workers)
     tasks = [
         (snr_index, start, min(start + chunk, cfg.trials))
         for snr_index in range(len(cfg.snr_grid_db))
         for start in range(0, cfg.trials, chunk)
     ]
     # a forked pool starts every worker at its first submit: none beyond the chunks
-    workers = min(cfg.workers, len(tasks))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]

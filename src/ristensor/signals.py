@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import crandn, dft_matrix, khatri_rao
+from .tensor_ops import crandn_stacks, dft_matrix, khatri_rao, stack_row
 from .validation import check_field_types
 
 MODES = ("two_stage", "e_als")
@@ -110,37 +110,58 @@ def make_schedule(cfg, mode):
 
 @dataclass
 class ReceiveTensor:
+    # a stack of G frames puts a leading G axis on both arrays
     tensor: np.ndarray              # (M, L, B)
     off_stage: np.ndarray = None    # V, (M, L'), present iff the schedule has an OFF stage
 
 
-def synthesize(channels, sched, cfg, rng):
-    """Noisy received frame for one channel realization, a C-ordered (M, L, B) array.
+def draw_noise(rngs, cfg, t):
+    """CN(0, noise_var) noise for a training length t, (len(rngs), M, t).
 
-    The RIS term is R^T Psi^T as (M*L, B), with row n of R the outer product
-    h_ra[:, n] z_n^T flattened row by row (Z = H_ur X): one product, whose
-    entries equal the triple sum over (n, m, l) to rounding.  Noise is one
-    CN(0, noise_var) draw of shape (M, T) consumed in time order (OFF stage
-    first, then block by block), so schedules with equal (M, T) fed from
-    identically seeded generators see the same noise realization.
+    Row g is np.sqrt(noise_var) * crandn(rngs[g], (M, t)), bit for bit.
+    """
+    return np.sqrt(cfg.noise_var) * crandn_stacks(rngs, ((cfg.m_ap, t),))[0]
+
+
+def synthesize(channels, sched, cfg, rng):
+    """Noisy received frames, each a C-ordered (M, L, B) array.
+
+    channels holds one realization, or G stacked along a leading axis of
+    each array; the frames then stack to (G, M, L, B) and the OFF stages to
+    (G, M, L').  rng is a generator that draws one realization's noise, or
+    draw_noise's (G, M, T) rows for a stack: a trial's noise is one draw of
+    shape (M, T) consumed in time order (OFF stage first, then block by
+    block), so schedules of equal T can share it, which makes the
+    comparison between their estimators paired.  One realization is the
+    stack of one's row.  The RIS term is R^T Psi^T as (M*L, B) per
+    realization, with row n of R the outer product h_ra[:, n] z_n^T
+    flattened row by row (Z = H_ur X): one product, whose entries equal the
+    triple sum over (n, m, l) to rounding, and whose bits do not depend on
+    the rest of the stack.
     """
     m, l, n = cfg.m_ap, cfg.pilot_len, cfg.n_ris
     b = sched.blocks
     x = sched.pilots
-    if channels.h_ua.shape != (m, cfg.k_users):
+    one = channels.h_ua.ndim == 2
+    if channels.h_ua.shape[-2:] != (m, cfg.k_users):
         raise ValueError(f"direct channel shape {channels.h_ua.shape} does not match config")
     if sched.ris_phases.shape[1] != cfg.n_ris or x.shape != (cfg.k_users, l):
         raise ValueError("schedule shapes do not match config")
+    h_ua, h_ra, h_ur = (
+        a[None] if one else a for a in (channels.h_ua, channels.h_ra, channels.h_ur)
+    )
+    g = len(h_ua)
 
     l_off = 0 if sched.off_pilots is None else sched.off_pilots.shape[1]
-    noise = np.sqrt(cfg.noise_var) * crandn(rng, (m, l_off + b * l))
-    off = None if sched.off_pilots is None else channels.h_ua @ sched.off_pilots + noise[:, :l_off]
-    # RIS term + direct term + noise column l_off + b*L + i at [:, i, b]
-    ris_rows = (channels.h_ra.T[:, :, None] * (channels.h_ur @ x)[:, None, :]).reshape(n, m * l)
-    tensor = (ris_rows.T @ sched.ris_phases.T).reshape(m, l, b)
-    tensor += (channels.h_ua @ x)[:, :, None]
-    tensor += noise[:, l_off:].reshape(m, l, b, order="F")
-    return ReceiveTensor(tensor=tensor, off_stage=off)
+    noise = draw_noise([rng], cfg, l_off + b * l) if one else rng
+    off = None if sched.off_pilots is None else h_ua @ sched.off_pilots + noise[:, :, :l_off]
+    # RIS term + direct term + noise column l_off + b*L + i at [:, :, i, b]
+    ris_rows = (h_ra.swapaxes(1, 2)[:, :, :, None] * (h_ur @ x)[:, :, None, :]).reshape(g, n, m * l)
+    tensor = (ris_rows.swapaxes(1, 2) @ sched.ris_phases.T).reshape(g, m, l, b)
+    tensor += (h_ua @ x)[..., None]
+    tensor += noise[:, :, l_off:].reshape(g, m, b, l).swapaxes(2, 3)
+    frames = ReceiveTensor(tensor=tensor, off_stage=off)
+    return stack_row(frames, 0) if one else frames
 
 
 def model_unfoldings(channels, sched):

@@ -11,6 +11,9 @@ other solve goes to the SVD pseudoinverse, the one place that decides
 singularity.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 
 
@@ -188,3 +191,34 @@ def dft_matrix(n):
 def crandn(rng, shape):
     """Circularly-symmetric complex normal CN(0, 1) samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def crandn_stacks(rngs, shapes):
+    """One (len(rngs), *shape) stack per shape: row g holds what successive
+    crandn(rngs[g], shape) calls return, bit for bit, from one call of rngs[g].
+
+    Each generator's standard normals are cut in crandn's order (real part,
+    then imaginary part, per shape) and made complex for all rows at once.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = np.empty((len(rngs), 2 * sum(sizes)))
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
+    out, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = draws[:, start:start + size], draws[:, start + size:start + 2 * size]
+        out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(len(rngs), *shape))
+        start += 2 * size
+    return out
+
+
+def stack_row(stacked, row):
+    """Row `row` of a dataclass whose array fields stack along a leading axis.
+
+    Each array field becomes a view of its row, so it keeps the whole stack
+    alive; a None field stays None.
+    """
+    return type(stacked)(*(
+        None if value is None else value[row]
+        for value in (getattr(stacked, f.name) for f in dataclasses.fields(stacked))
+    ))

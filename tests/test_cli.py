@@ -15,7 +15,7 @@ import pytest
 import ristensor.cli
 import ristensor.harness
 from ristensor.cli import _parse_snr_list, _parse_snr_range, main
-from ristensor.harness import TrialRecord
+from ristensor.harness import ConfigError, TrialRecord, load_config
 
 
 TINY_YAML = (
@@ -270,6 +270,29 @@ def test_run_empty_or_repeating_override_exits_2(tiny_yaml, capsys, arg, message
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arg", ["--snr-list=4000", "--snr-list=10,3083", "--snr=4000:4010:10"])
+def test_run_snr_point_overflowing_the_pilot_power_exits_2(tiny_yaml, capsys, arg):
+    # 10 ** (snr_db / 10) overflows a float above about 3082.5 dB
+    code = main(["run", "--config", str(tiny_yaml), arg])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: snr_grid_db point " in captured.err
+    assert "dB overflows the pilot power" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_yaml_snr_point_overflowing_the_pilot_power_exits_2(tmp_path, capsys):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(TINY_YAML.replace("snr_grid_db: [10]", "snr_grid_db: [10, 4000]"))
+    with pytest.raises(ConfigError, match=r"snr_grid_db point 4000\.0 dB overflows"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: snr_grid_db point 4000.0 dB overflows the pilot power" in capsys.readouterr().err
+    # the largest point whose power is a finite float still loads
+    path.write_text(TINY_YAML.replace("snr_grid_db: [10]", "snr_grid_db: [3082]"))
+    assert load_config(path).snr_grid_db == (3082.0,)
+
+
 def test_run_repeated_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(TINY_YAML + "estimators: [ls]\nestimators_enabled: [e_als]\n")
@@ -325,9 +348,10 @@ def test_table_counts_failures_excluded_from_means(tiny_yaml, monkeypatch, capsy
     synthesize = ristensor.harness.synthesize
 
     def nan_frame(*args, **kwargs):
+        # one NaN in every trial's frame of the group's (G, M, L, B) stack
         recv = synthesize(*args, **kwargs)
         tensor = recv.tensor.copy()
-        tensor[0, 0, 0] = np.nan
+        tensor[:, 0, 0, 0] = np.nan
         return dataclasses.replace(recv, tensor=tensor)
 
     monkeypatch.setattr(ristensor.harness, "synthesize", nan_frame)

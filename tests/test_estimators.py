@@ -206,7 +206,7 @@ def test_one_draw_per_generator_equals_successive_crandn_calls(shapes, frames, s
     # bit for bit, and leave each generator where crandn would
     seqs = np.random.SeedSequence(seed).spawn(frames)
     rngs = [np.random.default_rng(q) for q in seqs]
-    stacks = ristensor.estimators._crandn_stacks(rngs, shapes)
+    stacks = ristensor.tensor_ops.crandn_stacks(rngs, shapes)
     assert len(stacks) == len(shapes)
     for t, (q, rng) in enumerate(zip(seqs, rngs)):
         ref = np.random.default_rng(q)

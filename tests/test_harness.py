@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ristensor.channels import ChannelModelConfig
 import ristensor.harness
@@ -27,7 +29,8 @@ from ristensor.harness import (
     run_experiment,
     run_trial,
 )
-from ristensor.signals import SystemConfig
+from ristensor.signals import SystemConfig, noiseless_tensor, synthesize
+from ristensor.tensor_ops import crandn
 
 
 def tiny_config(**overrides):
@@ -216,6 +219,10 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(snr_grid_db=(10.0, 10)), "snr_grid_db repeats 10.0"),
         (dict(snr_grid_db=(0.0, 5.0, -0.0)), "snr_grid_db repeats 0.0"),
         (dict(output_path=""), "output_path must not be empty"),
+        (dict(snr_grid_db=(0.0, 4000.0)), r"snr_grid_db point 4000\.0 dB overflows the pilot"),
+        (dict(snr_grid_db=(3083.0,)), "snr_grid_db point 3083.0 dB overflows"),
+        (dict(snr_grid_db=(0.0, 100.0), system=dict(noise_var=1e300)),
+         "snr_grid_db point 100.0 dB overflows the pilot power"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -338,21 +345,31 @@ def test_fixed_seed_run_pins_every_nmse():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
+def _memory_owner(array):
+    # a view of a view names the array that owns the memory as its base
+    return array if array.base is None else array.base
+
+
 def test_frames_are_released_after_the_last_estimator_that_reads_them(monkeypatch):
     # the e_als fit runs after two_stage's, and nothing after it reads the
-    # two_stage frames: none of them may still be alive when it starts
-    frames = {"two_stage": [], "e_als": []}
+    # two_stage frames: no group stack of them may still be alive when it
+    # starts; each trial's frame is a view of its row, which would keep the
+    # stack's memory alive, so the arrays that own that memory are tracked
+    stacks = {"two_stage": [], "e_als": []}
     synthesize = ristensor.harness.synthesize
     e_als_estimate = ristensor.harness.e_als_estimate
 
-    def tracked_synthesize(channels, sched, cfg, rng):
-        recv = synthesize(channels, sched, cfg, rng)
-        frames["two_stage" if sched.off_pilots is not None else "e_als"].append(weakref.ref(recv))
+    def tracked_synthesize(channels, sched, cfg, noise):
+        recv = synthesize(channels, sched, cfg, noise)
+        assert recv.tensor.ndim == 4 and len(recv.tensor) == len(channels.h_ua)
+        arrays = [recv.tensor] if recv.off_stage is None else [recv.tensor, recv.off_stage]
+        mode = "two_stage" if sched.off_pilots is not None else "e_als"
+        stacks[mode].extend(weakref.ref(_memory_owner(a)) for a in arrays)
         return recv
 
     def checked_e_als(*args, **kwargs):
-        assert frames["two_stage"] and all(ref() is None for ref in frames["two_stage"])
-        assert all(ref() is not None for ref in frames["e_als"])
+        assert stacks["two_stage"] and all(ref() is None for ref in stacks["two_stage"])
+        assert all(ref() is not None for ref in stacks["e_als"])
         return e_als_estimate(*args, **kwargs)
 
     monkeypatch.setattr(ristensor.harness, "synthesize", tracked_synthesize)
@@ -360,7 +377,7 @@ def test_frames_are_released_after_the_last_estimator_that_reads_them(monkeypatc
     cfg = tiny_config(trials=3, estimators_enabled=("two_stage", "e_als", "ls"))
     records = run_experiment(cfg)
     assert len(records) == 9 and not any(r.failure_flag for r in records)
-    assert all(ref() is None for refs in frames.values() for ref in refs)
+    assert all(ref() is None for refs in stacks.values() for ref in refs)
 
 
 def test_rerun_is_deterministic():
@@ -377,11 +394,12 @@ def test_worker_count_does_not_change_records():
     assert serial == parallel
 
 
-def test_worker_count_does_not_change_records_across_group_makeups():
+def test_worker_count_does_not_change_records_across_group_makeups(monkeypatch):
     # stock dimensions, 70 trials: workers 1, 2 and 3 cut each SNR point into
     # chunks of 70, 35 + 35 and 24 + 24 + 22 trials, which run as 5, 3 and 2
     # groups each, so the stacked calls see groups of 14 / 11 or 12 / 11 or 12
-    # frames
+    # frames; three usable CPUs keep the third makeup on a smaller machine
+    monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: 3)
     base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=70, master_seed=11)
     groups = [math.ceil(chunk / ristensor.harness.GROUP_SIZE) for chunk in (70, 35, 24)]
     assert groups == [5, 3, 2]
@@ -415,21 +433,64 @@ class InlinePool:
 
 
 @pytest.mark.parametrize(
-    "snr_grid_db, trials, workers, pools",
+    "snr_grid_db, trials, workers, cpus, pools",
     [
-        ((10.0,), 2, 64, [2]),         # two chunks of one trial: a pool of 2, not 64
-        ((0.0, 10.0), 2, 3, [3]),      # four chunks, three workers
-        ((10.0,), 1, 4, []),           # one chunk runs serially
+        ((10.0,), 2, 64, 64, [2]),         # two chunks of one trial: a pool of 2, not 64
+        ((0.0, 10.0), 2, 3, 4, [3]),       # four chunks, three workers
+        ((10.0,), 1, 4, 4, []),            # one chunk runs serially
     ],
     ids=["two-chunks", "four-chunks", "one-chunk"],
 )
-def test_pool_has_no_more_workers_than_chunks(monkeypatch, snr_grid_db, trials, workers, pools):
+def test_pool_has_no_more_workers_than_chunks(
+    monkeypatch, snr_grid_db, trials, workers, cpus, pools
+):
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(ristensor.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: cpus)
     base = tiny_config(snr_grid_db=snr_grid_db, trials=trials)
     records = run_experiment(dataclasses.replace(base, workers=workers))
     assert InlinePool.sizes == pools
     assert records_without_wall_time(records) == records_without_wall_time(run_experiment(base))
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pools, chunks",
+    [
+        (1000, 2, [2], [(0, 3), (3, 6)]),   # 2 CPUs: two chunks of 3 per SNR point, not 6 of 1
+        (8, 1, [], [(0, 6)]),               # 1 CPU: one chunk per SNR point, run in-process
+        (2, 4, [2], [(0, 3), (3, 6)]),      # fewer workers than CPUs: workers decide
+    ],
+    ids=["1000-workers-2-cpus", "8-workers-1-cpu", "2-workers-4-cpus"],
+)
+def test_pool_has_no_more_workers_than_usable_cpus(monkeypatch, workers, cpus, pools, chunks):
+    # the cap comes before chunking, so chunks stay as large as they can
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(ristensor.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: cpus)
+    run_chunk = ristensor.harness._run_chunk
+    seen = []
+
+    def recorded_chunk(cfg, snr_index, start, stop):
+        seen.append((snr_index, start, stop))
+        return run_chunk(cfg, snr_index, start, stop)
+
+    monkeypatch.setattr(ristensor.harness, "_run_chunk", recorded_chunk)
+    base = tiny_config(snr_grid_db=(0.0, 10.0), trials=6)
+    records = run_experiment(dataclasses.replace(base, workers=workers))
+    assert InlinePool.sizes == pools
+    assert seen == [(snr_index, *chunk) for snr_index in (0, 1) for chunk in chunks]
+    assert records_without_wall_time(records) == records_without_wall_time(run_experiment(base))
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    harness = ristensor.harness
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    assert harness._usable_cpus() == 3
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness._usable_cpus() == 64
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
 
 
 def test_chunk_runs_balanced_groups(monkeypatch):
@@ -512,6 +573,110 @@ def test_subset_matches_full_run_per_estimator():
     )
     full_eals = [r for r in full if r["estimator_name"] == "e_als"]
     assert strip(full_eals) == strip(only_eals)
+
+
+def _realized(monkeypatch, cfg, snr_index, trials):
+    # _run_group on one group: each trial's channels and hash, and the
+    # group's stacked frames per schedule with the noise synthesize was given
+    synthesize = ristensor.harness.synthesize
+    stacks = {}
+
+    def captured(channels, sched, system, noise):
+        recv = synthesize(channels, sched, system, noise)
+        stacks["two_stage" if sched.off_pilots is not None else "e_als"] = (recv, noise)
+        return recv
+
+    monkeypatch.setattr(ristensor.harness, "synthesize", captured)
+    system, schedules, ls_solver = ristensor.harness._snr_setup(cfg, snr_index)
+    out = ristensor.harness._run_group(cfg, system, schedules, ls_solver, snr_index, trials)
+    monkeypatch.setattr(ristensor.harness, "synthesize", synthesize)
+    hashes = [records[0].channel_hash for records, _, _ in out]
+    return [channels for _, _, channels in out], stacks, hashes, system, schedules
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    size=st.integers(1, ristensor.harness.GROUP_SIZE),
+    where=st.sampled_from(["first", "middle", "last"]),
+    fixed_geometry=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(size=ristensor.harness.GROUP_SIZE, where="middle", fixed_geometry=False, seed=0)
+@example(size=13, where="last", fixed_geometry=True, seed=1)
+def test_trial_realized_in_a_group_equals_the_trial_alone(size, where, fixed_geometry, seed):
+    # channels, frames and channel_hash of a trial are the same bits whatever
+    # group it is realized in and wherever it sits there
+    cfg = tiny_config(
+        master_seed=seed, fixed_geometry=fixed_geometry, estimators_enabled=("two_stage", "e_als"),
+        channel=ChannelModelConfig(ris_rows=2, ris_cols=2, n_paths=3),
+    )
+    start = 40
+    row = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        group = _realized(monkeypatch, cfg, 0, range(start, start + size))
+        alone = _realized(monkeypatch, cfg, 0, [start + row])
+    (g_channels, g_stacks, g_hashes, _, _), (a_channels, a_stacks, a_hashes, _, _) = group, alone
+    for name in ("h_ua", "h_ra", "h_ur"):
+        _assert_same_bits(getattr(g_channels[row], name), getattr(a_channels[0], name))
+    assert sorted(g_stacks) == sorted(a_stacks) == ["e_als", "two_stage"]
+    for mode, (recv, _) in g_stacks.items():
+        lone = a_stacks[mode][0]
+        _assert_same_bits(recv.tensor[row], lone.tensor[0])
+        if mode == "two_stage":
+            _assert_same_bits(recv.off_stage[row], lone.off_stage[0])
+        else:
+            assert recv.off_stage is None and lone.off_stage is None
+    assert g_hashes[row] == a_hashes[0]
+    assert len(set(g_hashes)) == size
+
+
+def test_equal_training_lengths_share_one_noise_draw(monkeypatch):
+    # stock config: both schedules train for T = 208 symbols, so one (M, T)
+    # draw from the trial's noise stream is the noise of both frames
+    cfg = ExperimentConfig(snr_grid_db=(10.0,), master_seed=5)
+    channels, stacks, _, system, schedules = _realized(monkeypatch, cfg, 0, range(3))
+    assert system.training_len("two_stage") == system.training_len("e_als") == 208
+    assert stacks["two_stage"][1] is stacks["e_als"][1]
+    m, l = system.m_ap, system.pilot_len
+    for row in range(3):
+        _, noise_ss = ristensor.harness._trial_streams(cfg, 0, row)
+        want = np.sqrt(system.noise_var) * crandn(np.random.default_rng(noise_ss), (m, 208))
+        for mode, (recv, _) in stacks.items():
+            quiet = noiseless_tensor(channels[row], schedules[mode], system)
+            # each frame is its noiseless frame plus the one draw, bit for bit
+            t_off = 0 if quiet.off_stage is None else quiet.off_stage.shape[1]
+            blocks = want[:, t_off:].reshape(m, -1, l).transpose(0, 2, 1)
+            _assert_same_bits(recv.tensor[row], quiet.tensor + blocks)
+            recovered = (recv.tensor[row] - quiet.tensor).transpose(0, 2, 1).reshape(m, -1)
+            if t_off:
+                _assert_same_bits(recv.off_stage[row], quiet.off_stage + want[:, :t_off])
+                recovered = np.concatenate([recv.off_stage[row] - quiet.off_stage, recovered], axis=1)
+            # frame minus noiseless frame, in time order, is the draw up to rounding
+            np.testing.assert_allclose(recovered, want, rtol=0, atol=1e-12)
+
+
+def test_unequal_training_lengths_draw_noise_per_schedule(monkeypatch):
+    # an OFF stage longer than a pilot block: T = 12 + 25 * 8 for two_stage
+    # and 26 * 8 for e_als, so each schedule draws its own noise from a fresh
+    # generator on the trial's noise stream, as synthesize does alone
+    system = SystemConfig(off_stage_len=12)
+    cfg = ExperimentConfig(system=system, snr_grid_db=(10.0,), master_seed=6)
+    channels, stacks, _, system, schedules = _realized(monkeypatch, cfg, 0, range(4))
+    assert system.training_len("two_stage") == 212 and system.training_len("e_als") == 208
+    assert stacks["two_stage"][1].shape[-1] == 212 and stacks["e_als"][1].shape[-1] == 208
+    for row in range(4):
+        _, noise_ss = ristensor.harness._trial_streams(cfg, 0, row)
+        for mode, (recv, _) in stacks.items():
+            rng = np.random.default_rng(noise_ss)
+            alone = synthesize(channels[row], schedules[mode], system, rng)
+            _assert_same_bits(recv.tensor[row], alone.tensor)
+            if mode == "two_stage":
+                _assert_same_bits(recv.off_stage[row], alone.off_stage)
 
 
 def test_fixed_geometry_repeats_angles_across_trials():
@@ -664,9 +829,10 @@ def test_run_trial_on_nan_frame_records_failures(monkeypatch):
     synthesize = ristensor.harness.synthesize
 
     def nan_frame(*args, **kwargs):
+        # one NaN in every trial's frame of the group's (G, M, L, B) stack
         recv = synthesize(*args, **kwargs)
         tensor = recv.tensor.copy()
-        tensor[0, 0, 0] = np.nan
+        tensor[:, 0, 0, 0] = np.nan
         return dataclasses.replace(recv, tensor=tensor)
 
     monkeypatch.setattr(ristensor.harness, "synthesize", nan_frame)
