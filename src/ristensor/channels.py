@@ -5,13 +5,12 @@ sum of n_paths specular components with CN(0, 1) gains and uniformly drawn
 angles; the AP is a half-wavelength ULA, the RIS a half-wavelength URA.
 """
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import crandn_stacks, stack_row
 from .validation import check_field_types
 
 LINKS = ("ua", "ra", "ur")
@@ -49,10 +48,7 @@ class ChannelModelConfig:
 
 @dataclass
 class Geometry:
-    """Path angles (radians) for one realization; arrays indexed [user, path] where per-user.
-
-    A stack of G realizations puts a leading G axis on every array.
-    """
+    """Path angles (radians) for one realization; arrays indexed [user, path] where per-user."""
 
     ra_ap: np.ndarray      # (R,)   AP-side angle of each RIS->AP path
     ra_el: np.ndarray      # (R,)   RIS-side elevation
@@ -97,9 +93,17 @@ def link_gains(cfg):
     return gains
 
 
+@functools.lru_cache(maxsize=None)
+def _phase_ramp(count, spacing):
+    # 2j*pi*spacing*p for element p < count, built once per array size
+    ramp = 2j * np.pi * spacing * np.arange(count)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def steer_ula(m, theta, spacing=0.5):
     """ULA response, entry p = exp(2i*pi*spacing*p*sin(theta)); shape (m, *theta.shape)."""
-    return np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(m), np.sin(theta)))
+    return np.exp(np.multiply.outer(_phase_ramp(m, spacing), np.sin(theta)))
 
 
 def steer_ura(grid, theta, psi, spacing=0.5):
@@ -111,94 +115,74 @@ def steer_ura(grid, theta, psi, spacing=0.5):
     """
     rows, cols = grid
     sin_el = np.sin(theta)
-    a_y = np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(rows), sin_el) * np.sin(psi))
-    a_x = np.exp(np.multiply.outer(2j * np.pi * spacing * np.arange(cols), sin_el) * np.cos(psi))
+    a_y = np.exp(np.multiply.outer(_phase_ramp(rows, spacing), sin_el) * np.sin(psi))
+    a_x = np.exp(np.multiply.outer(_phase_ramp(cols, spacing), sin_el) * np.cos(psi))
     return (a_y[:, None] * a_x).reshape((rows * cols,) + np.shape(theta))
 
 
-def _as_stack(rng):
-    # a lone generator is a stack of one, whose row is the result
-    if isinstance(rng, np.random.Generator):
-        return [rng], True
-    return list(rng), False
+# uniform(0, high) is high * random(): the upper bound of each kind of angle
+_ANGLE_HIGHS = np.array([[np.pi / 2.0], [np.pi / 2.0], [np.pi]])
+
+
+def _draw_angles(cfg, dims, rng):
+    # one random() call in Geometry's field order, the bits of one uniform
+    # call per field; returned as (3, R + K*R) rows of AP angles, RIS-side
+    # elevations and azimuths, the R RIS->AP paths before the K*R user paths
+    _, k, _ = dims
+    r = cfg.n_paths
+    draws = rng.random(3 * r * (1 + k))
+    angles = np.concatenate([draws[:3 * r].reshape(3, r), draws[3 * r:].reshape(3, k * r)], axis=1)
+    angles *= _ANGLE_HIGHS
+    return angles
 
 
 def draw_geometry(cfg, dims, rng):
-    """Draw all path angles: AP angles and elevations on [0, pi/2), azimuths on [0, pi).
-
-    rng is one generator, or a list of G whose geometries stack along a
-    leading axis of every angle array.  Each generator makes one draw, the
-    bits of one uniform(0, high) call per field in field order.
-    """
-    rngs, one = _as_stack(rng)
+    """Draw all path angles: AP angles and elevations on [0, pi/2), azimuths on [0, pi)."""
     _, k, _ = dims
     r = cfg.n_paths
-    half = np.pi / 2.0
-    shapes = ((r,), (r,), (r,), (k, r), (k, r), (k, r))
-    sizes = [math.prod(shape) for shape in shapes]
-    draws = np.empty((len(rngs), sum(sizes)))
-    for row, gen in zip(draws, rngs):
-        gen.random(out=row)
-    # uniform(0, high) returns high * random()
-    draws *= np.repeat([half, half, np.pi, half, half, np.pi], sizes)
-    fields = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
-    geom = Geometry(*(f.reshape(len(rngs), *shape) for f, shape in zip(fields, shapes)))
-    return stack_row(geom, 0) if one else geom
+    angles = _draw_angles(cfg, dims, rng)
+    return Geometry(*angles[:, :r], *angles[:, r:].reshape(3, k, r))
 
 
-def channels_from_geometry(cfg, dims, geom, rng):
-    """Draw CN(0, 1) path gains for a fixed geometry and assemble the channel triple.
-
-    rng is one generator, or a list of G: each draws its gains in one call
-    (the bits of crandn for the RIS->AP, user->AP and user->RIS gains in
-    turn) and the channel arrays stack along a leading G axis.  geom is one
-    angle set that every realization shares, or a stack of G.
-    """
-    rngs, one = _as_stack(rng)
+def _assemble(cfg, dims, angles, rng):
+    # angles as _draw_angles returns them; rng draws the CN(0, 1) gains of
+    # the RIS->AP, user->AP and user->RIS paths in turn
     m, k, n = dims
     grid = (cfg.ris_rows, cfg.ris_cols)
     if cfg.ris_rows * cfg.ris_cols != n:
         raise ValueError(f"RIS grid {grid} does not match {n} elements")
     gains = link_gains(cfg)
-    g, r = len(rngs), cfg.n_paths
-    alpha_ra, alpha_ua, alpha_ur = crandn_stacks(rngs, ((r,), (k, r), (k, r)))
+    r = cfg.n_paths
+    # crandn(rng, R), then crandn(rng, (K, R)) twice, from one call
+    draws = rng.standard_normal(2 * r * (1 + 2 * k))
+    ra, users = draws[:2 * r].reshape(2, r), draws[2 * r:].reshape(2, 2, k, r)
+    alpha_ra = (ra[0] + 1j * ra[1]) / np.sqrt(2.0)
+    alpha_ua, alpha_ur = (users[:, 0] + 1j * users[:, 1]) / np.sqrt(2.0)
 
-    # a shared angle set is broadcast to every row
-    angles = {
-        f.name: np.broadcast_to(
-            getattr(geom, f.name), (g, r) if f.name.startswith("ra") else (g, k, r)
-        )
-        for f in dataclasses.fields(geom)
-    }
+    # one steering column per path, for all links at once: (M, R + K*R), (N, R + K*R)
+    a_ap = steer_ula(m, angles[0], cfg.spacing)
+    b_ris = steer_ura(grid, angles[1], angles[2], cfg.spacing)
+    h_ra = math.sqrt(gains["ra"]) * ((a_ap[:, :r] * alpha_ra) @ b_ris[:, :r].conj().T)
+    a_ua = np.ascontiguousarray(a_ap[:, r:]).reshape(m, k, r)
+    b_ur = np.ascontiguousarray(b_ris[:, r:]).reshape(n, k, r)
+    h_ua = math.sqrt(gains["ua"]) * np.einsum("mkr,kr->mk", a_ua, alpha_ua)
+    h_ur = math.sqrt(gains["ur"]) * np.einsum("nkr,kr->nk", b_ur, alpha_ur)
+    return ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
 
-    def stacked(steering):
-        # the element axis, first from steer_*, goes behind the stack axis
-        return np.ascontiguousarray(np.moveaxis(steering, 0, 1))
 
-    # steering arrays hold one column per path: (G, M, R), (G, N, R), (G, M, K, R), (G, N, K, R)
-    a_ra = stacked(steer_ula(m, angles["ra_ap"], cfg.spacing))
-    b_ra = stacked(steer_ura(grid, angles["ra_el"], angles["ra_az"], cfg.spacing))
-    a_ua = stacked(steer_ula(m, angles["ua_ap"], cfg.spacing))
-    b_ur = stacked(steer_ura(grid, angles["ur_el"], angles["ur_az"], cfg.spacing))
-    h_ra = np.sqrt(gains["ra"]) * ((a_ra * alpha_ra[:, None, :]) @ b_ra.conj().swapaxes(1, 2))
-    h_ua = np.sqrt(gains["ua"]) * np.einsum("gmkr,gkr->gmk", a_ua, alpha_ua)
-    h_ur = np.sqrt(gains["ur"]) * np.einsum("gnkr,gkr->gnk", b_ur, alpha_ur)
-
-    channels = ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
-    return stack_row(channels, 0) if one else channels
+def channels_from_geometry(cfg, dims, geom, rng):
+    """Draw CN(0, 1) path gains for a fixed geometry and assemble the channel triple."""
+    per_path = np.stack([geom.ra_ap, geom.ra_el, geom.ra_az])
+    per_user = np.stack([geom.ua_ap, geom.ur_el, geom.ur_az]).reshape(3, -1)
+    return _assemble(cfg, dims, np.concatenate([per_path, per_user], axis=1), rng)
 
 
 def draw_channels(cfg, dims, rng, geometry_rng=None):
-    """Channel realizations for dims = (M, K, N); angles redrawn unless geometry_rng is given.
+    """One channel realization for dims = (M, K, N); angles redrawn unless geometry_rng is given.
 
-    rng is one generator, for one realization, or a list of G for G
-    realizations stacked along a leading axis of each channel array; a lone
-    generator's realization is the stack of one's row.  Generator g draws
-    its angles, then its gains, in one call each, so row g does not depend
-    on the rest of the stack.  geometry_rng draws one angle set that every
-    realization shares.
+    rng draws the angles, then the gains, in one call each; geometry_rng,
+    if given, draws the angles instead, so realizations drawn with equally
+    seeded geometry generators share their angles.
     """
-    rngs, one = _as_stack(rng)
-    geom = draw_geometry(cfg, dims, rngs if geometry_rng is None else geometry_rng)
-    channels = channels_from_geometry(cfg, dims, geom, rngs)
-    return stack_row(channels, 0) if one else channels
+    angles = _draw_angles(cfg, dims, rng if geometry_rng is None else geometry_rng)
+    return _assemble(cfg, dims, angles, rng)

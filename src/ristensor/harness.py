@@ -6,14 +6,14 @@ workers; all enabled estimators inside a trial share one channel realization
 and one noise realization (paired comparison): the trial's noise is drawn
 once per training length, so schedules of equal length share the draw.  A
 chunk runs its trials in the fewest groups of at most GROUP_SIZE, balanced
-to within one trial.  A group is realized in one stacked pass, one
-draw_channels call and one synthesize call per schedule for all its trials,
-in which each trial's generators fill its own row, so a trial's channels,
-frames and hash are the ones it gets alone.  Each enabled estimator then
-solves the group's frames in one stacked call, whose estimates equal the
-per-trial ones bit for bit, so the grouping, like the chunking, leaves the
-records unchanged; each record's wall_time_seconds is its group's call time
-divided by the group size.  The pool gets no more workers than usable CPUs
+to within one trial.  Each trial of a group draws its channels with its
+own draw_channels call; the group's channels are then stacked and each
+schedule's frames built in one synthesize call for all its trials, each
+from its own row, so a trial's channels, frames and hash are the ones it
+gets alone.  Each enabled estimator then solves the group's frames in one
+stacked call, whose estimates equal the per-trial ones bit for bit, so the
+grouping, like the chunking, leaves the records unchanged; each record's
+wall_time_seconds is its group's call time divided by the group size.  The pool gets no more workers than usable CPUs
 or chunks.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .channels import ChannelModelConfig, draw_channels
+from .channels import ChannelModelConfig, ChannelSet, draw_channels
 from .estimators import (
     EstimatorConfig,
     StackedLsSolver,
@@ -208,10 +208,11 @@ def load_config(path):
 
 
 def _channel_hash(channels, received, row):
-    # one trial's row of each stacked array: contiguous, so hashed in place
+    # a trial's channels and its row of each stacked frame: all contiguous,
+    # so hashed in place
     digest = hashlib.sha256()
     for arr in (channels.h_ua, channels.h_ra, channels.h_ur):
-        digest.update(arr[row])
+        digest.update(arr)
     for mode in sorted(received):
         digest.update(received[mode].tensor[row])
         if received[mode].off_stage is not None:
@@ -292,31 +293,36 @@ def run_trial(cfg, snr_index, trial_index, details=False):
 def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
 
-    The group is realized in one stacked pass: one draw_channels call for
-    every trial's channels and one synthesize call per schedule for every
-    trial's frame, each trial drawing from its own streams, so its row is
-    the one it gets alone.  Each estimator solves the group's frames in one
-    stacked call, whose estimates equal the per-trial ones bit for bit, and
-    whose wall time is split evenly over the group's records.  The last
-    argument is all that differs: ls gets the cached solver, the ALS
-    estimators their generators.
+    Each trial draws its channels with its own draw_channels call, from
+    its own channel stream.  The group's channels are then stacked, and
+    each schedule's frames are built in one synthesize call from every
+    trial's noise, so a trial's row is the one it gets alone.  Each
+    estimator solves the group's frames in one stacked call, whose
+    estimates equal the per-trial ones bit for bit, and whose wall time is
+    split evenly over the group's records.  The last argument is all that
+    differs: ls gets the cached solver, the ALS estimators their generators.
     """
     snr_db = cfg.snr_grid_db[snr_index]
     names = cfg.estimators_enabled
     streams = [_trial_streams(cfg, snr_index, trial) for trial in trials]
-    geometry_rng = None
-    if cfg.fixed_geometry:
-        geometry_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.master_seed, _GEOMETRY_TAG])
-        )
+    dims = (system.m_ap, system.k_users, system.n_ris)
     # draw_channels, synthesize and the estimators are looked up at call
-    # time, so a rebound module name is the one called
-    channels = draw_channels(
-        cfg.channel,
-        (system.m_ap, system.k_users, system.n_ris),
-        [np.random.default_rng(channel_ss) for channel_ss, _ in streams],
-        geometry_rng=geometry_rng,
-    )
+    # time, so a rebound module name is the one called (perfbench/spans.py
+    # wraps them there and counts one draw_channels call per trial)
+    trial_channels = []
+    for channel_ss, _ in streams:
+        geometry_rng = None
+        if cfg.fixed_geometry:
+            # a fresh generator on the shared stream: every trial, the same angles
+            geometry_rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.master_seed, _GEOMETRY_TAG])
+            )
+        trial_channels.append(
+            draw_channels(cfg.channel, dims, np.random.default_rng(channel_ss), geometry_rng)
+        )
+    channels = ChannelSet(*(
+        np.stack([getattr(c, name) for c in trial_channels]) for name in ("h_ua", "h_ra", "h_ur")
+    ))
     # one noise draw per trial and training length T, from the trial's noise
     # stream: schedules of equal T (the stock config) see the identical noise,
     # which is what makes the comparison paired
@@ -326,10 +332,10 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
         if t not in noise:
             noise[t] = draw_noise([np.random.default_rng(ss) for _, ss in streams], system, t)
         received[mode] = synthesize(channels, sched, system, noise[t])
-    del noise
+    del noise, channels
     rows = range(len(trials))
-    hashes = [_channel_hash(channels, received, row) for row in rows]
-    out = [([], {}, stack_row(channels, row)) for row in rows]
+    hashes = [_channel_hash(trial_channels[row], received, row) for row in rows]
+    out = [([], {}, trial_channels[row]) for row in rows]
     for i, name in enumerate(names):
         if name == "ls":
             estimator, last = ls_baseline, ls_solver

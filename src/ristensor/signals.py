@@ -123,16 +123,16 @@ def draw_noise(rngs, cfg, t):
     return np.sqrt(cfg.noise_var) * crandn_stacks(rngs, ((cfg.m_ap, t),))[0]
 
 
-def synthesize(channels, sched, cfg, rng):
+def synthesize(channels, sched, cfg, noise):
     """Noisy received frames, each a C-ordered (M, L, B) array.
 
-    channels holds one realization, or G stacked along a leading axis of
-    each array; the frames then stack to (G, M, L, B) and the OFF stages to
-    (G, M, L').  rng is a generator that draws one realization's noise, or
-    draw_noise's (G, M, T) rows for a stack: a trial's noise is one draw of
-    shape (M, T) consumed in time order (OFF stage first, then block by
+    For one realization, noise is the generator that draws its noise.  For
+    G realizations stacked along a leading axis of each channel array, noise
+    is draw_noise's (G, M, T) array, and the frames stack to (G, M, L, B)
+    and the OFF stages to (G, M, L').  Either way a trial's noise is one
+    (M, T) draw consumed in time order (OFF stage first, then block by
     block), so schedules of equal T can share it, which makes the
-    comparison between their estimators paired.  One realization is the
+    comparison between their estimators paired; one realization is the
     stack of one's row.  The RIS term is R^T Psi^T as (M*L, B) per
     realization, with row n of R the outer product h_ra[:, n] z_n^T
     flattened row by row (Z = H_ur X): one product, whose entries equal the
@@ -142,18 +142,27 @@ def synthesize(channels, sched, cfg, rng):
     m, l, n = cfg.m_ap, cfg.pilot_len, cfg.n_ris
     b = sched.blocks
     x = sched.pilots
-    one = channels.h_ua.ndim == 2
+    one = isinstance(noise, np.random.Generator)
     if channels.h_ua.shape[-2:] != (m, cfg.k_users):
         raise ValueError(f"direct channel shape {channels.h_ua.shape} does not match config")
     if sched.ris_phases.shape[1] != cfg.n_ris or x.shape != (cfg.k_users, l):
         raise ValueError("schedule shapes do not match config")
+    l_off = 0 if sched.off_pilots is None else sched.off_pilots.shape[1]
+    t = l_off + b * l
+    if one != (channels.h_ua.ndim == 2):
+        raise ValueError(
+            "noise must be a generator for one realization and a (G, M, T) array for a stack, "
+            f"got {type(noise).__name__} for channels of shape {channels.h_ua.shape}"
+        )
     h_ua, h_ra, h_ur = (
         a[None] if one else a for a in (channels.h_ua, channels.h_ra, channels.h_ur)
     )
     g = len(h_ua)
+    if one:
+        noise = draw_noise([noise], cfg, t)
+    elif np.shape(noise) != (g, m, t):
+        raise ValueError(f"noise shape {np.shape(noise)} is not (G, M, T) = {(g, m, t)}")
 
-    l_off = 0 if sched.off_pilots is None else sched.off_pilots.shape[1]
-    noise = draw_noise([rng], cfg, l_off + b * l) if one else rng
     off = None if sched.off_pilots is None else h_ua @ sched.off_pilots + noise[:, :, :l_off]
     # RIS term + direct term + noise column l_off + b*L + i at [:, :, i, b]
     ris_rows = (h_ra.swapaxes(1, 2)[:, :, :, None] * (h_ur @ x)[:, :, None, :]).reshape(g, n, m * l)

@@ -15,6 +15,7 @@ from ristensor.channels import (
     steer_ula,
     steer_ura,
 )
+from ristensor.tensor_ops import crandn
 
 DIMS = (4, 8, 25)
 
@@ -167,6 +168,55 @@ def test_geometry_angle_ranges():
         assert np.all((0 <= arr) & (arr < np.pi))
     ch = channels_from_geometry(cfg, DIMS, geom, np.random.default_rng(4))
     assert ch.cascade.shape == (4, 8)
+
+
+def _per_link_channels(cfg, dims, rng, geometry_rng=None):
+    # one uniform call per angle field and one crandn call per gain array,
+    # each link's steering and product on its own
+    m, k, n = dims
+    g = rng if geometry_rng is None else geometry_rng
+    r, half, grid = cfg.n_paths, np.pi / 2, (cfg.ris_rows, cfg.ris_cols)
+    ra_ap, ra_el, ra_az = g.uniform(0, half, r), g.uniform(0, half, r), g.uniform(0, np.pi, r)
+    ua_ap = g.uniform(0, half, (k, r))
+    ur_el, ur_az = g.uniform(0, half, (k, r)), g.uniform(0, np.pi, (k, r))
+    alpha_ra, alpha_ua, alpha_ur = crandn(rng, r), crandn(rng, (k, r)), crandn(rng, (k, r))
+    gains = link_gains(cfg)
+    a_ra, b_ra = steer_ula(m, ra_ap, cfg.spacing), steer_ura(grid, ra_el, ra_az, cfg.spacing)
+    a_ua, b_ur = steer_ula(m, ua_ap, cfg.spacing), steer_ura(grid, ur_el, ur_az, cfg.spacing)
+    return (
+        np.sqrt(gains["ua"]) * np.einsum("mkr,kr->mk", a_ua, alpha_ua),
+        np.sqrt(gains["ra"]) * ((a_ra * alpha_ra) @ b_ra.conj().T),
+        np.sqrt(gains["ur"]) * np.einsum("nkr,kr->nk", b_ur, alpha_ur),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 5),
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    n_paths=st.integers(1, 9),
+    fixed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_channels_equals_the_per_link_construction(m, k, grid, n_paths, fixed, seed):
+    # all links' angles and gains come from one call each, and the steering
+    # of all links is built at once, yet every bit and the generator's end
+    # state are those of drawing and building link by link
+    cfg = ChannelModelConfig(n_paths=n_paths, ris_rows=grid[0], ris_cols=grid[1])
+    dims = (m, k, grid[0] * grid[1])
+    geometry = (lambda: np.random.default_rng(seed + 1)) if fixed else (lambda: None)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_channels(cfg, dims, rng, geometry())
+    want = _per_link_channels(cfg, dims, ref_rng, geometry())
+    for a, b in zip((got.h_ua, got.h_ra, got.h_ur), want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rng.random() == ref_rng.random()
+    geom = draw_geometry(cfg, dims, np.random.default_rng(seed))
+    again = channels_from_geometry(cfg, dims, geom, np.random.default_rng(seed + 2))
+    want = _per_link_channels(cfg, dims, np.random.default_rng(seed + 2), np.random.default_rng(seed))
+    for a, b in zip((again.h_ua, again.h_ra, again.h_ur), want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_config_validation():

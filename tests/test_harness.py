@@ -543,12 +543,16 @@ def test_serial_run_sets_up_once_per_snr_point(monkeypatch):
 
     # through the harness's own names, as the benchmark's span wrappers are
     estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
-    for name in ("StackedLsSolver", "make_schedule", *estimators):
+    for name in ("StackedLsSolver", "make_schedule", "draw_channels", "synthesize", *estimators):
         monkeypatch.setattr(ristensor.harness, name, counted(name))
     run_experiment(tiny_config(snr_grid_db=(0.0, 10.0, 20.0), trials=8))
-    # one LS solver and the two schedules per SNR point, and one stacked
-    # call per estimator on each SNR point's one group of 8 trials
-    assert calls == {"StackedLsSolver": 3, "make_schedule": 6, **dict.fromkeys(estimators, 3)}
+    # one LS solver and the two schedules per SNR point, one draw_channels
+    # call per trial, and on each SNR point's one group of 8 trials one
+    # synthesize call per schedule and one stacked call per estimator
+    assert calls == {
+        "StackedLsSolver": 3, "make_schedule": 6, "draw_channels": 24, "synthesize": 6,
+        **dict.fromkeys(estimators, 3),
+    }
 
 
 def test_estimator_subset_runs_alone():

@@ -228,6 +228,27 @@ def test_synthesize_determinism_and_shape_checks():
         synthesize(ch, sched, small, np.random.default_rng(0))
 
 
+def test_synthesize_noise_must_match_one_realization_or_a_stack():
+    cfg = SystemConfig(snr_db=5.0)
+    ch = default_channels(4)
+    stacked = ChannelSet(*(a[None] for a in (ch.h_ua, ch.h_ra, ch.h_ur)))
+    sched = make_schedule(cfg, "two_stage")
+    t = cfg.training_len("two_stage")
+    with pytest.raises(ValueError, match="noise must be a generator for one realization"):
+        synthesize(stacked, sched, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="noise must be a generator for one realization"):
+        synthesize(ch, sched, cfg, np.zeros((1, cfg.m_ap, t), complex))
+    short = r"noise shape \(1, 4, 200\) is not \(G, M, T\) = \(1, 4, 208\)"
+    with pytest.raises(ValueError, match=short):
+        synthesize(stacked, sched, cfg, np.zeros((1, cfg.m_ap, t - 8), complex))
+    # a stack of one with its generator's draw is the lone realization's frame
+    alone = synthesize(ch, sched, cfg, np.random.default_rng(3))
+    noise = np.sqrt(cfg.noise_var) * crandn(np.random.default_rng(3), (cfg.m_ap, t))
+    row = synthesize(stacked, sched, cfg, noise[None])
+    assert row.tensor[0].tobytes() == alone.tensor.tobytes()
+    assert row.off_stage[0].tobytes() == alone.off_stage.tobytes()
+
+
 def test_receive_tensor_slice_construction():
     cfg = SystemConfig(snr_db=0.0, noise_var=0.0)
     ch = default_channels(5)
