@@ -47,18 +47,6 @@ class ChannelModelConfig:
 
 
 @dataclass
-class Geometry:
-    """Path angles (radians) for one realization; arrays indexed [user, path] where per-user."""
-
-    ra_ap: np.ndarray      # (R,)   AP-side angle of each RIS->AP path
-    ra_el: np.ndarray      # (R,)   RIS-side elevation
-    ra_az: np.ndarray      # (R,)   RIS-side azimuth
-    ua_ap: np.ndarray      # (K, R) AP-side angle of each user->AP path
-    ur_el: np.ndarray      # (K, R)
-    ur_az: np.ndarray      # (K, R)
-
-
-@dataclass
 class ChannelSet:
     """Ground-truth channel triple: direct (M, K), RIS->AP (M, N), user->RIS (N, K).
 
@@ -125,9 +113,10 @@ _ANGLE_HIGHS = np.array([[np.pi / 2.0], [np.pi / 2.0], [np.pi]])
 
 
 def _draw_angles(cfg, dims, rng):
-    # one random() call in Geometry's field order, the bits of one uniform
-    # call per field; returned as (3, R + K*R) rows of AP angles, RIS-side
-    # elevations and azimuths, the R RIS->AP paths before the K*R user paths
+    # one random() call, the bits of one uniform call per kind of angle,
+    # RIS->AP paths first, then user paths; returned as (3, R + K*R) rows of
+    # AP angles, RIS-side elevations and azimuths, the R RIS->AP paths before
+    # the K*R user paths
     _, k, _ = dims
     r = cfg.n_paths
     draws = rng.random(3 * r * (1 + k))
@@ -136,21 +125,19 @@ def _draw_angles(cfg, dims, rng):
     return angles
 
 
-def draw_geometry(cfg, dims, rng):
-    """Draw all path angles: AP angles and elevations on [0, pi/2), azimuths on [0, pi)."""
-    _, k, _ = dims
-    r = cfg.n_paths
-    angles = _draw_angles(cfg, dims, rng)
-    return Geometry(*angles[:, :r], *angles[:, r:].reshape(3, k, r))
+def draw_channels(cfg, dims, rng, geometry_rng=None):
+    """One channel realization for dims = (M, K, N); angles redrawn unless geometry_rng is given.
 
-
-def _assemble(cfg, dims, angles, rng):
-    # angles as _draw_angles returns them; rng draws the CN(0, 1) gains of
-    # the RIS->AP, user->AP and user->RIS paths in turn
+    rng draws the angles, then the gains, in one call each; geometry_rng,
+    if given, draws the angles instead, so realizations drawn with equally
+    seeded geometry generators share their angles.  The gains of the
+    RIS->AP, user->AP and user->RIS paths follow in turn.
+    """
     m, k, n = dims
     grid = (cfg.ris_rows, cfg.ris_cols)
     if cfg.ris_rows * cfg.ris_cols != n:
         raise ValueError(f"RIS grid {grid} does not match {n} elements")
+    angles = _draw_angles(cfg, dims, rng if geometry_rng is None else geometry_rng)
     gains = link_gains(cfg)
     r = cfg.n_paths
     # crandn(rng, R), then crandn(rng, (K, R)) twice, from one call
@@ -168,21 +155,3 @@ def _assemble(cfg, dims, angles, rng):
     h_ua = math.sqrt(gains["ua"]) * np.einsum("mkr,kr->mk", a_ua, alpha_ua)
     h_ur = math.sqrt(gains["ur"]) * np.einsum("nkr,kr->nk", b_ur, alpha_ur)
     return ChannelSet(h_ua=h_ua, h_ra=h_ra, h_ur=h_ur)
-
-
-def channels_from_geometry(cfg, dims, geom, rng):
-    """Draw CN(0, 1) path gains for a fixed geometry and assemble the channel triple."""
-    per_path = np.stack([geom.ra_ap, geom.ra_el, geom.ra_az])
-    per_user = np.stack([geom.ua_ap, geom.ur_el, geom.ur_az]).reshape(3, -1)
-    return _assemble(cfg, dims, np.concatenate([per_path, per_user], axis=1), rng)
-
-
-def draw_channels(cfg, dims, rng, geometry_rng=None):
-    """One channel realization for dims = (M, K, N); angles redrawn unless geometry_rng is given.
-
-    rng draws the angles, then the gains, in one call each; geometry_rng,
-    if given, draws the angles instead, so realizations drawn with equally
-    seeded geometry generators share their angles.
-    """
-    angles = _draw_angles(cfg, dims, rng if geometry_rng is None else geometry_rng)
-    return _assemble(cfg, dims, angles, rng)

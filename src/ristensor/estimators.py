@@ -24,16 +24,18 @@ is not certified, whose SVD solves it and decides singularity.  One filter
 (_split_finite) makes every estimator report a frame holding NaN or inf as
 a failed estimate before any solve.
 
-Every estimator takes one frame, or a list of frames (the ALS estimators
-with a list of generators) and then returns a list; a single frame is a
-stack of one.  One sweep implementation, _alternating_fit, serves both ALS
-estimators on a stack of frames that share a schedule, which frames leave
-at the end of the sweep in which they converge, fail or reach max_iters; a
-failed solve's estimate is written where it raises.  ls_baseline
-solves its stack with one StackedLsSolver.solve.  Every product runs per
-slice and frames of one memory layout stack to slices of one layout (the
-harness's frames all share synthesize's), so each frame's estimate is the
-one it gets alone, bit for bit, whatever else is in the stack.
+Every estimator takes a ReceiveTensor of one (M, L, B) frame, or of a
+stack of G frames along a leading axis, as synthesize builds a group's (the
+ALS estimators then take G generators, or None), and returns a list for a
+stack; a single frame is a stack of one (_as_stack).  One sweep
+implementation, _alternating_fit, serves both ALS estimators on a stack of
+frames that share a schedule, which frames leave at the end of the sweep in
+which they converge, fail or reach max_iters; a failed solve's estimate is
+written where it raises.  ls_baseline solves its stack with one
+StackedLsSolver.solve.  Each call fits its own C-ordered copy of the stack,
+so its caller's arrays are never written; every product runs per slice on
+slices of that one layout, so each frame's estimate is the one it gets
+alone, bit for bit, whatever else is in the stack.
 """
 
 import dataclasses
@@ -154,18 +156,21 @@ def _split_finite(*stacks):
     return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
 
 
-def _as_list(recv, rng):
-    # one frame and one generator, or equal-length lists of both
-    if isinstance(recv, (list, tuple)):
-        return list(recv), [None] * len(recv) if rng is None else list(rng), False
-    return [recv], [rng], True
-
-
-def _stack(arrays):
-    # a C-ordered stack whatever its frames' layouts: np.stack keeps a layout
-    # its frames share and falls back to C order when one differs, which
-    # would change the other frames' slices, and so their bits
-    return np.array(arrays, order="C")
+def _as_stack(tensor, off_stage, rng):
+    # one frame (M, L, B) with one generator is the stack of one; a stack
+    # (G, M, L, B) takes G generators or None.  Returns the call's own
+    # C-ordered copy of the tensor stack (the ALS fit overwrites it), the
+    # OFF stages C-contiguous, the generators, and whether one frame came
+    single = np.ndim(tensor) == 3
+    if single:
+        tensor, rngs = tensor[None], [rng]
+        off_stage = None if off_stage is None else off_stage[None]
+    else:
+        rngs = [None] * len(tensor) if rng is None else list(rng)
+        if len(rngs) != len(tensor):
+            raise ValueError(f"a stack of {len(tensor)} frames got {len(rngs)} generators")
+    y = np.array(tensor, order="C")
+    return y, None if off_stage is None else np.ascontiguousarray(off_stage), rngs, single
 
 
 def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
@@ -391,17 +396,11 @@ def als_ris(q, sched, cfg, rng=None):
     """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
 
     The joint sweep of e_als_estimate with the direct block left empty.  q
-    is one (M, L, B) tensor, or a stack (T, M, L, B) fitted together with rng
-    a list of T generators, which returns a list of estimates.
+    is one (M, L, B) tensor with one generator, or a stack (T, M, L, B)
+    with T generators or None, which returns a list of estimates.
     """
-    q = np.array(q, order="C")   # the fit's own stack, which it overwrites
-    no_direct = np.empty((0, sched.pilots.shape[1]))
-    single = q.ndim == 3
-    if single:
-        q, rng = q[None], [rng]
-    elif rng is None:
-        rng = [None] * len(q)
-    fits = _alternating_fit(q, sched, no_direct, cfg, rng)
+    q, _, rngs, single = _as_stack(q, None, rng)
+    fits = _alternating_fit(q, sched, np.empty((0, sched.pilots.shape[1])), cfg, rngs)
     fits = [dataclasses.replace(fit, h_ua=None) for fit in fits]
     return fits[0] if single else fits
 
@@ -411,15 +410,13 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
 
     The estimated direct contribution is subtracted from every block before
     the alternating fit, so its estimation error lands in the stage-2 noise.
-    recv may be a list of frames with rng a list of generators: the frames
-    are then fitted together and a list of estimates returned, each equal
-    to that frame's estimate alone.
+    recv may hold a stack of G frames (and OFF stages) with rng G
+    generators or None: the frames are then fitted together and a list of
+    estimates returned, each equal to that frame's estimate alone.
     """
-    recvs, rngs, single = _as_list(recv, rng)
-    if any(r.off_stage is None for r in recvs):
+    if recv.off_stage is None:
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
-    y = _stack([r.tensor for r in recvs])
-    v = _stack([r.off_stage for r in recvs])
+    y, v, rngs, single = _as_stack(recv.tensor, recv.off_stage, rng)
     results, live, y, v = _split_finite(y, v)
     if live.size:
         m, l, _ = y.shape[1:]
@@ -444,15 +441,15 @@ def e_als_estimate(recv, sched, cfg, rng=None):
     """Joint alternating estimator over the full frame.
 
     The direct channel is refit together with the RIS->AP factor every sweep,
-    its regressor block built from the frame's own pilots.  recv may be a
-    list of frames with rng a list of generators, as in two_stage_estimate.
+    its regressor block built from the frame's own pilots.  recv may hold a
+    stack of frames with rng a generator per frame, as in two_stage_estimate.
     """
     b, n = sched.ris_phases.shape
     k, l = sched.pilots.shape
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
-    recvs, rngs, single = _as_list(recv, rng)
-    fits = _alternating_fit(_stack([r.tensor for r in recvs]), sched, sched.pilots, cfg, rngs)
+    y, _, rngs, single = _as_stack(recv.tensor, None, rng)
+    fits = _alternating_fit(y, sched, sched.pilots, cfg, rngs)
     return fits[0] if single else fits
 
 
@@ -505,13 +502,12 @@ def ls_baseline(recv, sched, cfg, solver=None):
     Returns the parameter vector only: the cascaded block is the Khatri-Rao
     stacking of per-user cascaded matrices and is not decoupled into separate
     RIS-path factors.  A non-finite frame, or a theta that overflows, is
-    reported as a failed estimate.  recv may be a list of frames, solved
-    together by one solver.solve on their stack, and a list of estimates is
-    returned, each equal, bit for bit, to that frame's estimate alone.
-    solver is the StackedLsSolver of sched, built here when None.
+    reported as a failed estimate.  recv may hold a stack of frames, solved
+    together by one solver.solve, and a list of estimates is then returned,
+    each equal, bit for bit, to that frame's estimate alone.  solver is the
+    StackedLsSolver of sched, built here when None.
     """
-    recvs, _, single = _as_list(recv, None)
-    y = _stack([r.tensor for r in recvs])
+    y, _, _, single = _as_stack(recv.tensor, None, None)
     results, live, y = _split_finite(y)
     if live.size:
         try:

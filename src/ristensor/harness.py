@@ -10,10 +10,11 @@ to within one trial.  Each trial of a group draws its channels with its
 own draw_channels call; the group's channels are then stacked and each
 schedule's frames built in one synthesize call for all its trials, each
 from its own row, so a trial's channels, frames and hash are the ones it
-gets alone.  Each enabled estimator then solves the group's frames in one
-stacked call, whose estimates equal the per-trial ones bit for bit, so the
-grouping, like the chunking, leaves the records unchanged; each record's
-wall_time_seconds is its group's call time divided by the group size.  The pool gets no more workers than usable CPUs
+gets alone.  Each enabled estimator then takes its schedule's stack of
+frames, as synthesize built it, in one call, whose estimates equal the
+per-trial ones bit for bit, so the grouping, like the chunking, leaves the
+records unchanged; each record's wall_time_seconds is its group's call time
+divided by the group size.  The pool gets no more workers than usable CPUs
 or chunks.
 """
 
@@ -42,7 +43,6 @@ from .estimators import (
 )
 from .metrics import aggregate_vector_nmse, complexity_formula, nmse
 from .signals import SystemConfig, draw_noise, make_schedule, synthesize
-from .tensor_ops import stack_row
 from .validation import check_field_types, is_finite_number
 
 ESTIMATOR_NAMES = ("two_stage", "e_als", "ls")
@@ -97,6 +97,10 @@ class ExperimentConfig:
                 power = math.inf
             if not math.isfinite(power):
                 raise ConfigError(f"snr_grid_db point {snr_db!r} dB overflows the pilot power")
+            if power == 0.0:   # zero pilots: no schedule has a pseudoinverse
+                raise ConfigError(
+                    f"snr_grid_db point {snr_db!r} dB underflows the pilot power to 0"
+                )
         self.estimators_enabled = tuple(self.estimators_enabled)
         # a repeat would redo the work and give two records one key
         for name in ("snr_grid_db", "estimators_enabled"):
@@ -297,10 +301,11 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     its own channel stream.  The group's channels are then stacked, and
     each schedule's frames are built in one synthesize call from every
     trial's noise, so a trial's row is the one it gets alone.  Each
-    estimator solves the group's frames in one stacked call, whose
-    estimates equal the per-trial ones bit for bit, and whose wall time is
-    split evenly over the group's records.  The last argument is all that
-    differs: ls gets the cached solver, the ALS estimators their generators.
+    estimator takes its schedule's stack unchanged and solves it in one
+    call, whose estimates equal the per-trial ones bit for bit, and whose
+    wall time is split evenly over the group's records.  The last argument
+    is all that differs: ls gets the cached solver, the ALS estimators
+    their generators.
     """
     snr_db = cfg.snr_grid_db[snr_index]
     names = cfg.estimators_enabled
@@ -343,18 +348,15 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
             estimator = two_stage_estimate if name == "two_stage" else e_als_estimate
             last = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
         mode = _SCHEDULE_OF[name]
-        frames = [stack_row(received[mode], row) for row in rows]
         start = time.perf_counter()
-        estimates = estimator(frames, schedules[mode], cfg.estimator, last)
+        estimates = estimator(received[mode], schedules[mode], cfg.estimator, last)
         wall = (time.perf_counter() - start) / len(trials)
         for trial, chash, est, (records, by_name, trial_channels) in zip(
             trials, hashes, estimates, out
         ):
             records.append(_score(name, est, trial_channels, system, snr_db, trial, wall, chash))
             by_name[name] = est
-        # a schedule's frames go once the last estimator that reads them is
-        # done (each trial's frame is a view that holds the whole stack until
-        # frames is rebound)
+        # a schedule's frames go once the last estimator that reads them is done
         if mode not in {_SCHEDULE_OF[later] for later in names[i + 1:]}:
             del received[mode]
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import crandn_stacks, dft_matrix, khatri_rao, stack_row
+from .tensor_ops import crandn_stacks, dft_matrix, khatri_rao
 from .validation import check_field_types
 
 MODES = ("two_stage", "e_als")
@@ -169,8 +169,9 @@ def synthesize(channels, sched, cfg, noise):
     tensor = (ris_rows.swapaxes(1, 2) @ sched.ris_phases.T).reshape(g, m, l, b)
     tensor += (h_ua @ x)[..., None]
     tensor += noise[:, :, l_off:].reshape(g, m, b, l).swapaxes(2, 3)
-    frames = ReceiveTensor(tensor=tensor, off_stage=off)
-    return stack_row(frames, 0) if one else frames
+    if one:
+        return ReceiveTensor(tensor=tensor[0], off_stage=None if off is None else off[0])
+    return ReceiveTensor(tensor=tensor, off_stage=off)
 
 
 def model_unfoldings(channels, sched):

@@ -11,7 +11,6 @@ other solve goes to the SVD pseudoinverse, the one place that decides
 singularity.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -210,15 +209,3 @@ def crandn_stacks(rngs, shapes):
         out.append(((re + 1j * im) / np.sqrt(2.0)).reshape(len(rngs), *shape))
         start += 2 * size
     return out
-
-
-def stack_row(stacked, row):
-    """Row `row` of a dataclass whose array fields stack along a leading axis.
-
-    Each array field becomes a view of its row, so it keeps the whole stack
-    alive; a None field stays None.
-    """
-    return type(stacked)(*(
-        None if value is None else value[row]
-        for value in (getattr(stacked, f.name) for f in dataclasses.fields(stacked))
-    ))

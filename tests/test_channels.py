@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ristensor.channels
 from ristensor.channels import (
     ChannelModelConfig,
-    channels_from_geometry,
     draw_channels,
-    draw_geometry,
     link_gains,
     pathloss,
     steer_ula,
@@ -160,14 +159,12 @@ def test_fixed_geometry_reuses_angles():
 
 
 def test_geometry_angle_ranges():
+    # rows: AP angles and RIS-side elevations in [0, pi/2), azimuths in [0, pi)
     cfg = ChannelModelConfig()
-    geom = draw_geometry(cfg, DIMS, np.random.default_rng(3))
-    for arr in (geom.ra_ap, geom.ra_el, geom.ua_ap, geom.ur_el):
-        assert np.all((0 <= arr) & (arr < np.pi / 2))
-    for arr in (geom.ra_az, geom.ur_az):
-        assert np.all((0 <= arr) & (arr < np.pi))
-    ch = channels_from_geometry(cfg, DIMS, geom, np.random.default_rng(4))
-    assert ch.cascade.shape == (4, 8)
+    angles = ristensor.channels._draw_angles(cfg, DIMS, np.random.default_rng(3))
+    assert angles.shape == (3, cfg.n_paths * (1 + DIMS[1]))
+    assert np.all((0 <= angles[:2]) & (angles[:2] < np.pi / 2))
+    assert np.all((0 <= angles[2]) & (angles[2] < np.pi))
 
 
 def _per_link_channels(cfg, dims, rng, geometry_rng=None):
@@ -212,11 +209,6 @@ def test_draw_channels_equals_the_per_link_construction(m, k, grid, n_paths, fix
     for a, b in zip((got.h_ua, got.h_ra, got.h_ur), want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert rng.random() == ref_rng.random()
-    geom = draw_geometry(cfg, dims, np.random.default_rng(seed))
-    again = channels_from_geometry(cfg, dims, geom, np.random.default_rng(seed + 2))
-    want = _per_link_channels(cfg, dims, np.random.default_rng(seed + 2), np.random.default_rng(seed))
-    for a, b in zip((again.h_ua, again.h_ra, again.h_ur), want):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_config_validation():

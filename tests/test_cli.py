@@ -293,6 +293,29 @@ def test_yaml_snr_point_overflowing_the_pilot_power_exits_2(tmp_path, capsys):
     assert load_config(path).snr_grid_db == (3082.0,)
 
 
+@pytest.mark.parametrize("arg", ["--snr-list=0,-4000", "--snr=-4000:-3990:10"])
+def test_run_snr_point_underflowing_the_pilot_power_exits_2(tiny_yaml, capsys, arg):
+    # 10 ** (snr_db / 10) underflows to 0 below about -3240 dB: zero pilots,
+    # which no estimator can invert, are rejected before any point runs
+    code = main(["run", "--config", str(tiny_yaml), arg])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: snr_grid_db point -4000.0 dB underflows the pilot power to 0" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_yaml_snr_point_underflowing_the_pilot_power_exits_2(tmp_path, capsys):
+    path = tmp_path / "underflow.yaml"
+    path.write_text(TINY_YAML.replace("snr_grid_db: [10]", "snr_grid_db: [0, -4000]"))
+    with pytest.raises(ConfigError, match=r"snr_grid_db point -4000\.0 dB underflows"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: snr_grid_db point -4000.0 dB underflows" in capsys.readouterr().err
+    # a point whose power is a tiny but normal float (1e-300) still loads
+    path.write_text(TINY_YAML.replace("snr_grid_db: [10]", "snr_grid_db: [-3000]"))
+    assert load_config(path).snr_grid_db == (-3000.0,)
+
+
 def test_run_repeated_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(TINY_YAML + "estimators: [ls]\nestimators_enabled: [e_als]\n")

@@ -52,6 +52,15 @@ def noisy_setup(mode, seed=0, snr_db=10.0):
     return cfg, ch, sched, recv
 
 
+def stack_of(frames):
+    # one ReceiveTensor holding the frames along a leading axis
+    offs = [f.off_stage for f in frames]
+    return ReceiveTensor(
+        tensor=np.stack([f.tensor for f in frames]),
+        off_stage=None if offs[0] is None else np.stack(offs),
+    )
+
+
 def test_off_stage_ls_recovers_direct_path_exactly():
     rng = np.random.default_rng(0)
     h = crandn(rng, (4, 8))
@@ -71,7 +80,7 @@ def test_singular_off_pilots_fail_every_frame():
     # once for the stack, and every frame is a failed estimate without h_ua
     cfg, ch, sched, recv = noiseless_setup("two_stage", seed=7)
     sched = dataclasses.replace(sched, off_pilots=np.zeros_like(sched.off_pilots))
-    ests = two_stage_estimate([recv] * 3, sched, EstimatorConfig(),
+    ests = two_stage_estimate(stack_of([recv] * 3), sched, EstimatorConfig(),
                               [np.random.default_rng(s) for s in range(3)])
     for est in ests:
         assert est.failed
@@ -459,12 +468,13 @@ def test_no_frame_makes_an_estimator_raise(seed, kind):
                 assert part is None or np.all(np.isfinite(part)), (name, kind)
 
 
-def estimate(name, recv, sched, cfg, seed):
-    if name == "two_stage":
-        return two_stage_estimate(recv, sched, cfg, np.random.default_rng(seed))
-    if name == "e_als":
-        return e_als_estimate(recv, sched, cfg, np.random.default_rng(seed))
-    return ls_baseline(recv, sched, cfg)
+def estimate(name, recv, sched, cfg, rng):
+    # als_ris on the frame's tensor, ls with no generator
+    if name == "als_ris":
+        return als_ris(recv.tensor, sched, cfg, rng)
+    if name == "ls":
+        return ls_baseline(recv, sched, cfg)
+    return (two_stage_estimate if name == "two_stage" else e_als_estimate)(recv, sched, cfg, rng)
 
 
 @pytest.mark.parametrize("kind", ["one_nan", "one_inf", "zero"])
@@ -476,13 +486,14 @@ def test_bad_frames_raise_no_numpy_warning(kind):
         for seed in range(20):
             for name in ("two_stage", "e_als", "ls"):
                 sched = make_schedule(TINY, "two_stage" if name == "two_stage" else "e_als")
-                est = estimate(name, tiny_frame(kind, sched, seed), sched, cfg, seed)
+                est = estimate(name, tiny_frame(kind, sched, seed), sched, cfg,
+                               np.random.default_rng(seed))
                 if kind != "zero":
                     assert est.failed and est.failure_reason == "non-finite frame"
                     assert est.iterations == 0 and est.op_count == 0
         for name, field in [("two_stage", "tensor"), ("two_stage", "off_stage"), ("e_als", "tensor"), ("ls", "tensor")]:
             _, _, sched, recv = noisy_setup("two_stage" if name == "two_stage" else "e_als", seed=30)
-            est = estimate(name, with_nan(recv, field), sched, cfg, 31)
+            est = estimate(name, with_nan(recv, field), sched, cfg, np.random.default_rng(31))
             assert est.failed and est.failure_reason == "non-finite frame"
 
 
@@ -662,12 +673,13 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
     cfg = EstimatorConfig(max_iters=max_iters, conv_threshold=1e-6)
     seeds = rng.integers(2**32, size=len(frames))
     if mode == "ls":
-        stacked = ls_baseline(frames, sched, cfg)
+        stacked = ls_baseline(stack_of(frames), sched, cfg)
         alone = [ls_baseline(frame, sched, cfg) for frame in frames]
         assert stacked[-1].failed and stacked[-1].failure_reason == "non-finite frame"
     else:
         estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
-        stacked = estimator(frames, sched, cfg, [np.random.default_rng(s) for s in seeds])
+        rngs = [np.random.default_rng(s) for s in seeds]
+        stacked = estimator(stack_of(frames), sched, cfg, rngs)
         alone = [estimator(f, sched, cfg, np.random.default_rng(s)) for f, s in zip(frames, seeds)]
     assert len(stacked) == len(frames)
     for got, want in zip(stacked, alone):
@@ -675,18 +687,40 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
 
 
 def test_stacked_als_ris_equals_each_frame_alone():
-    # the fit drops stopped frames in place from the stack it owns, which
-    # als_ris copies from the caller's, so the caller's stack is not written
-    _, ch, sched, recv = noisy_setup("two_stage", seed=50)
-    q = recv.tensor - (ch.h_ua @ sched.pilots)[:, :, None]
-    stack = np.ascontiguousarray(np.stack([q, np.zeros_like(q), 2.0 * q]))
-    before = stack.copy()
+    # every estimator fits its own copy of the caller's stack (the ALS fit
+    # drops stopped frames in place from the stack it owns, and two_stage
+    # subtracts its direct path there), so the caller's tensor and OFF-stage
+    # stacks are not written, which the harness relies on when it hands one
+    # e_als stack to e_als and then to ls; and each frame gets its estimate
+    # alone, a zero frame's too (it fails in the first Z step of an ALS fit)
     cfg = EstimatorConfig()
-    stacked = als_ris(stack, sched, cfg, [np.random.default_rng(i) for i in range(3)])
-    assert stacked[1].failed and not stacked[0].failed and not stacked[2].failed
-    assert np.array_equal(stack, before)
-    for i, got in enumerate(stacked):
-        assert_same_estimate(got, als_ris(stack[i], sched, cfg, np.random.default_rng(i)))
+    for name in ("als_ris", "two_stage", "e_als", "ls"):
+        mode = "e_als" if name in ("e_als", "ls") else "two_stage"
+        _, ch, sched, recv = noisy_setup(mode, seed=50)
+        if name == "als_ris":
+            recv = ReceiveTensor(tensor=recv.tensor - (ch.h_ua @ sched.pilots)[:, :, None])
+        parts = (recv.tensor, recv.off_stage)
+        zero = ReceiveTensor(*(None if a is None else np.zeros_like(a) for a in parts))
+        stack = stack_of([recv, zero, recv])
+        stack.tensor[2] *= 2.0
+        arrays = [a for a in (stack.tensor, stack.off_stage) if a is not None]
+        before = [a.copy() for a in arrays]
+        stacked = estimate(name, stack, sched, cfg, [np.random.default_rng(i) for i in range(3)])
+        assert len(stacked) == 3
+        assert stacked[1].failed == (name != "ls") and not stacked[0].failed
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before)), name
+        for i, got in enumerate(stacked):
+            off = None if stack.off_stage is None else stack.off_stage[i]
+            row = ReceiveTensor(tensor=stack.tensor[i], off_stage=off)
+            assert_same_estimate(got, estimate(name, row, sched, cfg, np.random.default_rng(i)))
+
+
+def test_a_stack_needs_one_generator_per_frame():
+    _, _, sched, recv = noisy_setup("two_stage", seed=57)
+    stack, rngs = stack_of([recv] * 3), [np.random.default_rng(i) for i in range(2)]
+    for name in ("als_ris", "two_stage", "e_als"):
+        with pytest.raises(ValueError, match="a stack of 3 frames got 2 generators"):
+            estimate(name, stack, sched, EstimatorConfig(), rngs)
 
 
 def test_squared_norms_of_a_row_do_not_depend_on_its_stack():
@@ -714,7 +748,7 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
     sched = dataclasses.replace(sched, pilots=np.tile(sched.pilots[:1], (2, 1)))
     ch = draw_channels(ChannelModelConfig(ris_rows=2, ris_cols=2), (2, 2, 4),
                        np.random.default_rng(62))
-    frames = [synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)]
+    frames = stack_of([synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)])
     estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
     ests = estimator(frames, sched, EstimatorConfig(), [np.random.default_rng(63)] * 3)
     # the OFF stage's K^2 L' + K^3 + M L' K + M K L, each dimension 2
@@ -811,7 +845,7 @@ def test_an_uncertified_schedule_sends_every_frame_to_pinv_left(kind):
     rng = np.random.default_rng(59)
     psi = np.exp(2j * np.pi * rng.random((26, 25))) if kind == "random" else np.ones((26, 25))
     sched = TrainingSchedule(pilots=make_pilots(8, 8, system.power), ris_phases=psi)
-    frames = [synthesize(ch, sched, system, rng) for _ in range(3)]
+    frames = stack_of([synthesize(ch, sched, system, rng) for _ in range(3)])
     calls = []
     pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
     cfg = EstimatorConfig(max_iters=2, conv_threshold=1e-300)
@@ -833,7 +867,7 @@ def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
     # its Z step is zero: that frame alone goes to pinv_left, which finds it
     # singular, while the frames around it stay divided
     _, _, sched, recv = noisy_setup("e_als", seed=60)
-    frames = [recv, ReceiveTensor(tensor=np.zeros_like(recv.tensor)), recv]
+    frames = stack_of([recv, ReceiveTensor(tensor=np.zeros_like(recv.tensor)), recv])
     calls = []
     pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
     solves = _recording_solves(calls)
@@ -854,7 +888,7 @@ def test_a_solve_that_raises_fails_its_frame_alone(estimator):
     # and the frames around it keep the estimates of the unmocked call
     mode = "two_stage" if estimator is two_stage_estimate else "e_als"
     system, ch, sched, _ = noisy_setup(mode, seed=64, snr_db=0.0)
-    frames = [synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)]
+    frames = stack_of([synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)])
     cfg = EstimatorConfig()
 
     def fit():

@@ -223,6 +223,7 @@ def test_config_rejects_unknown_estimator(tmp_path):
         (dict(snr_grid_db=(3083.0,)), "snr_grid_db point 3083.0 dB overflows"),
         (dict(snr_grid_db=(0.0, 100.0), system=dict(noise_var=1e300)),
          "snr_grid_db point 100.0 dB overflows the pilot power"),
+        (dict(snr_grid_db=(0.0, -4000.0)), r"snr_grid_db point -4000\.0 dB underflows the pilot"),
     ],
 )
 def test_experiment_config_validation(kwargs, message):
@@ -353,8 +354,7 @@ def _memory_owner(array):
 def test_frames_are_released_after_the_last_estimator_that_reads_them(monkeypatch):
     # the e_als fit runs after two_stage's, and nothing after it reads the
     # two_stage frames: no group stack of them may still be alive when it
-    # starts; each trial's frame is a view of its row, which would keep the
-    # stack's memory alive, so the arrays that own that memory are tracked
+    # starts; the arrays that own each stack's memory are tracked
     stacks = {"two_stage": [], "e_als": []}
     synthesize = ristensor.harness.synthesize
     e_als_estimate = ristensor.harness.e_als_estimate
@@ -502,7 +502,7 @@ def test_chunk_runs_balanced_groups(monkeypatch):
         original = getattr(ristensor.harness, name)
 
         def wrapper(frames, *args):
-            sizes.setdefault(name, []).append(len(frames))
+            sizes.setdefault(name, []).append(len(frames.tensor))
             return original(frames, *args)
 
         return wrapper
