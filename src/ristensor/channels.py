@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_ops import crandn_stacks
 from .validation import check_field_types
 
 LINKS = ("ua", "ra", "ur")
@@ -44,6 +45,12 @@ class ChannelModelConfig:
         for name in ("ref_distance_m", "dist_ua_m", "dist_ra_m", "dist_ur_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # a gain that over- or underflows leaves every frame or score non-finite
+        with np.errstate(all="ignore"):
+            gains = link_gains(self)
+        for link, gain in gains.items():
+            if not (math.isfinite(gain) and gain >= np.finfo(float).tiny):
+                raise ValueError(f"link {link!r} has gain {gain:.3g}, not a finite normal float")
 
 
 @dataclass
@@ -141,10 +148,7 @@ def draw_channels(cfg, dims, rng, geometry_rng=None):
     gains = link_gains(cfg)
     r = cfg.n_paths
     # crandn(rng, R), then crandn(rng, (K, R)) twice, from one call
-    draws = rng.standard_normal(2 * r * (1 + 2 * k))
-    ra, users = draws[:2 * r].reshape(2, r), draws[2 * r:].reshape(2, 2, k, r)
-    alpha_ra = (ra[0] + 1j * ra[1]) / np.sqrt(2.0)
-    alpha_ua, alpha_ur = (users[:, 0] + 1j * users[:, 1]) / np.sqrt(2.0)
+    alpha_ra, alpha_ua, alpha_ur = (a[0] for a in crandn_stacks([rng], ((r,), (k, r), (k, r))))
 
     # one steering column per path, for all links at once: (M, R + K*R), (N, R + K*R)
     a_ap = steer_ula(m, angles[0], cfg.spacing)

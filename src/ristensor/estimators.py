@@ -88,7 +88,6 @@ class ChannelEstimate:
     op_count: int = 0
     residual_trace: tuple = ()      # squared frame-fit residual after each sweep
     failed: bool = False
-    failure_iteration: int = None
     failure_reason: str = ""
     scaling_fallback_cols: tuple = ()   # columns resolve_scaling left unscaled
 
@@ -140,7 +139,6 @@ def _failure(err, iteration, ops, trace):
         op_count=ops,
         residual_trace=tuple(trace),
         failed=True,
-        failure_iteration=iteration,
         failure_reason=str(err),
     )
 
@@ -245,7 +243,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     w = w.reshape(len(y), n, m, l)
     psi_sq = _abs2(psi).sum(axis=0)
     psi_sum = psi.sum(axis=0)
-    coupling = khatri_rao_coupling(np.hstack([np.ones((b, k_d)), psi]), direct_pilots)
+    known = np.hstack([np.ones((b, k_d)), psi])   # the joint step's known factor
+    coupling = khatri_rao_coupling(known, direct_pilots)
     diag = np.empty((len(y), p))
     diag[:, :k_d] = b * _abs2(direct_pilots).sum(axis=1)
     rhs = np.empty((len(y), p, m), dtype=complex)
@@ -265,10 +264,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     z_svd = b * m * n + b * m * k_d * l + _pinv_cost(n, b * m) + n * b * m * l
 
     def joint_regression(j):
-        # [KR(1, X_d^T) | KR(Psi, Z^T)] against the mode-1 unfolding
-        ones = np.ones((b, k_d))
-        reg = np.hstack([khatri_rao(ones, direct_pilots.T), khatri_rao(psi, z[j].T)])
-        return reg, unfold_mode1(y[j]).T
+        # KR([1 .. 1 | Psi], [X_d; Z]^T) against the mode-1 unfolding
+        return khatri_rao(known, np.vstack([direct_pilots, z[j]]).T), unfold_mode1(y[j]).T
 
     def z_regression(j):
         # KR(Psi, H_ra) against the mode-2 unfolding less (1 (x) H_ua) X_d
@@ -285,7 +282,6 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     joint = np.concatenate([h_ua, h_ra], axis=2).transpose(0, 2, 1).copy()
     z = z @ x
     del h_ua, h_ra   # copied into joint; freed before the sweep's buffers
-    z_rows = _sqnorms(z)
     traces = np.empty((len(results), cfg.max_iters))   # row t: frame t's residuals
     # the residual's KR(H_ra, Z^T) (as N x M L) and model frame, reused by
     # every sweep
@@ -308,7 +304,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
-        diag[:, k_d:] = psi_sq * z_rows
+        diag[:, k_d:] = psi_sq * _sqnorms(z)
         rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
@@ -355,7 +351,6 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             residual -= (joint[:, :k_d].transpose(0, 2, 1) @ direct_pilots)[..., None]
         ops += m * l * n + m * l * n * b + m * k_d * l + m * l * b
         traces[idx, it - 1] = _sqnorms(residual.reshape(slots, -1))
-        z_rows = _sqnorms(z)
         done = (
             _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
             & _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
@@ -381,10 +376,10 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             )
         kept = slots - np.count_nonzero(stop)
         holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
-        stacks = [y, w, rhs, idx, ops, joint, z, z_rows]
+        stacks = [y, w, rhs, idx, ops, joint, z]
         for a in stacks:
             a[holes] = a[movers]
-        y, w, rhs, idx, ops, joint, z, z_rows = (a[:kept] for a in stacks)
+        y, w, rhs, idx, ops, joint, z = (a[:kept] for a in stacks)
         diag, ra_z_buf, model_buf = diag[:kept], ra_z_buf[:kept], model_buf[:kept]
         if not kept:
             break

@@ -26,7 +26,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,6 +397,7 @@ def run_experiment(cfg):
     # a forked pool starts every worker at its first submit: none beyond the chunks
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # a serial run imports no pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, cfg, *task) for task in tasks]
             records = [record for future in futures for record in future.result()]
@@ -463,6 +463,14 @@ def _csv_cell(column, value):
     return str(value)
 
 
+def _json_record(rec):
+    # JSON has no NaN or Infinity: a failed record's non-finite score is null
+    row = {col: getattr(rec, col) for col in CSV_COLUMNS}
+    if rec.failure_flag:   # only a failed record can hold one
+        row.update((col, None) for col in _FLOAT_COLUMNS if not math.isfinite(row[col] or 0))
+    return row
+
+
 def emit_results(records, path, fmt, config, aggregates):
     """Write records to path as CSV rows or a JSON document with config and aggregates."""
     if not records:
@@ -479,7 +487,7 @@ def emit_results(records, path, fmt, config, aggregates):
         document = {
             "config": dataclasses.asdict(config),
             # asdict's deep copy of each record's scalar fields is wasted work
-            "records": [{col: getattr(rec, col) for col in CSV_COLUMNS} for rec in records],
+            "records": [_json_record(rec) for rec in records],
             "aggregates": aggregates,
         }
         with open(path, "w") as fh:

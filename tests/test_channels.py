@@ -211,6 +211,22 @@ def test_draw_channels_equals_the_per_link_construction(m, k, grid, n_paths, fix
     assert rng.random() == ref_rng.random()
 
 
+def test_link_gains_must_be_finite_normal_floats():
+    # every link at the reference distance has gain 10^(ref_loss_db / 10)
+    at_ref = dict(normalize_to_direct=False, ref_distance_m=1.0,
+                  dist_ua_m=1.0, dist_ra_m=1.0, dist_ur_m=1.0)
+    tiny = np.finfo(float).tiny
+    above = ChannelModelConfig(ref_loss_db=10 * np.log10(tiny * 1.01), **at_ref)
+    assert all(tiny <= g < 1.02 * tiny for g in link_gains(above).values())
+    with pytest.raises(ValueError, match="link 'ua' has gain"):
+        ChannelModelConfig(ref_loss_db=10 * np.log10(tiny * 0.99), **at_ref)
+    for ref_loss_db in (-4000.0, 4000.0):
+        for normalize in (True, False):
+            with pytest.raises(ValueError, match="not a finite normal float"):
+                ChannelModelConfig(ref_loss_db=ref_loss_db, normalize_to_direct=normalize)
+    assert np.isfinite(list(link_gains(ChannelModelConfig()).values())).all()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="n_paths"):
         ChannelModelConfig(n_paths=0)

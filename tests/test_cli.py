@@ -207,6 +207,24 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "channel",
+    [
+        "{ref_loss_db: -4000, normalize_to_direct: false}",   # every gain underflows to 0
+        "{ref_loss_db: -4000}",   # 0 / 0 when normalized to the direct link
+        "{ref_loss_db: 4000}",    # inf / inf
+    ],
+)
+def test_run_link_gain_out_of_range_exits_2(tmp_path, capsys, channel):
+    # refused before any simulation, not after every trial has run
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"trials: 2\nsnr_grid_db: [10]\nchannel: {channel}\n")
+    code = main(["run", "--config", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "section 'channel': link 'ua' has gain" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
     "text, field",
     [("fixed_geometry: \"false\"\n", "fixed_geometry"),
      ("channel:\n  normalize_to_direct: \"no\"\n", "normalize_to_direct")],
@@ -401,6 +419,26 @@ def test_demo_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "mean aggregate NMSE" in proc.stdout
+
+
+def test_serial_demo_imports_no_process_pool(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import ristensor.cli\n"
+        "assert ristensor.cli.main(['demo', '--trials', '1']) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point(tiny_yaml):

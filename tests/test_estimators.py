@@ -135,7 +135,7 @@ def test_als_structured_failure_on_singular_schedule():
     q[0, 0, 0] = 1.0
     est = als_ris(q, sched, EstimatorConfig(), np.random.default_rng(8))
     assert est.failed
-    assert est.failure_iteration == 1
+    assert est.iterations == 1
     assert est.h_ra is None
     assert "singular" in est.failure_reason
 
@@ -632,7 +632,7 @@ def assert_same_estimate(got, want):
         if a is not None:
             assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), name
     for name in ("iterations", "converged", "op_count", "residual_trace", "failed",
-                 "failure_iteration", "failure_reason"):
+                 "failure_reason"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -755,7 +755,7 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
     off_stage = 32 if mode == "two_stage" else 0
     for est in ests:
         assert est.failed and "singular" in est.failure_reason
-        assert est.iterations == est.failure_iteration == 0 and est.residual_trace == ()
+        assert est.iterations == 0 and est.residual_trace == ()
         assert est.op_count == off_stage
         assert est.h_ua is None and est.h_ur is None and est.h_ra is None
 
@@ -911,7 +911,7 @@ def test_a_solve_that_raises_fails_its_frame_alone(estimator):
         got = fit()
     assert calls[:3] == [3, 3, 3]
     assert got[1].failed and got[1].failure_reason == "forced"
-    assert got[1].iterations == got[1].failure_iteration == 2
+    assert got[1].iterations == 2
     assert got[1].residual_trace == want[1].residual_trace[:1]
     assert got[1].h_ua is None and got[1].h_ur is None and got[1].h_ra is None
     for i in (0, 2):

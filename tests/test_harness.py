@@ -1,5 +1,6 @@
 """Monte Carlo runner: config parsing, determinism, emission."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import importlib.util
@@ -445,7 +446,7 @@ def test_pool_has_no_more_workers_than_chunks(
     monkeypatch, snr_grid_db, trials, workers, cpus, pools
 ):
     monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(ristensor.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: cpus)
     base = tiny_config(snr_grid_db=snr_grid_db, trials=trials)
     records = run_experiment(dataclasses.replace(base, workers=workers))
@@ -465,7 +466,7 @@ def test_pool_has_no_more_workers_than_chunks(
 def test_pool_has_no_more_workers_than_usable_cpus(monkeypatch, workers, cpus, pools, chunks):
     # the cap comes before chunking, so chunks stay as large as they can
     monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(ristensor.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: cpus)
     run_chunk = ristensor.harness._run_chunk
     seen = []
@@ -810,6 +811,31 @@ def test_json_document_bytes_equal_the_asdict_document(tmp_path):
     out = tmp_path / "results.json"
     emit_results(records, out, "json", cfg, aggregates)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_json_writes_a_non_finite_score_as_null(tmp_path):
+    # RFC 8259 has no NaN or Infinity; CSV keeps them
+    failed = TrialRecord(
+        trial_index=3, snr_db=0.0, estimator_name="e_als", failure_flag=True,
+        nmse_aggregate=math.nan, nmse_h_ua=math.inf, nmse_h_ur=-math.inf, nmse_h_ra=0.5,
+    )
+    records = _synthetic_records() + [failed]
+    cfg = tiny_config()
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    out = tmp_path / "results.json"
+    emit_results(records, out, "json", cfg, aggregate_records(records))
+    row = json.loads(out.read_text(), parse_constant=refuse)["records"][-1]
+    assert [row[col] for col in ("nmse_aggregate", "nmse_h_ua", "nmse_h_ur", "nmse_h_ra")] == [
+        None, None, None, 0.5
+    ]
+    out = tmp_path / "results.csv"
+    emit_results(records, out, "csv", cfg, aggregate_records(records))
+    with open(out, newline="") as fh:
+        row = list(csv.DictReader(fh))[-1]
+    assert [row[col] for col in ("nmse_aggregate", "nmse_h_ua", "nmse_h_ur")] == ["nan", "inf", "-inf"]
 
 
 def test_emit_rejects_empty_records(tmp_path):
