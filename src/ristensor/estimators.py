@@ -52,6 +52,7 @@ from .tensor_ops import (
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
     pinv_with_ratio,
+    sqnorms,
     unfold_mode1,
     unfold_mode2,
 )
@@ -96,14 +97,6 @@ class ChannelEstimate:
         return self.h_ra @ self.h_ur
 
 
-def _sqnorms(a):
-    # squared norm along the last axis, as one BLAS dot per row of the float
-    # view: numpy's own reductions block a lone row differently from the
-    # rows of a stack, so they would make a frame's bits depend on its group
-    v = a.view(float)
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def _abs2(a):
     return a.real**2 + a.imag**2
 
@@ -113,8 +106,8 @@ def _small_change(current, previous, threshold):
     # iterate is at most threshold; a vanishing current iterate counts as
     # converged
     slots = len(current)
-    den = _sqnorms(current.reshape(slots, -1))
-    num = _sqnorms((current - previous).reshape(slots, -1))
+    den = sqnorms(current.reshape(slots, -1))
+    num = sqnorms((current - previous).reshape(slots, -1))
     return (den < 1e-300) | (num <= threshold * den)
 
 
@@ -171,12 +164,15 @@ def _as_stack(tensor, off_stage, rng):
     return y, None if off_stage is None else np.ascontiguousarray(off_stage), rngs, single
 
 
+# a factor that overflows (as at a subnormal pilot power) goes on as inf or
+# NaN, without a warning, to the exit, and its estimate is scored as failed
+@np.errstate(over="ignore", invalid="ignore")
 def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     """Alternating LS over a C-ordered stack (T, M, L, B) of frames sharing one schedule.
 
     Returns one ChannelEstimate per frame, each equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
-    every norm is one BLAS dot per slot or row (_sqnorms), and generator
+    every norm is one BLAS dot per slot or row (sqnorms), and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial H_ua,
     H_ra and Z in one call, the values three crandn calls would give.
     Per sweep and frame, with a direct block of pilots X_d: one solve
@@ -304,7 +300,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
-        diag[:, k_d:] = psi_sq * _sqnorms(z)
+        diag[:, k_d:] = psi_sq * sqnorms(z)
         rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
@@ -325,7 +321,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             h_ua = joint[:, :k_d].transpose(0, 2, 1)
             z_rhs -= psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z, divided, errors = certified_gram_solves(
-            psi_sq * _sqnorms(joint[:, k_d:]), z_rhs, z_regression, coupling, tol
+            psi_sq * sqnorms(joint[:, k_d:]), z_rhs, z_regression, coupling, tol
         )
         del ra_h, z_rhs   # before the residual's allocations
         fail(it, errors, z, prev_z)
@@ -350,7 +346,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         if k_d:
             residual -= (joint[:, :k_d].transpose(0, 2, 1) @ direct_pilots)[..., None]
         ops += m * l * n + m * l * n * b + m * k_d * l + m * l * b
-        traces[idx, it - 1] = _sqnorms(residual.reshape(slots, -1))
+        traces[idx, it - 1] = sqnorms(residual.reshape(slots, -1))
         done = (
             _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
             & _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
@@ -523,25 +519,38 @@ def ls_baseline(recv, sched, cfg, solver=None):
     return results[0] if single else results
 
 
+def column_scales(h_ra, truth_h_ra):
+    """Least-squares scale of each RIS->AP column against the true one, and which were skipped.
+
+    lambda_n = <truth_n, est_n> / ||truth_n||^2 for one (M, N) estimate or
+    each of a (G, M, N) stack, with its truth alike; a column with no usable
+    scale (zero truth column, or an estimate orthogonal to it) keeps 1 and is
+    flagged.  Each column sums its own M entries, so a row's scales do not
+    depend on the rest of its stack.
+    """
+    truth_conj = truth_h_ra.conj()
+    den = (truth_conj * truth_h_ra).real.sum(axis=-2)
+    num = (truth_conj * h_ra).sum(axis=-2)
+    skipped = (den == 0.0) | (num == 0)
+    lam = np.divide(num, den, out=np.ones(den.shape, dtype=complex), where=~skipped)
+    return lam, skipped
+
+
 def resolve_scaling(est, truth):
     """Undo the per-column diagonal ambiguity of the RIS-path factor pair.
 
     Each column of the RIS->AP estimate is rescaled by its least-squares fit
-    against the true column, lambda_n = <truth_n, est_n> / ||truth_n||^2, and
-    the inverse scale is applied to the user->RIS rows, so the cascade is
-    unchanged. A single-entry reference would do the same job in principle,
-    but turns into noise whenever the true reference entry happens to be
-    small; the column fit has no such weak spot. Columns with no usable
-    scale (zero truth column, or an estimate orthogonal to it) are left
-    alone and recorded.
+    against the true column (column_scales), and the inverse scale is
+    applied to the user->RIS rows, so the cascade is unchanged. A
+    single-entry reference would do the same job in principle, but turns
+    into noise whenever the true reference entry happens to be small; the
+    column fit has no such weak spot. Columns with no usable scale (zero
+    truth column, or an estimate orthogonal to it) are left alone and
+    recorded.
     """
     if est.h_ra is None or est.h_ur is None:
         raise ValueError("resolve_scaling needs decoupled RIS-path estimates")
-    truth_conj = truth.h_ra.conj()
-    den = (truth_conj * truth.h_ra).real.sum(axis=0)
-    num = (truth_conj * est.h_ra).sum(axis=0)
-    skipped = (den == 0.0) | (num == 0)
-    lam = np.divide(num, den, out=np.ones(len(den), dtype=complex), where=~skipped)
+    lam, skipped = column_scales(est.h_ra, truth.h_ra)
     return dataclasses.replace(
         est,
         h_ra=est.h_ra / lam[None, :],

@@ -14,8 +14,11 @@ gets alone.  Each enabled estimator then takes its schedule's stack of
 frames, as synthesize built it, in one call, whose estimates equal the
 per-trial ones bit for bit, so the grouping, like the chunking, leaves the
 records unchanged; each record's wall_time_seconds is its group's call time
-divided by the group size.  The pool gets no more workers than usable CPUs
-or chunks.
+divided by the group size.  Scoring is stacked too: the truth's terms are
+formed once per group, and each estimator's group of estimates is scored in
+one pass whose every row is reduced on its own, so a record's scores do not
+depend on the rest of its group either.  The pool gets no more workers than
+usable CPUs or chunks.
 """
 
 import csv
@@ -35,12 +38,20 @@ from .channels import ChannelModelConfig, ChannelSet, draw_channels
 from .estimators import (
     EstimatorConfig,
     StackedLsSolver,
+    column_scales,
     e_als_estimate,
     ls_baseline,
-    resolve_scaling,
+    resolve_scaling,  # unused here, but perfbench/spans.py wraps this name
     two_stage_estimate,
 )
-from .metrics import aggregate_vector_nmse, complexity_formula, nmse
+from .metrics import (
+    aggregate_vector_nmse,  # unused here, but perfbench/spans.py wraps this name
+    complexity_formula,
+    nmse,  # unused here, but perfbench/spans.py wraps this name
+    parameter_stack,
+    row_nmse,
+    row_sqnorms,
+)
 from .signals import SystemConfig, draw_noise, make_schedule, synthesize
 from .validation import check_field_types, is_finite_number
 
@@ -223,37 +234,87 @@ def _channel_hash(channels, received, row):
     return digest.hexdigest()[:16]
 
 
-def _score(name, est, channels, system, snr_db, trial_index, wall, chash):
-    base = dict(
-        trial_index=trial_index,
-        snr_db=snr_db,
-        estimator_name=name,
-        empirical_ops=est.op_count,
-        wall_time_seconds=wall,
-        channel_hash=chash,
-    )
-    if est.failed:
-        return TrialRecord(failure_flag=True, iterations=est.iterations, converged=False, **base)
-    if name == "ls":
-        # no decoupled factors: only the stacked parameter vector is scored
-        scores = dict(
-            nmse_aggregate=aggregate_vector_nmse(est, channels), iterations=0, converged=True
-        )
-    else:
-        resolved = resolve_scaling(est, channels)
-        scores = dict(
-            nmse_aggregate=aggregate_vector_nmse(est, channels),
-            nmse_h_ua=nmse(est.h_ua, channels.h_ua),
-            nmse_h_ur=nmse(resolved.h_ur, channels.h_ur),
-            nmse_h_ra=nmse(resolved.h_ra, channels.h_ra),
-            nmse_cascade=nmse(est.cascade, channels.cascade),
+# a score of an overflowing or vanishing channel is inf or NaN, without a
+# warning, and its record is failed (_score_group)
+@np.errstate(all="ignore")
+def _truth_terms(channels):
+    """Each score's truth stack and its rows' squared norms, for a group's stacked channels.
+
+    Formed once per group and read by every estimator's scores: the stacked
+    parameter vectors (their Khatri-Rao block included), the three channels
+    and the cascade.
+    """
+    terms = {
+        "theta": parameter_stack(channels.h_ua, channels.h_ra, channels.h_ur),
+        "h_ua": channels.h_ua,
+        "h_ur": channels.h_ur,
+        "h_ra": channels.h_ra,
+        "cascade": channels.cascade,
+    }
+    return {key: (term, row_sqnorms(term)) for key, term in terms.items()}
+
+
+@np.errstate(all="ignore")
+def _score_group(name, estimates, truth, system, snr_db, trials, wall, hashes):
+    """One estimator's records for a group: its estimates scored as stacks against truth.
+
+    The estimates that did not fail are stacked, and each score is one
+    row-wise NMSE over that stack (metrics.row_nmse) against the group's
+    truth terms (_truth_terms), ALS estimates after one column fit
+    (column_scales) of the stack; each row's score is the one it gets alone.
+    A row whose reference norm is 0 or not finite, or whose score is not
+    finite, is a failed record, kept out of the aggregate means.
+    complexity_formula runs once per call.
+    """
+    live = [row for row, est in enumerate(estimates) if not est.failed]
+    columns, ok = {}, np.ones(len(live), dtype=bool)
+    if live:
+        fits = [estimates[row] for row in live]
+        rows = live if len(live) < len(estimates) else slice(None)
+        if name == "ls":
+            # no decoupled factors: only the stacked parameter vector is scored
+            scored = {"nmse_aggregate": (np.stack([est.theta for est in fits]), "theta")}
+        else:
+            h_ua, h_ra, h_ur = (
+                np.stack([getattr(est, f) for est in fits]) for f in ("h_ua", "h_ra", "h_ur")
+            )
+            lam, _ = column_scales(h_ra, truth["h_ra"][0][rows])
+            scored = {
+                "nmse_aggregate": (parameter_stack(h_ua, h_ra, h_ur), "theta"),
+                "nmse_h_ua": (h_ua, "h_ua"),
+                "nmse_h_ur": (h_ur * lam[:, :, None], "h_ur"),
+                "nmse_h_ra": (h_ra / lam[:, None, :], "h_ra"),
+                "nmse_cascade": (h_ra @ h_ur, "cascade"),
+            }
+        for column, (stack, key) in scored.items():
+            term, den = (a[rows] for a in truth[key])
+            scores = row_nmse(stack, term, den)
+            ok &= (den > 0) & np.isfinite(den) & np.isfinite(scores)
+            columns[column] = scores.tolist()
+    tally = None if name == "ls" else complexity_formula(name, system)
+    records, scored_rows = [], {row: j for j, row in enumerate(live)}
+    for row, (trial, est, chash) in enumerate(zip(trials, estimates, hashes)):
+        base = dict(
+            trial_index=trial,
+            snr_db=snr_db,
+            estimator_name=name,
             iterations=est.iterations,
-            converged=est.converged,
-            analytic_ops=complexity_formula(name, system).total(est.iterations),
+            empirical_ops=est.op_count,
+            wall_time_seconds=wall,
+            channel_hash=chash,
         )
-    # a non-finite score is a failed estimate, kept out of the aggregate means
-    finite = all(math.isfinite(v) for key, v in scores.items() if key.startswith("nmse_"))
-    return TrialRecord(failure_flag=not finite, **scores, **base)
+        j = scored_rows.get(row)
+        if j is None:
+            records.append(TrialRecord(failure_flag=True, converged=False, **base))
+            continue
+        records.append(TrialRecord(
+            **{column: values[j] for column, values in columns.items()},
+            converged=est.converged,
+            analytic_ops=None if tally is None else tally.total(est.iterations),
+            failure_flag=not ok[j],
+            **base,
+        ))
+    return records
 
 
 def _trial_streams(cfg, snr_index, trial_index):
@@ -304,7 +365,10 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     call, whose estimates equal the per-trial ones bit for bit, and whose
     wall time is split evenly over the group's records.  The last argument
     is all that differs: ls gets the cached solver, the ALS estimators
-    their generators.
+    their generators.  The truth's score terms are formed once from the
+    stacked channels, and each estimator's estimates are scored against
+    them in one stacked pass (_score_group) whose rows are each the score
+    the trial gets alone.
     """
     snr_db = cfg.snr_grid_db[snr_index]
     names = cfg.estimators_enabled
@@ -327,6 +391,7 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
     channels = ChannelSet(*(
         np.stack([getattr(c, name) for c in trial_channels]) for name in ("h_ua", "h_ra", "h_ur")
     ))
+    truth = _truth_terms(channels)
     # one noise draw per trial and training length T, from the trial's noise
     # stream: schedules of equal T (the stock config) see the identical noise,
     # which is what makes the comparison paired
@@ -350,10 +415,11 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
         start = time.perf_counter()
         estimates = estimator(received[mode], schedules[mode], cfg.estimator, last)
         wall = (time.perf_counter() - start) / len(trials)
-        for trial, chash, est, (records, by_name, trial_channels) in zip(
-            trials, hashes, estimates, out
-        ):
-            records.append(_score(name, est, trial_channels, system, snr_db, trial, wall, chash))
+        group_records = _score_group(
+            name, estimates, truth, system, snr_db, trials, wall, hashes
+        )
+        for record, est, (records, by_name, _) in zip(group_records, estimates, out):
+            records.append(record)
             by_name[name] = est
         # a schedule's frames go once the last estimator that reads them is done
         if mode not in {_SCHEDULE_OF[later] for later in names[i + 1:]}:

@@ -2,14 +2,32 @@
 
 NMSE throughout is squared-Frobenius error over squared-Frobenius truth.
 The aggregate metric stacks the direct channel with the Khatri-Rao cascaded
-parameters, where the diagonal scaling ambiguity cancels on its own.
+parameters, where the diagonal scaling ambiguity cancels on its own.  The
+row-wise helpers score a stack of G pairs along a leading axis, each row
+reduced by one BLAS dot of its own (tensor_ops.sqnorms), so a row's score
+is the one it gets alone, whatever else is in the stack; nmse and
+aggregate_vector_nmse are their stack-of-one case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import khatri_rao
+from .tensor_ops import sqnorms
+
+
+def row_sqnorms(stack):
+    """Squared Frobenius norm of each row stack[g] of a stack."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    return sqnorms(stack.reshape(len(stack), -1))
+
+
+def row_nmse(h_hat, h, den):
+    """||h[g] - h_hat[g]||_F^2 / den[g] per row, with den = row_sqnorms(h) formed once.
+
+    A zero den gives inf or NaN (under the caller's np.errstate), not an error.
+    """
+    return row_sqnorms(h - h_hat) / den
 
 
 def nmse(h_hat, h):
@@ -18,18 +36,30 @@ def nmse(h_hat, h):
     h = np.asarray(h)
     if h_hat.shape != h.shape:
         raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
-    den = float(np.real(np.vdot(h, h)))
-    if den == 0.0:
+    den = row_sqnorms(h[None])
+    if den[0] == 0.0:
         raise ValueError("reference has zero norm")
-    diff = h - h_hat
-    return float(np.real(np.vdot(diff, diff))) / den
+    return float(row_nmse(h_hat[None], h[None], den)[0])
+
+
+def parameter_stack(h_ua, h_ra, h_ur):
+    """Each row's stacked parameter vector, for channel stacks (G, M, K), (G, M, N), (G, N, K).
+
+    Row g is [vec(direct); vec(user->RIS rows (x) RIS->AP columns)],
+    column-major: as a C-ordered (N+1, K, M) block, antenna fastest, then
+    user, then [direct | RIS element], the layout ls_baseline's theta has.
+    """
+    g, m, k = h_ua.shape
+    n = h_ra.shape[2]
+    theta = np.empty((g, n + 1, k, m), dtype=np.result_type(h_ua, h_ra, h_ur))
+    theta[:, 0] = h_ua.transpose(0, 2, 1)
+    np.multiply(h_ur[..., None], h_ra.transpose(0, 2, 1)[:, :, None, :], out=theta[:, 1:])
+    return theta.reshape(g, -1)
 
 
 def stacked_parameter_vector(h_ua, h_ra, h_ur):
     """[vec(direct); vec(user->RIS rows (x) RIS->AP columns)], column-major."""
-    return np.concatenate(
-        [h_ua.reshape(-1, order="F"), khatri_rao(h_ur.T, h_ra).reshape(-1, order="F")]
-    )
+    return parameter_stack(h_ua[None], h_ra[None], h_ur[None])[0]
 
 
 def aggregate_vector_nmse(est, truth):

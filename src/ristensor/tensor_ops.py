@@ -36,6 +36,17 @@ def khatri_rao(a, b):
     return (a[:, None, :] * b[None, :, :]).reshape(i * j, r)
 
 
+def sqnorms(a):
+    """Squared norm along the last axis of a C-contiguous complex128 (or float64) array.
+
+    One BLAS dot per row of the float view: numpy's own reductions block a
+    lone row differently from the rows of a stack, so they would make a
+    row's bits depend on the rest of its stack.
+    """
+    v = a.view(float)
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def unfold_mode1(t):
     """Mode-1 unfolding of (M, L, B): frontal slices side by side, M x (L*B)."""
     t = np.asarray(t)

@@ -224,6 +224,56 @@ def test_run_link_gain_out_of_range_exits_2(tmp_path, capsys, channel):
     assert "section 'channel': link 'ua' has gain" in captured.err and not captured.out
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "ref_loss_db, failures",
+    [
+        (-2000, 4),   # the cascade underflows: its reference has zero norm
+        (3000, 6),    # the RIS links overflow every estimator's fit or score
+    ],
+)
+def test_run_with_a_vanishing_or_overflowing_ris_path_completes(tmp_path, capsys, ref_loss_db, failures):
+    # gains that pass the channel check but take a score's reference to 0,
+    # or a fit to inf, fail those records, silently: the run completes and
+    # its table counts them
+    path = tmp_path / "gains.yaml"
+    path.write_text(
+        "trials: 2\nsnr_grid_db: [10]\n"
+        f"channel: {{normalize_to_direct: false, ref_loss_db: {ref_loss_db}}}\n"
+    )
+    out = tmp_path / "results.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert f"failures excluded from means: {failures}\n" in capsys.readouterr().out
+    rows = _csv_rows(out)
+    assert sum(row["failure_flag"] == "true" for row in rows) == failures
+    assert all(row["failure_flag"] == "true" for row in rows if row["estimator_name"] != "ls")
+
+
+def test_run_at_a_subnormal_pilot_power_fails_its_records_silently(tmp_path):
+    # -3100 dB leaves a pilot power of 1e-310: the fits overflow to inf or
+    # NaN without a warning, every record of that point fails, and the other
+    # point's records are those of a run without it
+    path = tmp_path / "stock.yaml"
+    path.write_text("master_seed: 3\n")
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    base = ["run", "--config", str(path), "--trials", "2"]
+    assert main([*base, "--snr-list=0,-3100", "--out", str(both)]) == 0
+    assert main([*base, "--snr-list=0", "--out", str(alone)]) == 0
+    rows = _csv_rows(both)
+    assert len(rows) == 2 * 2 * 3
+    assert all(row["failure_flag"] == "true" for row in rows if row["snr_db"] == "-3100")
+
+    def without_wall_time(rows):
+        return [{k: v for k, v in row.items() if k != "wall_time_seconds"} for row in rows]
+
+    zero_db = [row for row in rows if row["snr_db"] == "0"]
+    assert without_wall_time(zero_db) == without_wall_time(_csv_rows(alone))
+
+
 @pytest.mark.parametrize(
     "text, field",
     [("fixed_geometry: \"false\"\n", "fixed_geometry"),

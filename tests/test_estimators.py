@@ -730,9 +730,9 @@ def test_squared_norms_of_a_row_do_not_depend_on_its_stack():
     rng = np.random.default_rng(70)
     for size in (3, 832, 5000):
         rows = crandn(rng, (5, size))
-        stacked = ristensor.estimators._sqnorms(rows)
+        stacked = ristensor.tensor_ops.sqnorms(rows)
         for i, row in enumerate(rows):
-            assert stacked[i] == ristensor.estimators._sqnorms(row[None].copy())[0]
+            assert stacked[i] == ristensor.tensor_ops.sqnorms(row[None].copy())[0]
 
 
 @pytest.mark.parametrize("mode", ["two_stage", "e_als"])

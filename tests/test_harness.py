@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ristensor.channels import ChannelModelConfig
+from ristensor.channels import ChannelModelConfig, ChannelSet
 import ristensor.harness
-from ristensor.estimators import ChannelEstimate
+from ristensor.estimators import ChannelEstimate, resolve_scaling
 from ristensor.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -30,6 +30,7 @@ from ristensor.harness import (
     run_experiment,
     run_trial,
 )
+from ristensor.metrics import aggregate_vector_nmse, complexity_formula, nmse
 from ristensor.signals import SystemConfig, noiseless_tensor, synthesize
 from ristensor.tensor_ops import crandn
 
@@ -873,16 +874,108 @@ def test_run_trial_on_nan_frame_records_failures(monkeypatch):
     assert aggregate_records(records)[0]["mean_nmse_aggregate"] is None
 
 
+def _group_truth(*channel_sets):
+    # the scorer's truth terms for a group of trials' channels, stacked in order
+    return ristensor.harness._truth_terms(ChannelSet(*(
+        np.stack([getattr(c, name) for c in channel_sets]) for name in ("h_ua", "h_ra", "h_ur")
+    )))
+
+
 def test_score_flags_a_non_finite_nmse():
     cfg = tiny_config()
     _, estimates, channels = run_trial(cfg, 0, 0, details=True)
     theta = estimates["ls"].theta.copy()
     theta[0] = np.inf
-    record = ristensor.harness._score(
-        "ls", ChannelEstimate(theta=theta), channels, cfg.system, 10.0, 0, 0.0, ""
+    [record] = ristensor.harness._score_group(
+        "ls", [ChannelEstimate(theta=theta)], _group_truth(channels), cfg.system, 10.0, [0], 0.0, [""]
     )
     assert record.failure_flag
     assert not math.isfinite(record.nmse_aggregate)
+
+
+def _random_estimate(rng, name, m, k, n, row, failed):
+    if failed:
+        return ChannelEstimate(iterations=row, op_count=3, failed=True, failure_reason="singular")
+    if name == "ls":
+        return ChannelEstimate(
+            theta=crandn(rng, ((n + 1) * k * m,)), converged=True, op_count=5
+        )
+    # F-ordered factors, as the ALS exit copies them out of its stack
+    return ChannelEstimate(
+        h_ua=crandn(rng, (k, m)).T, h_ra=crandn(rng, (n, m)).T, h_ur=crandn(rng, (n, k)),
+        iterations=row + 1, converged=bool(row % 2), op_count=7 * row,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ristensor.harness.ESTIMATOR_NAMES),
+    failed=st.lists(st.booleans(), min_size=1, max_size=9),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 7)),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="e_als", failed=[False, True, False], dims=(4, 8, 25), zero_column=False, seed=0)
+def test_group_scores_equal_each_row_scored_alone(name, failed, dims, zero_column, seed):
+    # each row of a group scored as a stack gets the record it gets alone, bit
+    # for bit, whatever else is in the group and wherever its failed rows
+    # are; and its scores are the single-pair nmse, aggregate_vector_nmse and
+    # resolve_scaling-then-nmse ones, up to rounding
+    m, k, n = dims
+    rng = np.random.default_rng(seed)
+    channels = []
+    for _ in failed:
+        h_ra = crandn(rng, (m, n))
+        if zero_column:   # no usable column scale; with n = 1, a zero-norm reference
+            h_ra[:, 0] = 0
+        channels.append(ChannelSet(crandn(rng, (m, k)), h_ra, crandn(rng, (n, k))))
+    estimates = [_random_estimate(rng, name, m, k, n, row, f) for row, f in enumerate(failed)]
+    system = tiny_config().system
+    trials = [10 + row for row in range(len(failed))]
+    hashes = [f"hash{row}" for row in range(len(failed))]
+    score = ristensor.harness._score_group
+    group = score(name, estimates, _group_truth(*channels), system, 5.0, trials, 0.5, hashes)
+    assert len(group) == len(failed)
+    for record, est, ch, trial, chash in zip(group, estimates, channels, trials, hashes):
+        [alone] = score(name, [est], _group_truth(ch), system, 5.0, [trial], 0.5, [chash])
+        assert repr(record) == repr(alone)   # repr: every float to its last bit
+        assert (record.trial_index, record.channel_hash) == (trial, chash)
+        if est.failed or record.failure_flag:
+            assert record.failure_flag
+            continue
+        assert record.nmse_aggregate == pytest.approx(aggregate_vector_nmse(est, ch), rel=1e-12)
+        if name == "ls":
+            assert record.analytic_ops is None and record.nmse_h_ua is None
+            continue
+        fixed = resolve_scaling(est, ch)
+        expected = (
+            nmse(est.h_ua, ch.h_ua), nmse(fixed.h_ur, ch.h_ur),
+            nmse(fixed.h_ra, ch.h_ra), nmse(est.cascade, ch.cascade),
+        )
+        got = (record.nmse_h_ua, record.nmse_h_ur, record.nmse_h_ra, record.nmse_cascade)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        assert record.analytic_ops == complexity_formula(name, system).total(est.iterations)
+
+
+def test_scoring_runs_once_per_estimator_and_group(monkeypatch):
+    # the cost formula and the column fit run once per (ALS estimator,
+    # group), not once per record: 34 trials per SNR point run as 3 groups
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ristensor.harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("complexity_formula", "column_scales"):
+        monkeypatch.setattr(ristensor.harness, name, counted(name))
+    records = run_experiment(tiny_config(snr_grid_db=(0.0, 10.0), trials=34))
+    assert len(records) == 2 * 34 * 3 and not any(r.failure_flag for r in records)
+    assert calls == {"complexity_formula": 2 * 3 * 2, "column_scales": 2 * 3 * 2}
 
 
 # ---------------------------------------------------------------------------
