@@ -12,7 +12,11 @@ Three approaches over the same training frame:
 
 Each alternating update's objective is within eps of its conditional LS
 minimum, so the frame-fit residual recorded in residual_trace is
-non-increasing sweep over sweep, up to rounding.  Each update's regressor is
+non-increasing sweep over sweep, up to rounding.  Where the known factor
+F = [1 | Psi] (Psi without a direct block) is square with F^H F = B I
+(tensor_ops.is_scaled_unitary), as the DFT schedules are, that residual is
+measured on the contracted frame Y F*, which no sweep rebuilds; any other
+schedule measures it on the model frame.  Each update's regressor is
 a Khatri-Rao product whose Gram is a Hadamard product of factor Grams, and
 the only sweep-invariant factor, the known schedule, bounds how far from
 diagonal any such Gram can be: certified once per call
@@ -47,6 +51,7 @@ from .tensor_ops import (
     SingularMatrixError,
     certified_gram_solves,
     crandn_stacks,
+    is_scaled_unitary,
     khatri_rao,
     khatri_rao_coupling,
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
@@ -109,6 +114,37 @@ def _small_change(current, previous, threshold):
     den = sqnorms(current.reshape(slots, -1))
     num = sqnorms((current - previous).reshape(slots, -1))
     return (den < 1e-300) | (num <= threshold * den)
+
+
+def _contracted_residuals(w, h, z, bx_d, b, out):
+    # squared frame-fit residual ||Y - C F^T||^2 of each slot from its
+    # contraction W = Y F* (F square, F^H F = B I, so F F^H = B I and the
+    # residual is ||(Y - C F^T) F*||^2 / B = ||W - B C||^2 / B), with C's rows
+    # H_ua X_d and h_ra[:, n] z_n^T and W's rows sum_b Y_b and W_n: w and out
+    # are (T, D + N, M, L), D = 1 with a direct block (bx_d = B X_d) and 0
+    # without; h holds [H_ua | H_ra]^T as (T, K_d + N, M)
+    slots, k_d = len(w), len(bx_d)
+    d = min(k_d, 1)
+    np.matmul(b * h[:, k_d:, :, None], z[:, :, None], out=out[:, d:])
+    if d:
+        np.matmul(h[:, :k_d].transpose(0, 2, 1), bx_d, out=out[:, 0])
+    np.subtract(w, out, out=out)
+    return sqnorms(out.reshape(slots, -1)) / b
+
+
+def _model_residuals(y, psi, h, z, x_d, out):
+    # squared frame-fit residual ||Y - model||^2 of each slot from the model
+    # frame, for any schedule: its RIS term is KR(H_ra, Z^T) Psi^T as
+    # (M*L, B), whose KR rows h_ra[:, n] z_n^T go to out (T, N, M, L); a Gram
+    # expansion would cancel
+    slots, m, l, b = y.shape
+    n, k_d = psi.shape[1], len(x_d)
+    ra_z = np.matmul(h[:, k_d:, :, None], z[:, :, None], out=out)
+    residual = (ra_z.reshape(slots, n, m * l).transpose(0, 2, 1) @ psi.T).reshape(slots, m, l, b)
+    np.subtract(y, residual, out=residual)
+    if k_d:
+        residual -= (h[:, :k_d].transpose(0, 2, 1) @ x_d)[..., None]
+    return sqnorms(residual.reshape(slots, -1))
 
 
 def _solve_ops(divided, division, fallback):
@@ -196,8 +232,15 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     regressor for pinv_left; a frame's op_count counts the diagonal,
     right-hand side and division, or the regressor, pseudoinverse and apply
     cost of the pinv_left, that ran.  The squared residual of each
-    sweep is ||Y - model||^2 from the model frame itself, its RIS term
-    KR(H_ra, Z^T) Psi^T formed as one (M*L, B) product per frame.  When a
+    sweep, ||Y - C F^T||^2 with F = [1 | Psi] (Psi without a direct block)
+    and C's rows H_ua X_d and h_ra[:, n] z_n^T, is, where F is square with
+    F^H F = B I (checked once per call, tensor_ops.is_scaled_unitary),
+    ||Y F* - B C||^2 / B: Y F* is W with the direct block's sum_b Y_b, both
+    formed at set-up, so a sweep forms only C's rows, scaled by B, in one
+    buffer.  Any other schedule forms the model frame, its RIS term
+    KR(H_ra, Z^T) Psi^T as one (M*L, B) product per frame.  Either way each
+    frame's residual is reduced on its own (sqnorms), and no stop test
+    reads it.  When a
     frame's solve raises LinAlgError, its failed estimate is written there,
     with the sweep, op count and trace it reached, and its undefined update
     takes back its previous iterate.  Frames leave the stack at one exit,
@@ -230,13 +273,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             results[t] = _failure(err, 0, 0, [])
         return results
 
-    # sweep-invariant: W as (N, M, L) per frame, the diagonal of Psi^H Psi,
-    # 1^T Psi, and the direct block's diagonal B ||x_d,k||^2 and right-hand
-    # side X_d* (sum_b Y_b)^T; and the certificate: every joint Gram is that
-    # of KR([1 .. 1 | Psi], [X_d; Z]^T) and every Z Gram its RIS block, so
-    # one coupling bound covers them all
-    w = psi.conj().T @ y.reshape(len(y), m * l, b).transpose(0, 2, 1)
-    w = w.reshape(len(y), n, m, l)
+    # sweep-invariant: the frame contracted with the known factor
+    # F = [1 | Psi] (Psi without a direct block), Y F* as (D + N, M, L) per
+    # frame, its rows sum_b Y_b (D = 1 with a direct block) and
+    # W[n] = sum_b conj(Psi[b, n]) Y_b; the diagonal of Psi^H Psi, 1^T Psi,
+    # and the direct block's diagonal B ||x_d,k||^2 and right-hand side
+    # X_d* (sum_b Y_b)^T; and the certificate: every joint Gram is that of
+    # KR([1 .. 1 | Psi], [X_d; Z]^T) and every Z Gram its RIS block, so one
+    # coupling bound covers them all
+    d = min(k_d, 1)
+    w = np.empty((len(y), d + n, m, l), dtype=complex)
+    np.matmul(
+        psi.conj().T, y.reshape(len(y), m * l, b).transpose(0, 2, 1),
+        out=w[:, d:].reshape(len(y), n, m * l),
+    )
     psi_sq = _abs2(psi).sum(axis=0)
     psi_sum = psi.sum(axis=0)
     known = np.hstack([np.ones((b, k_d)), psi])   # the joint step's known factor
@@ -251,13 +301,26 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     # per-sweep cost of the Z step's direct term H_ra^H H_ua X_d scaled by 1^T Psi
     z_direct = 0
     if k_d:
-        rhs[:, :k_d] = direct_pilots.conj() @ y.sum(axis=3).transpose(0, 2, 1)
+        w[:, 0] = y.sum(axis=3)
+        rhs[:, :k_d] = direct_pilots.conj() @ w[:, 0].transpose(0, 2, 1)
         ops += m * l * b + k_d * l * m
         z_direct = n * m * k_d + n * k_d * l + n * l
     # per-frame cost of a pinv_left fallback in each step: its regressor
     # (and the Z step's direct term), the pseudoinverse and its apply
     joint_svd = b * l * p + _pinv_cost(p, b * l) + p * b * l * m
     z_svd = b * m * n + b * m * k_d * l + _pinv_cost(n, b * m) + n * b * m * l
+    # the residual comes from Y F* where F, known's last D + N columns, is
+    # square with F^H F = B I, as the DFT schedules the harness builds are,
+    # and from the model frame otherwise
+    contracted = is_scaled_unitary(known[:, k_d - d:])
+    if contracted:
+        bx_d = b * direct_pilots
+        ops += k_d * l   # B X_d
+        # B H_ra, C's rows scaled by B, squared norm (the subtraction is no MAC)
+        residual_ops = m * n + m * l * n + m * k_d * l + m * l * (d + n)
+    else:
+        # KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
+        residual_ops = m * l * n + m * l * n * b + m * k_d * l + m * l * b
 
     def joint_regression(j):
         # KR([1 .. 1 | Psi], [X_d; Z]^T) against the mode-1 unfolding
@@ -279,10 +342,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     z = z @ x
     del h_ua, h_ra   # copied into joint; freed before the sweep's buffers
     traces = np.empty((len(results), cfg.max_iters))   # row t: frame t's residuals
-    # the residual's KR(H_ra, Z^T) (as N x M L) and model frame, reused by
-    # every sweep
-    ra_z_buf = np.empty((len(y), n, m, l), dtype=complex)
-    model_buf = np.empty((len(y), m, l, b), dtype=complex)
+    c_buf = np.empty_like(w)   # the residual's rows of C, reused by every sweep
 
     def fail(it, errors, new, old):
         # a failed estimate for each slot whose solve raised, with the sweep,
@@ -301,7 +361,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
         diag[:, k_d:] = psi_sq * sqnorms(z)
-        rhs[:, k_d:] = (w @ z.conj()[..., None])[..., 0]
+        rhs[:, k_d:] = (w[:, d:] @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
         )
@@ -316,7 +376,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the direct
         # term conj(1^T Psi) o (H_ra^H H_ua X_d)
         ra_h = joint[:, k_d:].conj()
-        z_rhs = (ra_h[:, :, None, :] @ w)[:, :, 0, :]
+        z_rhs = (ra_h[:, :, None, :] @ w[:, d:])[:, :, 0, :]
         if k_d:
             h_ua = joint[:, :k_d].transpose(0, 2, 1)
             z_rhs -= psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
@@ -330,28 +390,16 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         ops += n * m + n + n * l * m + z_direct
         ops += _solve_ops(divided, n * l, z_svd)
 
-        # squared frame-fit residual from the model frame itself, whose RIS
-        # term is KR(H_ra, Z^T) Psi^T as (M*L, B); a Gram expansion would
-        # cancel (KR's rows are outer products h_ra[:, n] z_n^T, formed by
-        # matmul, which needs no buffer where a broadcast product does; the
-        # residual overwrites the model in place)
-        slots = len(idx)
-        ra_z = np.matmul(joint[:, k_d:, :, None], z[:, :, None], out=ra_z_buf)
-        residual = model_buf
-        np.matmul(
-            ra_z.reshape(slots, n, m * l).transpose(0, 2, 1), psi.T,
-            out=residual.reshape(slots, m * l, b),
-        )
-        np.subtract(y, residual, out=residual)
-        if k_d:
-            residual -= (joint[:, :k_d].transpose(0, 2, 1) @ direct_pilots)[..., None]
-        ops += m * l * n + m * l * n * b + m * k_d * l + m * l * b
-        traces[idx, it - 1] = sqnorms(residual.reshape(slots, -1))
-        done = (
-            _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
-            & _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
-            & _small_change(z, prev_z, cfg.conv_threshold)
-        )
+        # squared frame-fit residual, which no stop test reads
+        if contracted:
+            traces[idx, it - 1] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
+        else:
+            traces[idx, it - 1] = _model_residuals(y, psi, joint, z, direct_pilots, c_buf[:, d:])
+        ops += residual_ops
+        done = _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
+        done &= _small_change(z, prev_z, cfg.conv_threshold)
+        if k_d:   # an empty direct block counts as converged
+            done &= _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
         del prev_joint, prev_z
 
         # the one exit: each frame that converged or reached max_iters leaves
@@ -370,13 +418,13 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
                 op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
                 residual_trace=tuple(traces[i, :it].tolist()),
             )
-        kept = slots - np.count_nonzero(stop)
+        kept = len(idx) - np.count_nonzero(stop)
         holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
         stacks = [y, w, rhs, idx, ops, joint, z]
         for a in stacks:
             a[holes] = a[movers]
         y, w, rhs, idx, ops, joint, z = (a[:kept] for a in stacks)
-        diag, ra_z_buf, model_buf = diag[:kept], ra_z_buf[:kept], model_buf[:kept]
+        diag, c_buf = diag[:kept], c_buf[:kept]
         if not kept:
             break
     return results

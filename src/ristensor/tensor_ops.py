@@ -122,6 +122,23 @@ def khatri_rao_coupling(left, known):
     return bound.sum(axis=1).max()
 
 
+def is_scaled_unitary(f):
+    """Whether f is square with f^H f = B I to rounding, B its row count.
+
+    The scaled Gram f^H f / B must be within 2 B eps of I entrywise.
+    dft_matrix forms each entry as a power, with up to about 4 B eps of
+    rounding, so the DFT schedules' scaled Grams miss I by up to about
+    0.4 B eps (measured to B = 2048), and an entry moved by more than about
+    2 B^2 eps (3e-11 at B = 257) shows.
+    """
+    b, n = f.shape
+    if b != n:
+        return False
+    gram = f.conj().T @ f / b
+    gram[np.diag_indices(n)] -= 1.0
+    return bool(np.abs(gram).max() <= 2.0 * b * np.finfo(float).eps)
+
+
 def certified_gram_solves(diag, a_h_rhs, regression, coupling, tol=1e-12):
     """pinv_left(a_i, tol) @ rhs_i for each of a stack of Grams, by division where certified.
 

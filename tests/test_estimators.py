@@ -31,7 +31,14 @@ from ristensor.signals import (
     make_schedule,
     synthesize,
 )
-from ristensor.tensor_ops import SingularMatrixError, certified_gram_solves, crandn, pinv_right
+from ristensor.tensor_ops import (
+    SingularMatrixError,
+    certified_gram_solves,
+    crandn,
+    dft_matrix,
+    is_scaled_unitary,
+    pinv_right,
+)
 
 DIMS = (4, 8, 25)
 
@@ -248,17 +255,19 @@ def test_e_als_dimension_precondition():
 
 @pytest.mark.parametrize(
     "mode, estimator, expected",
-    [("two_stage", two_stage_estimate, 23_850), ("e_als", e_als_estimate, 27_570)],
+    [("two_stage", two_stage_estimate, 3_950), ("e_als", e_als_estimate, 6_870)],
     ids=["two_stage", "e_als"],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     # the DFT schedules certify every sweep Gram, so both steps solve by
-    # division and no Gram is formed.  two_stage (M=4, L=8, B=N=25, K_d=0,
-    # p=25): joint step N L + N + N L M + p M = 1,125, Z step N M + N +
-    # N L M + N L = 1,125 (an empty direct block has no direct term),
-    # residual M L N + M L N B + M L B = 21,600: 23,850.  e_als (B=26,
+    # division and no Gram is formed, and their known factor F is square
+    # with F^H F = B I, so the residual comes from W.  two_stage (M=4, L=8,
+    # B=N=25, K_d=0, p=25): joint step N L + N + N L M + p M = 1,125, Z step
+    # N M + N + N L M + N L = 1,125 (an empty direct block has no direct
+    # term), residual M N + M L N + M L N = 1,700: 3,950.  e_als (B=26,
     # K_d=8, p=33): joint step 1,157, Z step 3,725 (its direct term
-    # N M K_d + N K_d L + N L is 2,600), residual 22,688: 27,570
+    # N M K_d + N K_d L + N L is 2,600), residual M N + M L N + M K_d L +
+    # M L (1 + N) = 1,988: 6,870
     cfg, ch, sched, recv = noisy_setup(mode, seed=23)
     m, l, b = recv.tensor.shape
     k, n = sched.pilots.shape[0], sched.ris_phases.shape[1]
@@ -271,8 +280,10 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     # W, direct term H_ra^H H_ua X_d scaled by 1^T Psi, division
     direct = n * m * k_d + n * k_d * l + n * l if k_d else 0
     z_step = n * m + n + n * l * m + direct + n * l
-    # residual: KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
-    residual = m * l * n + m * l * n * b + m * k_d * l + m * l * b
+    # residual: B H_ra, C's rows h_ra[:, n] z_n^T (and B H_ua X_d) scaled
+    # by B, squared norm of W less them
+    d = 1 if k_d else 0
+    residual = m * n + m * l * n + m * k_d * l + m * l * (d + n)
     per_sweep = joint + z_step + residual
     assert per_sweep == expected
     ops = []
@@ -282,6 +293,123 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
         assert est.iterations == sweeps and not est.converged
         ops.append(est.op_count)
     assert ops[1] - ops[0] == per_sweep
+
+
+def model_frame_residuals(y, psi, h_ua, h_ra, z, x_d):
+    # ||Y - model||^2 of each frame from its model frame, formed entry by entry
+    model = np.einsum("tmn,tnl,bn->tmlb", h_ra, z, psi) + (h_ua @ x_d)[..., None]
+    return np.array([np.vdot(r, r).real for r in y - model])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["two_stage", "e_als"]),
+    m=st.integers(1, 4),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 2),
+    n=st.integers(1, 6),
+    slots=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 1e-3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(mode="two_stage", m=4, k=8, extra_l=0, n=25, slots=3, noise=1.0, seed=0)
+@example(mode="e_als", m=4, k=8, extra_l=0, n=25, slots=3, noise=1.0, seed=0)
+@example(mode="e_als", m=4, k=8, extra_l=0, n=25, slots=2, noise=0.0, seed=1)
+def test_residual_from_w_is_the_model_frame_residual(mode, m, k, extra_l, n, slots, noise, seed):
+    # random frames and factors on the DFT schedules: the residual from
+    # W = Y F* equals ||Y - model||^2 from the model frame within 1e-12
+    # relative, or an eps ||Y||^2 floor where the fit is (nearly) exact and
+    # the rounding of Y itself dominates, as does the model-frame helper;
+    # and each frame's residual in a stack equals its residual alone, bit
+    # for bit, in both helpers
+    rng = np.random.default_rng(seed)
+    l = k + extra_l
+    psi = make_phase_schedule(n, mode)
+    b = psi.shape[0]
+    x_d = make_pilots(k, l, 1.0) if mode == "e_als" else np.empty((0, l))
+    k_d = len(x_d)
+    h_ua, h_ra, z = (crandn(rng, (slots, *shape)) for shape in ((m, k_d), (m, n), (n, l)))
+    y = np.einsum("tmn,tnl,bn->tmlb", h_ra, z, psi) + (h_ua @ x_d)[..., None]
+    y += noise * crandn(rng, y.shape)
+    f = psi if mode == "two_stage" else np.hstack([np.ones((b, 1)), psi])
+    w = np.einsum("tmlb,bj->tjml", y, f.conj())
+    h = np.concatenate([h_ua, h_ra], axis=2).transpose(0, 2, 1).copy()
+    want = model_frame_residuals(y, psi, h_ua, h_ra, z, x_d)
+    contracted = ristensor.estimators._contracted_residuals
+    model = ristensor.estimators._model_residuals
+
+    def from_w(rows):
+        return contracted(w[rows], h[rows], z[rows], b * x_d, b, np.empty_like(w[rows]))
+
+    def from_model(rows):
+        return model(y[rows], psi, h[rows], z[rows], x_d, np.empty((len(z[rows]), n, m, l), complex))
+
+    floor = np.finfo(float).eps * np.array([np.vdot(frame, frame).real for frame in y])
+    for helper in (from_w, from_model):
+        got = helper(slice(None))
+        assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
+        for t in range(slots):
+            assert helper(slice(t, t + 1))[0] == got[t]
+
+
+@pytest.mark.parametrize("schedule", ["dft", "random_psi", "tall"])
+@pytest.mark.parametrize("mode", ["two_stage", "e_als"])
+def test_residual_takes_the_model_frame_only_off_a_square_unitary_f(mode, schedule):
+    # the DFT schedules' F (Psi, or [1 | Psi] with a direct block) is square
+    # with F^H F = B I, so the residual comes from W; a random unit-modulus
+    # Psi, and DFT columns with B > N + 1 rows (F^H F = B I, but F not
+    # square), take the model frame
+    system = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
+    rng = np.random.default_rng(64)
+    n, d = system.n_ris, 1 if mode == "e_als" else 0
+    if schedule == "dft":
+        psi = make_phase_schedule(n, mode)
+    elif schedule == "random_psi":
+        psi = np.exp(2j * np.pi * rng.random((n + d, n)))
+    else:
+        psi = dft_matrix(n + 3)[:, d:d + n]
+    pilots = make_pilots(2, 2, system.power)
+    sched = TrainingSchedule(
+        pilots=pilots, ris_phases=psi, off_pilots=pilots if mode == "two_stage" else None
+    )
+    ch = ChannelSet(h_ua=crandn(rng, (2, 2)), h_ra=crandn(rng, (2, n)), h_ur=crandn(rng, (n, 2)))
+    recv = synthesize(ch, sched, system, rng)
+    estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
+    helpers = {
+        name: mock.Mock(wraps=getattr(ristensor.estimators, name))
+        for name in ("_contracted_residuals", "_model_residuals")
+    }
+    with mock.patch.multiple(ristensor.estimators, **helpers):
+        est = estimator(recv, sched, EstimatorConfig(max_iters=3), rng)
+    assert not est.failed
+    assert helpers["_model_residuals"].call_count == (0 if schedule == "dft" else est.iterations)
+    assert helpers["_contracted_residuals"].call_count == (est.iterations if schedule == "dft" else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 256])
+def test_scaled_unitary_check_passes_dft_and_fails_a_moved_entry(n):
+    # the exact DFT(N) and DFT(N+1) of the two schedules pass; a copy of
+    # Psi with one entry moved by 1e-10 fails, so the fit takes the model
+    # frame, whose traces still never rise (criterion 5)
+    system = SystemConfig(m_ap=4, k_users=2, n_ris=n, pilot_len=2, off_stage_len=2, snr_db=10.0)
+    rng = np.random.default_rng(65 + n)
+    ch = ChannelSet(h_ua=crandn(rng, (4, 2)), h_ra=crandn(rng, (4, n)), h_ur=crandn(rng, (n, 2)))
+    for mode, estimator in (("two_stage", two_stage_estimate), ("e_als", e_als_estimate)):
+        sched = make_schedule(system, mode)
+        psi = sched.ris_phases
+        b, d = psi.shape[0], 1 if mode == "e_als" else 0
+        assert is_scaled_unitary(np.hstack([np.ones((b, d)), psi]))
+        moved = psi.copy()
+        moved[b // 2, -1] += 1e-10
+        assert not is_scaled_unitary(np.hstack([np.ones((b, d)), moved]))
+        sched = dataclasses.replace(sched, ris_phases=moved)
+        recv = synthesize(ch, sched, system, rng)
+        model = mock.Mock(wraps=ristensor.estimators._model_residuals)
+        with mock.patch.object(ristensor.estimators, "_model_residuals", model):
+            est = estimator(recv, sched, EstimatorConfig(), rng)
+        assert not est.failed and model.call_count == est.iterations
+        trace = est.residual_trace
+        assert all(later <= earlier * (1 + 1e-9) for earlier, later in zip(trace, trace[1:]))
 
 
 def test_ls_baseline_noiseless_exact():
@@ -762,11 +890,13 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
 
 def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
     # a random unit-modulus Psi certifies no sweep Gram, so every step forms
-    # its regressor for pinv_left.  Per e_als sweep (M=4, L=8, B=26, N=25,
-    # K_d=8, p=33) that is the stock 27,570 less the two divisions, p M =
-    # 132 and N L = 200, plus the joint fallback B L p + (p^2 B L + p^3) +
-    # p B L M = 296,769 and the Z-step fallback B M N + B M K_d L +
-    # (N^2 B M + N^3) + N B M L = 110,681: 434,688
+    # its regressor for pinv_left, and fails the F^H F = B I check, so the
+    # residual comes from the model frame.  Per e_als sweep (M=4, L=8, B=26,
+    # N=25, K_d=8, p=33) that is the stock steps' 4,882 less the two
+    # divisions, p M = 132 and N L = 200, plus the model-frame residual
+    # M L N + M L N B + M K_d L + M L B = 22,688, the joint fallback
+    # B L p + (p^2 B L + p^3) + p B L M = 296,769 and the Z-step fallback
+    # B M N + B M K_d L + (N^2 B M + N^3) + N B M L = 110,681: 434,688
     _, ch, _, _ = noisy_setup("e_als", seed=51)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(52)
@@ -793,9 +923,11 @@ def test_sweep_op_count_adds_the_pinv_fallback():
     # 1e-12, below the division's 1e-8 but above pinv_tol's square, so
     # pinv_left solves the joint step from its regressor (the Z step's H_ra
     # column grows to match, and its diagonal stays clear: the division);
-    # so the tally is the 27,570 of a stock e_als sweep less its joint
-    # division, p M = 132 (p=33), that is 27,438, plus the regressor,
-    # pseudoinverse and apply of each pinv_left
+    # the scaled column fails the F^H F = B I check, so the residual comes
+    # from the model frame.  The tally is the stock e_als steps' 4,882 less
+    # the joint division, p M = 132 (p=33), plus the model-frame residual
+    # M L N + M L N B + M K_d L + M L B = 22,688, that is 27,438, plus the
+    # regressor, pseudoinverse and apply of each pinv_left
     _, ch, _, _ = noisy_setup("e_als", seed=54)
     system = SystemConfig(snr_db=10.0)
     rng = np.random.default_rng(55)
