@@ -25,21 +25,21 @@ right-hand side, from the frame contracted once with the phase schedule, by
 the Gram's diagonal from factor norms (tensor_ops.certified_gram_solves).
 No Gram is formed; the regressor itself is formed only for an update that
 is not certified, whose SVD solves it and decides singularity.  One filter
-(_split_finite) makes every estimator report a frame holding NaN or inf as
-a failed estimate before any solve.
+(_finite_frames) makes every estimator report a frame holding NaN or inf as
+a failed row before any solve.
 
-Every estimator takes a ReceiveTensor of one (M, L, B) frame, or of a
-stack of G frames along a leading axis, as synthesize builds a group's (the
-ALS estimators then take G generators, or None), and returns a list for a
-stack; a single frame is a stack of one (_as_stack).  One sweep
-implementation, _alternating_fit, serves both ALS estimators on a stack of
-frames that share a schedule, which frames leave at the end of the sweep in
-which they converge, fail or reach max_iters; a failed solve's estimate is
-written where it raises.  ls_baseline solves its stack with one
-StackedLsSolver.solve.  Each call fits its own C-ordered copy of the stack,
-so its caller's arrays are never written; every product runs per slice on
-slices of that one layout, so each frame's estimate is the one it gets
-alone, bit for bit, whatever else is in the stack.
+Every estimator takes a ReceiveTensor of one (M, L, B) frame, or of a stack
+of G frames along a leading axis, as synthesize builds a group's (the ALS
+estimators then take G generators, or None), and returns one
+ChannelEstimate stacked along G; a single frame is a stack of one
+(_as_stack), whose call returns row(0).  One sweep implementation,
+_alternating_fit, serves both ALS estimators on a stack of frames that
+share a schedule: each frame writes its row of the estimate and leaves the
+stack when it converges, fails or reaches max_iters.  ls_baseline solves
+its stack with one StackedLsSolver.solve.  Each call fits its own C-ordered
+copy of the stack, so its caller's arrays are never written; every product
+runs per slice on slices of that one layout, so each row is the estimate
+its frame gets alone, bit for bit, whatever else is in the stack.
 """
 
 import dataclasses
@@ -83,7 +83,7 @@ class EstimatorConfig:
 
 @dataclass
 class ChannelEstimate:
-    """Result of one estimator call; op_count tallies complex multiply-accumulates."""
+    """One estimator call's result, stacked along G for G frames; op_count counts complex MACs."""
 
     h_ua: np.ndarray = None
     h_ur: np.ndarray = None
@@ -100,6 +100,22 @@ class ChannelEstimate:
     @property
     def cascade(self):
         return self.h_ra @ self.h_ur
+
+    def row(self, g):
+        """Frame g's estimate, as a single-frame call returns it (no factors if it failed)."""
+        failed = bool(self.failed[g])
+        iterations = int(self.iterations[g])
+        return ChannelEstimate(
+            *(None if a is None or failed else a[g]
+              for a in (self.h_ua, self.h_ur, self.h_ra, self.theta)),
+            iterations=iterations,
+            converged=bool(self.converged[g]),
+            op_count=int(self.op_count[g]),
+            # a row that failed in sweep i keeps the i - 1 residuals before it
+            residual_trace=tuple(self.residual_trace[g, : max(iterations - failed, 0)].tolist()),
+            failed=failed,
+            failure_reason=self.failure_reason[g],
+        )
 
 
 def _abs2(a):
@@ -158,55 +174,59 @@ def _pinv_cost(short, long):
     return short * short * long + short**3
 
 
-_NON_FINITE = "non-finite frame"
-
-
-def _failure(err, iteration, ops, trace):
-    return ChannelEstimate(
-        iterations=iteration,
-        converged=False,
-        op_count=ops,
-        residual_trace=tuple(trace),
-        failed=True,
-        failure_reason=str(err),
-    )
-
-
-def _split_finite(*stacks):
-    # a failed estimate for each frame with NaN or inf in any stack (None for
-    # the others), the live frames' indices, and each stack cut to them
-    finite = np.logical_and.reduce(
+def _finite_frames(*stacks):
+    # whether each frame holds no NaN or inf in any stack
+    return np.logical_and.reduce(
         [np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks]
     )
-    live = np.flatnonzero(finite)
-    results = [None if ok else _failure(_NON_FINITE, 0, 0, []) for ok in finite]
-    return results, live, *(s if live.size == len(s) else s[live] for s in stacks)
+
+
+def _stacked_estimate(finite, sweeps=0, **factors):
+    # the estimate of a call on len(finite) frames, whose rows it writes: a
+    # frame that is not finite has failed, at iteration 0 with op_count 0
+    g = len(finite)
+    return ChannelEstimate(
+        **factors,
+        iterations=np.zeros(g, dtype=int),
+        converged=np.zeros(g, dtype=bool),
+        op_count=np.zeros(g, dtype=int),
+        residual_trace=np.full((g, sweeps), np.nan),
+        failed=~finite,
+        failure_reason=np.where(finite, "", "non-finite frame").astype(object),
+    )
+
+
+def _fail(est, rows, reason):
+    est.failed[rows] = True
+    est.failure_reason[rows] = reason
 
 
 def _as_stack(tensor, off_stage, rng):
     # one frame (M, L, B) with one generator is the stack of one; a stack
     # (G, M, L, B) takes G generators or None.  Returns the call's own
     # C-ordered copy of the tensor stack (the ALS fit overwrites it), the
-    # OFF stages C-contiguous, the generators, and whether one frame came
+    # OFF stages, the generators, and whether one frame came
     single = np.ndim(tensor) == 3
     if single:
         tensor, rngs = tensor[None], [rng]
         off_stage = None if off_stage is None else off_stage[None]
     else:
+        if isinstance(rng, np.random.Generator):   # one generator, not a list of G
+            rng = [rng]
         rngs = [None] * len(tensor) if rng is None else list(rng)
         if len(rngs) != len(tensor):
             raise ValueError(f"a stack of {len(tensor)} frames got {len(rngs)} generators")
     y = np.array(tensor, order="C")
-    return y, None if off_stage is None else np.ascontiguousarray(off_stage), rngs, single
+    return y, off_stage, rngs, single
 
 
 # a factor that overflows (as at a subnormal pilot power) goes on as inf or
 # NaN, without a warning, to the exit, and its estimate is scored as failed
 @np.errstate(over="ignore", invalid="ignore")
 def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
-    """Alternating LS over a C-ordered stack (T, M, L, B) of frames sharing one schedule.
+    """Alternating LS over a C-ordered stack (G, M, L, B) of frames sharing one schedule.
 
-    Returns one ChannelEstimate per frame, each equal, bit for bit, to the
+    Returns the stack's ChannelEstimate, each row equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
     every norm is one BLAS dot per slot or row (sqnorms), and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial H_ua,
@@ -240,25 +260,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     buffer.  Any other schedule forms the model frame, its RIS term
     KR(H_ra, Z^T) Psi^T as one (M*L, B) product per frame.  Either way each
     frame's residual is reduced on its own (sqnorms), and no stop test
-    reads it.  When a
-    frame's solve raises LinAlgError, its failed estimate is written there,
-    with the sweep, op count and trace it reached, and its undefined update
-    takes back its previous iterate.  Frames leave the stack at one exit,
-    at the end of each sweep: a frame that failed, and a frame whose
-    factors' squared relative changes all drop to conv_threshold or that
-    has run max_iters sweeps (converged=False, not an error), with its
-    estimate, the user->RIS channel recovered from Z by the pilots' right
-    pseudoinverse, computed once at set-up.  The fit owns the stack it is
-    given and overwrites it as frames leave.  Pilots X that pinv_right
-    finds singular fail every frame at set-up, at iteration 0 with op_count
-    0, as a non-finite frame does.  A 0 x L X_d empties the direct block:
-    h_ua is then M x 0, counts as converged, and the sweep is the RIS-path
-    fit, which forms no direct-block product.
+    reads it.  Each frame writes its own row of the estimate's C-ordered
+    arrays.  A frame whose solve raises LinAlgError writes its failure
+    there, with the sweep and op count it reached, and its undefined update
+    takes back its previous iterate.  At the end of each sweep, a frame that
+    failed, converged or ran max_iters sweeps (converged=False, not an
+    error) leaves the stack; one that did not fail writes its factors, h_ur
+    recovered from Z by the pilots' right pseudoinverse.  The fit owns the
+    stack it is given and overwrites it as frames leave.  Pilots X that
+    pinv_right finds singular fail every frame at set-up, at iteration 0
+    with op_count 0, as a non-finite frame does.  A 0 x L X_d empties the
+    direct block: h_ua is then (G, M, 0), counts as converged, and the
+    sweep is the RIS-path fit, which forms no direct-block product.
     """
-    results, idx, y = _split_finite(stack)   # idx: the frame index of each stack slot
-    if not idx.size:
-        return results
-    m, l, b = y.shape[1:]
+    g, m, l, b = stack.shape
     psi = sched.ris_phases
     n = psi.shape[1]
     x = sched.pilots
@@ -266,12 +281,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     k_d = direct_pilots.shape[0]
     p = k_d + n
     tol = cfg.pinv_tol
+    finite = _finite_frames(stack)
+    est = _stacked_estimate(
+        finite, cfg.max_iters, h_ua=np.zeros((g, m, k_d), dtype=complex),
+        h_ur=np.zeros((g, n, k), dtype=complex), h_ra=np.zeros((g, m, n), dtype=complex),
+    )
+    idx = np.flatnonzero(finite)   # the frame index of each stack slot
+    if not idx.size:
+        return est
+    y = stack if idx.size == g else stack[idx]
     try:
         p_right = pinv_right(x, tol)   # recovers h_ur from Z at the exit
     except np.linalg.LinAlgError as err:
-        for t in idx:
-            results[t] = _failure(err, 0, 0, [])
-        return results
+        _fail(est, idx, str(err))
+        return est
 
     # sweep-invariant: the frame contracted with the known factor
     # F = [1 | Psi] (Psi without a direct block), Y F* as (D + N, M, L) per
@@ -341,21 +364,19 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     joint = np.concatenate([h_ua, h_ra], axis=2).transpose(0, 2, 1).copy()
     z = z @ x
     del h_ua, h_ra   # copied into joint; freed before the sweep's buffers
-    traces = np.empty((len(results), cfg.max_iters))   # row t: frame t's residuals
     c_buf = np.empty_like(w)   # the residual's rows of C, reused by every sweep
 
     def fail(it, errors, new, old):
-        # a failed estimate for each slot whose solve raised, with the sweep,
-        # op count and trace it reached; its undefined row of new takes back
-        # the previous iterate, and the slot stays to the sweep's exit
+        # the failure of each slot whose solve raised, with the sweep and op
+        # count it reached; its undefined row of new takes back the previous
+        # iterate, and the slot stays to the sweep's exit
         for j, err in errors.items():
-            if not failed[j]:
-                failed[j] = True
-                results[idx[j]] = _failure(err, it, int(ops[j]), traces[idx[j], : it - 1].tolist())
+            if not est.failed[idx[j]]:
+                _fail(est, idx[j], str(err))
+                est.iterations[idx[j]], est.op_count[idx[j]] = it, ops[j]
             new[j] = old[j]
 
     for it in range(1, cfg.max_iters + 1):
-        failed = np.zeros(len(idx), dtype=bool)
         prev_joint = joint
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
@@ -392,9 +413,11 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
         # squared frame-fit residual, which no stop test reads
         if contracted:
-            traces[idx, it - 1] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
+            est.residual_trace[idx, it - 1] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
         else:
-            traces[idx, it - 1] = _model_residuals(y, psi, joint, z, direct_pilots, c_buf[:, d:])
+            est.residual_trace[idx, it - 1] = _model_residuals(
+                y, psi, joint, z, direct_pilots, c_buf[:, d:]
+            )
         ops += residual_ops
         done = _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
         done &= _small_change(z, prev_z, cfg.conv_threshold)
@@ -402,22 +425,22 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
             done &= _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
         del prev_joint, prev_z
 
-        # the one exit: each frame that converged or reached max_iters leaves
-        # with its estimate, h_ur recovered from Z, and a failed one with the
-        # estimate fail wrote; the last staying slots move into the stopped
-        # ones, and the frame-sized arrays are cut to the frames that stay
+        # the one exit: each frame that converged or reached max_iters writes
+        # its row, h_ur recovered from Z, and a failed one leaves the row fail
+        # wrote; the last staying slots move into the stopped ones, and the
+        # frame-sized arrays are cut to the frames that stay
+        failed = est.failed[idx]
         stop = done | failed | (it == cfg.max_iters)
         if not stop.any():
             continue
         fits = np.flatnonzero(stop & ~failed)
-        for j, h_ur in zip(fits, z[fits] @ p_right):
-            i = idx[j]
-            results[i] = ChannelEstimate(
-                h_ua=joint[j, :k_d].copy().T, h_ur=h_ur, h_ra=joint[j, k_d:].copy().T,
-                iterations=it, converged=bool(done[j]),
-                op_count=int(ops[j]) + _pinv_cost(k, l) + n * l * k,
-                residual_trace=tuple(traces[i, :it].tolist()),
-            )
+        rows = idx[fits]
+        est.h_ua[rows] = joint[fits, :k_d].transpose(0, 2, 1)
+        est.h_ur[rows] = z[fits] @ p_right
+        est.h_ra[rows] = joint[fits, k_d:].transpose(0, 2, 1)
+        est.iterations[rows] = it
+        est.converged[rows] = done[fits]
+        est.op_count[rows] = ops[fits] + _pinv_cost(k, l) + n * l * k
         kept = len(idx) - np.count_nonzero(stop)
         holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
         stacks = [y, w, rhs, idx, ops, joint, z]
@@ -427,7 +450,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         diag, c_buf = diag[:kept], c_buf[:kept]
         if not kept:
             break
-    return results
+    return est
 
 
 # no package caller; kept because perfbench/spans.py wraps this name
@@ -435,13 +458,13 @@ def als_ris(q, sched, cfg, rng=None):
     """Alternating LS fit of the RIS-path factors on a direct-path-removed tensor.
 
     The joint sweep of e_als_estimate with the direct block left empty.  q
-    is one (M, L, B) tensor with one generator, or a stack (T, M, L, B)
-    with T generators or None, which returns a list of estimates.
+    is one (M, L, B) tensor with one generator, or a stack (G, M, L, B)
+    with G generators or None, which returns the stacked estimate.
     """
     q, _, rngs, single = _as_stack(q, None, rng)
-    fits = _alternating_fit(q, sched, np.empty((0, sched.pilots.shape[1])), cfg, rngs)
-    fits = [dataclasses.replace(fit, h_ua=None) for fit in fits]
-    return fits[0] if single else fits
+    est = _alternating_fit(q, sched, np.empty((0, sched.pilots.shape[1])), cfg, rngs)
+    est.h_ua = None
+    return est.row(0) if single else est
 
 
 def two_stage_estimate(recv, sched, cfg, rng=None):
@@ -450,30 +473,29 @@ def two_stage_estimate(recv, sched, cfg, rng=None):
     The estimated direct contribution is subtracted from every block before
     the alternating fit, so its estimation error lands in the stage-2 noise.
     recv may hold a stack of G frames (and OFF stages) with rng G
-    generators or None: the frames are then fitted together and a list of
-    estimates returned, each equal to that frame's estimate alone.
+    generators or None: the frames are then fitted together into one
+    stacked estimate, each row equal to that frame's estimate alone.
     """
     if recv.off_stage is None:
         raise ValueError("two_stage_estimate needs the RIS-OFF stage matrix")
     y, v, rngs, single = _as_stack(recv.tensor, recv.off_stage, rng)
-    results, live, y, v = _split_finite(y, v)
-    if live.size:
-        m, l, _ = y.shape[1:]
-        k, l_off = sched.off_pilots.shape
-        try:
-            h_ua = v @ pinv_right(sched.off_pilots, cfg.pinv_tol)
-        except np.linalg.LinAlgError as err:
-            for t in live:
-                results[t] = _failure(err, 0, 0, [])
-        else:
-            ops = _pinv_cost(k, l_off) + m * l_off * k + m * k * l
-            y -= (h_ua @ sched.pilots)[..., None]   # y is this call's own stack
-            fits = _alternating_fit(y, sched, np.empty((0, l)), cfg, [rngs[t] for t in live])
-            for t, fit, direct in zip(live, fits, h_ua):
-                results[t] = dataclasses.replace(
-                    fit, h_ua=None if fit.failed else direct, op_count=fit.op_count + ops
-                )
-    return results[0] if single else results
+    finite = _finite_frames(y, v)
+    g, m, l, _ = y.shape
+    k, l_off = sched.off_pilots.shape
+    try:
+        p_off = pinv_right(sched.off_pilots, cfg.pinv_tol)
+    except np.linalg.LinAlgError as err:
+        est = _stacked_estimate(finite)
+        _fail(est, finite, str(err))
+    else:
+        h_ua = np.zeros((g, m, k), dtype=complex)
+        h_ua[finite] = v[finite] @ p_off
+        y -= (h_ua @ sched.pilots)[..., None]   # y is this call's own stack
+        y[~finite] = np.nan   # a frame with a non-finite OFF stage fails as non-finite
+        est = _alternating_fit(y, sched, np.empty((0, l)), cfg, rngs)
+        est.h_ua = h_ua
+        est.op_count[finite] += _pinv_cost(k, l_off) + m * l_off * k + m * k * l
+    return est.row(0) if single else est
 
 
 def e_als_estimate(recv, sched, cfg, rng=None):
@@ -488,8 +510,8 @@ def e_als_estimate(recv, sched, cfg, rng=None):
     if b * l < n + k:
         raise ValueError(f"joint fit needs B*L >= N+K, got {b * l} < {n + k}")
     y, _, rngs, single = _as_stack(recv.tensor, None, rng)
-    fits = _alternating_fit(y, sched, sched.pilots, cfg, rngs)
-    return fits[0] if single else fits
+    est = _alternating_fit(y, sched, sched.pilots, cfg, rngs)
+    return est.row(0) if single else est
 
 
 class StackedLsSolver:
@@ -541,30 +563,26 @@ def ls_baseline(recv, sched, cfg, solver=None):
     Returns the parameter vector only: the cascaded block is the Khatri-Rao
     stacking of per-user cascaded matrices and is not decoupled into separate
     RIS-path factors.  A non-finite frame, or a theta that overflows, is
-    reported as a failed estimate.  recv may hold a stack of frames, solved
-    together by one solver.solve, and a list of estimates is then returned,
-    each equal, bit for bit, to that frame's estimate alone.  solver is the
+    reported as a failed row.  recv may hold a stack of frames, solved
+    together by one solver.solve into one stacked estimate, each row equal,
+    bit for bit, to that frame's estimate alone.  solver is the
     StackedLsSolver of sched, built here when None.
     """
     y, _, _, single = _as_stack(recv.tensor, None, None)
-    results, live, y = _split_finite(y)
-    if live.size:
-        try:
-            if solver is None:
-                solver = StackedLsSolver(sched, y.shape[1], cfg.pinv_tol)
-            thetas = solver.solve(y)
-        except np.linalg.LinAlgError as err:
-            for t in live:
-                results[t] = _failure(err, 0, 0, [])
-        else:
-            for t, theta in zip(live, thetas):
-                if np.all(np.isfinite(theta)):
-                    results[t] = ChannelEstimate(
-                        theta=theta, iterations=0, converged=True, op_count=solver.apply_ops
-                    )
-                else:
-                    results[t] = _failure("non-finite parameter estimate", 0, solver.apply_ops, [])
-    return results[0] if single else results
+    finite = _finite_frames(y)
+    est = _stacked_estimate(finite)
+    try:
+        if solver is None:
+            solver = StackedLsSolver(sched, y.shape[1], cfg.pinv_tol)
+    except np.linalg.LinAlgError as err:
+        _fail(est, finite, str(err))
+    else:
+        y[~finite] = 0.0   # solved as zeros: the frame has failed already
+        est.theta = solver.solve(y)
+        _fail(est, finite & ~np.isfinite(est.theta).all(axis=1), "non-finite parameter estimate")
+        est.op_count[finite] = solver.apply_ops
+    est.converged = ~est.failed
+    return est.row(0) if single else est
 
 
 def column_scales(h_ra, truth_h_ra):

@@ -11,14 +11,14 @@ own draw_channels call; the group's channels are then stacked and each
 schedule's frames built in one synthesize call for all its trials, each
 from its own row, so a trial's channels, frames and hash are the ones it
 gets alone.  Each enabled estimator then takes its schedule's stack of
-frames, as synthesize built it, in one call, whose estimates equal the
-per-trial ones bit for bit, so the grouping, like the chunking, leaves the
-records unchanged; each record's wall_time_seconds is its group's call time
-divided by the group size.  Scoring is stacked too: the truth's terms are
-formed once per group, and each estimator's group of estimates is scored in
-one pass whose every row is reduced on its own, so a record's scores do not
-depend on the rest of its group either.  The pool gets no more workers than
-usable CPUs or chunks.
+frames, as synthesize built it, in one call, whose one stacked estimate
+holds the per-trial estimates as rows, bit for bit, so the grouping, like
+the chunking, leaves the records unchanged; each record's wall_time_seconds
+is its group's call time divided by the group size.  Scoring reads that
+estimate's arrays: the truth's terms are formed once per group, and each
+row is reduced on its own, so a record's scores do not depend on the rest
+of its group either.  The pool gets no more workers than usable CPUs or
+chunks.
 """
 
 import csv
@@ -258,66 +258,53 @@ def _truth_terms(channels):
 
 
 @np.errstate(all="ignore")
-def _score_group(name, estimates, truth, system, snr_db, trials, wall, hashes):
-    """One estimator's records for a group: its estimates scored as stacks against truth.
+def _score_group(name, est, truth, system, snr_db, trials, wall, hashes):
+    """One estimator's records for a group: its stacked estimate scored against truth.
 
-    The estimates that did not fail are stacked, and each score is one
-    row-wise NMSE over that stack (metrics.row_nmse) against the group's
-    truth terms (_truth_terms), ALS estimates after one column fit
-    (column_scales) of the stack; each row's score is the one it gets alone.
-    A row whose reference norm is 0 or not finite, or whose score is not
-    finite, is a failed record, kept out of the aggregate means.
+    Each score is one row-wise NMSE over the estimate's arrays
+    (metrics.row_nmse) against the group's truth terms (_truth_terms), ALS
+    estimates after one column fit (column_scales) of the stack; each row's
+    score is the one it gets alone, and a failed row's is dropped.  A row
+    whose reference norm is 0 or not finite, or whose score is not finite,
+    is a failed record, kept out of the aggregate means.
     complexity_formula runs once per call.
     """
-    live = [row for row, est in enumerate(estimates) if not est.failed]
-    columns, ok = {}, np.ones(len(live), dtype=bool)
-    if live:
-        fits = [estimates[row] for row in live]
-        rows = live if len(live) < len(estimates) else slice(None)
+    failed, flagged = est.failed.tolist(), est.failed.copy()
+    columns = {}
+    if not all(failed):   # a call whose every row failed may hold no factors
         if name == "ls":
             # no decoupled factors: only the stacked parameter vector is scored
-            scored = {"nmse_aggregate": (np.stack([est.theta for est in fits]), "theta")}
+            scored = {"nmse_aggregate": (est.theta, "theta")}
         else:
-            h_ua, h_ra, h_ur = (
-                np.stack([getattr(est, f) for est in fits]) for f in ("h_ua", "h_ra", "h_ur")
-            )
-            lam, _ = column_scales(h_ra, truth["h_ra"][0][rows])
+            lam, _ = column_scales(est.h_ra, truth["h_ra"][0])
             scored = {
-                "nmse_aggregate": (parameter_stack(h_ua, h_ra, h_ur), "theta"),
-                "nmse_h_ua": (h_ua, "h_ua"),
-                "nmse_h_ur": (h_ur * lam[:, :, None], "h_ur"),
-                "nmse_h_ra": (h_ra / lam[:, None, :], "h_ra"),
-                "nmse_cascade": (h_ra @ h_ur, "cascade"),
+                "nmse_aggregate": (parameter_stack(est.h_ua, est.h_ra, est.h_ur), "theta"),
+                "nmse_h_ua": (est.h_ua, "h_ua"),
+                "nmse_h_ur": (est.h_ur * lam[:, :, None], "h_ur"),
+                "nmse_h_ra": (est.h_ra / lam[:, None, :], "h_ra"),
+                "nmse_cascade": (est.cascade, "cascade"),
             }
         for column, (stack, key) in scored.items():
-            term, den = (a[rows] for a in truth[key])
+            term, den = truth[key]
             scores = row_nmse(stack, term, den)
-            ok &= (den > 0) & np.isfinite(den) & np.isfinite(scores)
-            columns[column] = scores.tolist()
+            flagged |= ~((den > 0) & np.isfinite(den) & np.isfinite(scores))
+            columns[column] = [None if f else v for f, v in zip(failed, scores.tolist())]
     tally = None if name == "ls" else complexity_formula(name, system)
-    records, scored_rows = [], {row: j for j, row in enumerate(live)}
-    for row, (trial, est, chash) in enumerate(zip(trials, estimates, hashes)):
-        base = dict(
-            trial_index=trial,
-            snr_db=snr_db,
-            estimator_name=name,
-            iterations=est.iterations,
-            empirical_ops=est.op_count,
-            wall_time_seconds=wall,
-            channel_hash=chash,
-        )
-        j = scored_rows.get(row)
-        if j is None:
-            records.append(TrialRecord(failure_flag=True, converged=False, **base))
-            continue
-        records.append(TrialRecord(
-            **{column: values[j] for column, values in columns.items()},
-            converged=est.converged,
-            analytic_ops=None if tally is None else tally.total(est.iterations),
-            failure_flag=not ok[j],
-            **base,
-        ))
-    return records
+    iterations = est.iterations.tolist()
+    # per-row values as Python scalars, as the CSV and JSON writers take them
+    columns.update(
+        trial_index=trials,
+        iterations=iterations,
+        converged=est.converged.tolist(),
+        analytic_ops=[
+            None if tally is None or f else tally.total(i) for i, f in zip(iterations, failed)
+        ],
+        empirical_ops=est.op_count.tolist(),
+        failure_flag=flagged.tolist(),
+        channel_hash=hashes,
+    )
+    shared = dict(snr_db=snr_db, estimator_name=name, wall_time_seconds=wall)
+    return [TrialRecord(**shared, **dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def _trial_streams(cfg, snr_index, trial_index):
@@ -349,29 +336,29 @@ def _snr_setup(cfg, snr_index):
 def run_trial(cfg, snr_index, trial_index, details=False):
     """Run every enabled estimator on one shared (channel, noise) realization."""
     system, schedules, ls_solver = _snr_setup(cfg, snr_index)
-    [(records, estimates, channels)] = _run_group(
+    records, estimates, [channels] = _run_group(
         cfg, system, schedules, ls_solver, snr_index, [trial_index]
     )
     if details:
-        return records, estimates, channels
+        return records, {name: est.row(0) for name, est in estimates.items()}, channels
     return records
 
 
 def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
-    """Every enabled estimator on a group of trials: (records, estimates, channels) per trial.
+    """Every enabled estimator on a group: records, {name: stacked estimate}, channel sets.
 
     Each trial draws its channels with its own draw_channels call, from
     its own channel stream.  The group's channels are then stacked, and
     each schedule's frames are built in one synthesize call from every
     trial's noise, so a trial's row is the one it gets alone.  Each
     estimator takes its schedule's stack unchanged and solves it in one
-    call, whose estimates equal the per-trial ones bit for bit, and whose
-    wall time is split evenly over the group's records.  The last argument
-    is all that differs: ls gets the cached solver, the ALS estimators
-    their generators.  The truth's score terms are formed once from the
-    stacked channels, and each estimator's estimates are scored against
-    them in one stacked pass (_score_group) whose rows are each the score
-    the trial gets alone.
+    call, whose estimate's rows equal the per-trial estimates bit for bit,
+    and whose wall time is split evenly over the group's records.  The last
+    argument is all that differs: ls gets the cached solver, the ALS
+    estimators their generators.  The truth's score terms are formed once
+    from the stacked channels, and each estimator's estimate is scored
+    against them in one stacked pass (_score_group) whose rows are each the
+    score the trial gets alone.
     """
     snr_db = cfg.snr_grid_db[snr_index]
     names = cfg.estimators_enabled
@@ -405,9 +392,8 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
             noise[t] = draw_noise([np.random.default_rng(ss) for _, ss in streams], system, t)
         received[mode] = synthesize(channels, sched, system, noise[t])
     del noise, channels
-    rows = range(len(trials))
-    hashes = [_channel_hash(trial_channels[row], received, row) for row in rows]
-    out = [([], {}, trial_channels[row]) for row in rows]
+    hashes = [_channel_hash(c, received, row) for row, c in enumerate(trial_channels)]
+    records, estimates = [], {}
     for i, name in enumerate(names):
         if name == "ls":
             estimator, last = ls_baseline, ls_solver
@@ -416,18 +402,14 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
             last = [_init_rng(cfg, snr_index, trial, name) for trial in trials]
         mode = _SCHEDULE_OF[name]
         start = time.perf_counter()
-        estimates = estimator(received[mode], schedules[mode], cfg.estimator, last)
+        est = estimator(received[mode], schedules[mode], cfg.estimator, last)
         wall = (time.perf_counter() - start) / len(trials)
-        group_records = _score_group(
-            name, estimates, truth, system, snr_db, trials, wall, hashes
-        )
-        for record, est, (records, by_name, _) in zip(group_records, estimates, out):
-            records.append(record)
-            by_name[name] = est
+        records += _score_group(name, est, truth, system, snr_db, trials, wall, hashes)
+        estimates[name] = est
         # a schedule's frames go once the last estimator that reads them is done
         if mode not in {_SCHEDULE_OF[later] for later in names[i + 1:]}:
             del received[mode]
-    return out
+    return records, estimates, trial_channels
 
 
 def _run_chunk(cfg, snr_index, start, stop):
@@ -439,8 +421,7 @@ def _run_chunk(cfg, snr_index, start, stop):
     records = []
     for g in range(groups):
         group = range(start + count * g // groups, start + count * (g + 1) // groups)
-        for trial_records, _, _ in _run_group(cfg, system, schedules, ls_solver, snr_index, group):
-            records.extend(trial_records)
+        records += _run_group(cfg, system, schedules, ls_solver, snr_index, group)[0]
     return records
 
 

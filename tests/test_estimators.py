@@ -87,9 +87,9 @@ def test_singular_off_pilots_fail_every_frame():
     # once for the stack, and every frame is a failed estimate without h_ua
     cfg, ch, sched, recv = noiseless_setup("two_stage", seed=7)
     sched = dataclasses.replace(sched, off_pilots=np.zeros_like(sched.off_pilots))
-    ests = two_stage_estimate(stack_of([recv] * 3), sched, EstimatorConfig(),
-                              [np.random.default_rng(s) for s in range(3)])
-    for est in ests:
+    stacked = two_stage_estimate(stack_of([recv] * 3), sched, EstimatorConfig(),
+                                 [np.random.default_rng(s) for s in range(3)])
+    for est in map(stacked.row, range(3)):
         assert est.failed
         assert est.failure_reason.startswith("pinv_right of 8x8 matrix: singular value ratio")
         assert est.h_ua is None and est.h_ra is None and est.h_ur is None
@@ -754,14 +754,15 @@ def stack_frame(kind, ch, sched, system, rng):
 
 
 def assert_same_estimate(got, want):
-    for name in ("h_ua", "h_ra", "h_ur", "theta"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), name
-    for name in ("iterations", "converged", "op_count", "residual_trace", "failed",
-                 "failure_reason"):
-        assert getattr(got, name) == getattr(want, name), name
+    # every field: arrays to the bit, everything else by value and type
+    for field in dataclasses.fields(ChannelEstimate):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -803,15 +804,15 @@ def test_stacked_fit_equals_each_frame_alone(mode, m, k, extra_l, n, kinds, max_
     if mode == "ls":
         stacked = ls_baseline(stack_of(frames), sched, cfg)
         alone = [ls_baseline(frame, sched, cfg) for frame in frames]
-        assert stacked[-1].failed and stacked[-1].failure_reason == "non-finite frame"
+        assert stacked.failed[-1] and stacked.failure_reason[-1] == "non-finite frame"
     else:
         estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
         rngs = [np.random.default_rng(s) for s in seeds]
         stacked = estimator(stack_of(frames), sched, cfg, rngs)
         alone = [estimator(f, sched, cfg, np.random.default_rng(s)) for f, s in zip(frames, seeds)]
-    assert len(stacked) == len(frames)
-    for got, want in zip(stacked, alone):
-        assert_same_estimate(got, want)
+    assert stacked.failed.shape == (len(frames),)
+    for j, want in enumerate(alone):
+        assert_same_estimate(stacked.row(j), want)
 
 
 def test_stacked_als_ris_equals_each_frame_alone():
@@ -834,21 +835,50 @@ def test_stacked_als_ris_equals_each_frame_alone():
         arrays = [a for a in (stack.tensor, stack.off_stage) if a is not None]
         before = [a.copy() for a in arrays]
         stacked = estimate(name, stack, sched, cfg, [np.random.default_rng(i) for i in range(3)])
-        assert len(stacked) == 3
-        assert stacked[1].failed == (name != "ls") and not stacked[0].failed
+        assert stacked.failed.tolist() == [False, name != "ls", False]
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before)), name
-        for i, got in enumerate(stacked):
+        for i in range(3):
             off = None if stack.off_stage is None else stack.off_stage[i]
             row = ReceiveTensor(tensor=stack.tensor[i], off_stage=off)
-            assert_same_estimate(got, estimate(name, row, sched, cfg, np.random.default_rng(i)))
+            want = estimate(name, row, sched, cfg, np.random.default_rng(i))
+            assert_same_estimate(stacked.row(i), want)
+
+
+@pytest.mark.parametrize("name", ["two_stage", "e_als", "ls"])
+def test_each_row_of_a_mixed_stack_is_the_single_frame_estimate(name):
+    # normal, zero and NaN frames (and for two_stage a frame whose OFF stage
+    # alone holds a NaN) in one stack: row j of the stacked estimate equals
+    # the single-frame call on frame j in every field, bit for bit and type
+    # for type, a failed row's None factors, reason and trace length included
+    mode = "e_als" if name in ("e_als", "ls") else "two_stage"
+    system, ch, sched, _ = noisy_setup(mode, seed=66)
+    frames = [synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(5)]
+    parts = (frames[1].tensor, frames[1].off_stage)
+    frames[1] = ReceiveTensor(*(None if a is None else np.zeros_like(a) for a in parts))
+    frames[2] = with_nan(frames[2], "tensor")
+    if mode == "two_stage":
+        frames[3] = with_nan(frames[3], "off_stage")
+    cfg = EstimatorConfig()
+    stacked = estimate(name, stack_of(frames), sched, cfg,
+                       [np.random.default_rng(70 + j) for j in range(5)])
+    failed = [False, name != "ls", True, mode == "two_stage", False]
+    assert stacked.failed.tolist() == failed
+    for j, frame in enumerate(frames):
+        want = estimate(name, frame, sched, cfg, np.random.default_rng(70 + j))
+        assert_same_estimate(stacked.row(j), want)
+    if name != "ls":   # the zero frame fails in its first Z step, with no trace
+        assert stacked.row(1).iterations == 1 and stacked.row(1).residual_trace == ()
 
 
 def test_a_stack_needs_one_generator_per_frame():
+    # one Generator, not in a list, counts as one generator
     _, _, sched, recv = noisy_setup("two_stage", seed=57)
     stack, rngs = stack_of([recv] * 3), [np.random.default_rng(i) for i in range(2)]
     for name in ("als_ris", "two_stage", "e_als"):
         with pytest.raises(ValueError, match="a stack of 3 frames got 2 generators"):
             estimate(name, stack, sched, EstimatorConfig(), rngs)
+        with pytest.raises(ValueError, match="a stack of 2 frames got 1 generators"):
+            estimate(name, stack_of([recv] * 2), sched, EstimatorConfig(), rngs[0])
 
 
 def test_squared_norms_of_a_row_do_not_depend_on_its_stack():
@@ -878,10 +908,10 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
                        np.random.default_rng(62))
     frames = stack_of([synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)])
     estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
-    ests = estimator(frames, sched, EstimatorConfig(), [np.random.default_rng(63)] * 3)
+    stacked = estimator(frames, sched, EstimatorConfig(), [np.random.default_rng(63)] * 3)
     # the OFF stage's K^2 L' + K^3 + M L' K + M K L, each dimension 2
     off_stage = 32 if mode == "two_stage" else 0
-    for est in ests:
+    for est in map(stacked.row, range(3)):
         assert est.failed and "singular" in est.failure_reason
         assert est.iterations == 0 and est.residual_trace == ()
         assert est.op_count == off_stage
@@ -989,9 +1019,9 @@ def test_an_uncertified_schedule_sends_every_frame_to_pinv_left(kind):
     assert not any(divided.any() for _, divided in calls)
     assert pinv_left.call_count == sum(len(divided) for _, divided in calls)
     if kind == "random":
-        assert not any(e.failed for e in ests) and len(calls) == 4
+        assert not ests.failed.any() and len(calls) == 4
     else:
-        assert all(e.failed and "singular" in e.failure_reason for e in ests)
+        assert ests.failed.all() and all("singular" in r for r in ests.failure_reason)
 
 
 def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
@@ -1008,8 +1038,7 @@ def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
         ests = e_als_estimate(frames, sched, EstimatorConfig(), [np.random.default_rng(61)] * 3)
     assert [list(divided) for _, divided in calls[:2]] == [[True] * 3, [True, False, True]]
     assert all(divided.all() for _, divided in calls[2:]) and pinv_left.call_count == 1
-    assert ests[1].failed and "singular" in ests[1].failure_reason
-    assert not ests[0].failed and not ests[2].failed
+    assert ests.failed.tolist() == [False, True, False] and "singular" in ests.failure_reason[1]
 
 
 @pytest.mark.parametrize("estimator", [two_stage_estimate, e_als_estimate])
@@ -1038,16 +1067,17 @@ def test_a_solve_that_raises_fails_its_frame_alone(estimator):
         return x, divided, errors
 
     want = fit()
-    assert all(est.iterations > 2 for est in want)
+    assert (want.iterations > 2).all()
     with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves):
         got = fit()
     assert calls[:3] == [3, 3, 3]
-    assert got[1].failed and got[1].failure_reason == "forced"
-    assert got[1].iterations == 2
-    assert got[1].residual_trace == want[1].residual_trace[:1]
-    assert got[1].h_ua is None and got[1].h_ur is None and got[1].h_ra is None
+    failed = got.row(1)
+    assert failed.failed and failed.failure_reason == "forced"
+    assert failed.iterations == 2
+    assert failed.residual_trace == want.row(1).residual_trace[:1]
+    assert failed.h_ua is None and failed.h_ur is None and failed.h_ra is None
     for i in (0, 2):
-        assert_same_estimate(got[i], want[i])
+        assert_same_estimate(got.row(i), want.row(i))
 
 
 def test_resolve_scaling_inverts_synthetic_ambiguity():
