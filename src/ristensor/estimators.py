@@ -122,16 +122,6 @@ def _abs2(a):
     return a.real**2 + a.imag**2
 
 
-def _small_change(current, previous, threshold):
-    # whether each slot's squared relative change against its current
-    # iterate is at most threshold; a vanishing current iterate counts as
-    # converged
-    slots = len(current)
-    den = sqnorms(current.reshape(slots, -1))
-    num = sqnorms((current - previous).reshape(slots, -1))
-    return (den < 1e-300) | (num <= threshold * den)
-
-
 def _contracted_residuals(w, h, z, bx_d, b, out):
     # squared frame-fit residual ||Y - C F^T||^2 of each slot from its
     # contraction W = Y F* (F square, F^H F = B I, so F F^H = B I and the
@@ -163,9 +153,10 @@ def _model_residuals(y, psi, h, z, x_d, out):
     return sqnorms(residual.reshape(slots, -1))
 
 
-def _solve_ops(divided, division, fallback):
-    # op count of a step's solves per slot: a scalar when every Gram was divided
-    return division if divided.all() else np.where(divided, division, fallback)
+def _add_fallback_ops(ops, divided, excess):
+    # each slot whose Gram went to pinv_left pays its excess over the division
+    if not divided.all():
+        ops[~divided] += excess
 
 
 def _pinv_cost(short, long):
@@ -181,16 +172,17 @@ def _finite_frames(*stacks):
     )
 
 
-def _stacked_estimate(finite, sweeps=0, **factors):
+def _stacked_estimate(finite, **factors):
     # the estimate of a call on len(finite) frames, whose rows it writes: a
-    # frame that is not finite has failed, at iteration 0 with op_count 0
+    # frame that is not finite has failed, at iteration 0 with op_count 0,
+    # and no sweep has run
     g = len(finite)
     return ChannelEstimate(
         **factors,
         iterations=np.zeros(g, dtype=int),
         converged=np.zeros(g, dtype=bool),
         op_count=np.zeros(g, dtype=int),
-        residual_trace=np.full((g, sweeps), np.nan),
+        residual_trace=np.empty((g, 0)),
         failed=~finite,
         failure_reason=np.where(finite, "", "non-finite frame").astype(object),
     )
@@ -228,7 +220,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
     Returns the stack's ChannelEstimate, each row equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
-    every norm is one BLAS dot per slot or row (sqnorms), and generator
+    every norm is one BLAS dot per slot or row (sqnorms) or a sum over one
+    slot's row norms, and generator
     rngs[t] (None: default_rng(init_seed)) draws frame t's initial H_ua,
     H_ra and Z in one call, the values three crandn calls would give.
     Per sweep and frame, with a direct block of pilots X_d: one solve
@@ -260,8 +253,11 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     buffer.  Any other schedule forms the model frame, its RIS term
     KR(H_ra, Z^T) Psi^T as one (M*L, B) product per frame.  Either way each
     frame's residual is reduced on its own (sqnorms), and no stop test
-    reads it.  Each frame writes its own row of the estimate's C-ordered
-    arrays.  A frame whose solve raises LinAlgError writes its failure
+    reads it; residual_trace holds one column per sweep run.  A frame has
+    converged when each factor's squared change, one dot over its block, is
+    at most conv_threshold times its squared norm, the sum of the row norms
+    that the next step's diagonal reads.  Each frame writes its own row of
+    the estimate's C-ordered arrays.  A frame whose solve raises LinAlgError writes its failure
     there, with the sweep and op count it reached, and its undefined update
     takes back its previous iterate.  At the end of each sweep, a frame that
     failed, converged or ran max_iters sweeps (converged=False, not an
@@ -280,10 +276,10 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     k = x.shape[0]
     k_d = direct_pilots.shape[0]
     p = k_d + n
-    tol = cfg.pinv_tol
+    tol, threshold = cfg.pinv_tol, cfg.conv_threshold
     finite = _finite_frames(stack)
     est = _stacked_estimate(
-        finite, cfg.max_iters, h_ua=np.zeros((g, m, k_d), dtype=complex),
+        finite, h_ua=np.zeros((g, m, k_d), dtype=complex),
         h_ur=np.zeros((g, n, k), dtype=complex), h_ra=np.zeros((g, m, n), dtype=complex),
     )
     idx = np.flatnonzero(finite)   # the frame index of each stack slot
@@ -344,6 +340,12 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     else:
         # KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
         residual_ops = m * l * n + m * l * n * b + m * k_d * l + m * l * b
+    # every slot's cost of a sweep whose Grams were all divided, which ops
+    # leaves out: the joint step's diagonal, right-hand side and division,
+    # the Z step's diagonal, right-hand side, direct term and division, and
+    # the residual; a slot's pinv_left fallback adds its excess to ops
+    joint_step_ops = n * l + n + n * l * m + p * m
+    sweep_ops = joint_step_ops + n * m + n + n * l * m + z_direct + n * l + residual_ops
 
     def joint_regression(j):
         # KR([1 .. 1 | Psi], [X_d; Z]^T) against the mode-1 unfolding
@@ -365,15 +367,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     z = z @ x
     del h_ua, h_ra   # copied into joint; freed before the sweep's buffers
     c_buf = np.empty_like(w)   # the residual's rows of C, reused by every sweep
+    z_sq = sqnorms(z)   # Z's row norms, which the next joint diagonal reads
+    failed = np.zeros(len(idx), dtype=bool)   # whether each slot failed, as fail marks it
+    trace = []   # each sweep's residuals over the G frames, NaN off the stack
 
-    def fail(it, errors, new, old):
-        # the failure of each slot whose solve raised, with the sweep and op
-        # count it reached; its undefined row of new takes back the previous
-        # iterate, and the slot stays to the sweep's exit
+    def fail(it, errors, new, old, reached):
+        # the failure of each slot whose solve raised, at sweep it with op
+        # count ops[j] + reached, the fixed sweep cost before this step; its
+        # undefined row of new takes back the previous iterate, and the slot
+        # stays to the sweep's exit
         for j, err in errors.items():
-            if not est.failed[idx[j]]:
+            if not failed[j]:
+                failed[j] = True
                 _fail(est, idx[j], str(err))
-                est.iterations[idx[j]], est.op_count[idx[j]] = it, ops[j]
+                est.iterations[idx[j]], est.op_count[idx[j]] = it, ops[j] + reached
             new[j] = old[j]
 
     for it in range(1, cfg.max_iters + 1):
@@ -381,55 +388,57 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
 
         # joint step: diagonal [B ||x_d,k||^2 | (Psi^H Psi)_nn ||z_n||^2],
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
-        diag[:, k_d:] = psi_sq * sqnorms(z)
+        diag[:, k_d:] = psi_sq * z_sq
         rhs[:, k_d:] = (w[:, d:] @ z.conj()[..., None])[..., 0]
         joint, divided, errors = certified_gram_solves(
             diag, rhs, joint_regression, coupling, tol
         )
-        fail(it, errors, joint, prev_joint)
+        fail(it, errors, joint, prev_joint, (it - 1) * sweep_ops)
+        _add_fallback_ops(ops, divided, joint_svd - p * m)
         prev_z = z
-        # diagonal, right-hand side, then the division or the pinv_left
-        # fallback
-        ops += n * l + n + n * l * m
-        ops += _solve_ops(divided, p * m, joint_svd)
 
         # Z step against KR(Psi, H_ra): diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2,
         # right-hand side sum_m conj(h_ra[m, n]) W[n, m, :] less the direct
         # term conj(1^T Psi) o (H_ra^H H_ua X_d)
+        joint_sq = sqnorms(joint)   # [H_ua | H_ra]'s column norms
         ra_h = joint[:, k_d:].conj()
         z_rhs = (ra_h[:, :, None, :] @ w[:, d:])[:, :, 0, :]
         if k_d:
             h_ua = joint[:, :k_d].transpose(0, 2, 1)
             z_rhs -= psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
         z, divided, errors = certified_gram_solves(
-            psi_sq * sqnorms(joint[:, k_d:]), z_rhs, z_regression, coupling, tol
+            psi_sq * joint_sq[:, k_d:], z_rhs, z_regression, coupling, tol
         )
         del ra_h, z_rhs   # before the residual's allocations
-        fail(it, errors, z, prev_z)
-        # diagonal, right-hand side, direct term, then the division or the
-        # pinv_left fallback
-        ops += n * m + n + n * l * m + z_direct
-        ops += _solve_ops(divided, n * l, z_svd)
+        fail(it, errors, z, prev_z, (it - 1) * sweep_ops + joint_step_ops)
+        _add_fallback_ops(ops, divided, z_svd - n * l)
+        z_sq = sqnorms(z)
 
         # squared frame-fit residual, which no stop test reads
+        residuals = np.full(g, np.nan)
         if contracted:
-            est.residual_trace[idx, it - 1] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
+            residuals[idx] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
         else:
-            est.residual_trace[idx, it - 1] = _model_residuals(
-                y, psi, joint, z, direct_pilots, c_buf[:, d:]
-            )
-        ops += residual_ops
-        done = _small_change(joint[:, k_d:], prev_joint[:, k_d:], cfg.conv_threshold)
-        done &= _small_change(z, prev_z, cfg.conv_threshold)
+            residuals[idx] = _model_residuals(y, psi, joint, z, direct_pilots, c_buf[:, d:])
+        trace.append(residuals)
+
+        # stop test: each factor's squared change at most conv_threshold
+        # times its squared norm, summed from the row norms the diagonals
+        # read (a vanishing factor counts as converged)
+        change = joint - prev_joint
+        factors = [(z_sq, z - prev_z), (joint_sq[:, k_d:], change[:, k_d:])]
         if k_d:   # an empty direct block counts as converged
-            done &= _small_change(joint[:, :k_d], prev_joint[:, :k_d], cfg.conv_threshold)
-        del prev_joint, prev_z
+            factors.append((joint_sq[:, :k_d], change[:, :k_d]))
+        done = ~failed
+        for rows_sq, delta in factors:
+            den = rows_sq.sum(axis=1)
+            done &= (den < 1e-300) | (sqnorms(delta.reshape(len(idx), -1)) <= threshold * den)
+        del prev_joint, prev_z, change, factors
 
         # the one exit: each frame that converged or reached max_iters writes
         # its row, h_ur recovered from Z, and a failed one leaves the row fail
         # wrote; the last staying slots move into the stopped ones, and the
         # frame-sized arrays are cut to the frames that stay
-        failed = est.failed[idx]
         stop = done | failed | (it == cfg.max_iters)
         if not stop.any():
             continue
@@ -440,16 +449,17 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         est.h_ra[rows] = joint[fits, k_d:].transpose(0, 2, 1)
         est.iterations[rows] = it
         est.converged[rows] = done[fits]
-        est.op_count[rows] = ops[fits] + _pinv_cost(k, l) + n * l * k
+        est.op_count[rows] = ops[fits] + (it * sweep_ops + _pinv_cost(k, l) + n * l * k)
         kept = len(idx) - np.count_nonzero(stop)
         holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
-        stacks = [y, w, rhs, idx, ops, joint, z]
+        stacks = [y, w, rhs, idx, ops, joint, z, z_sq, failed]
         for a in stacks:
             a[holes] = a[movers]
-        y, w, rhs, idx, ops, joint, z = (a[:kept] for a in stacks)
+        y, w, rhs, idx, ops, joint, z, z_sq, failed = (a[:kept] for a in stacks)
         diag, c_buf = diag[:kept], c_buf[:kept]
         if not kept:
             break
+    est.residual_trace = np.stack(trace, axis=1)
     return est
 
 

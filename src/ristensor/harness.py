@@ -5,8 +5,9 @@ so the record set is bit-identical no matter how trials are chunked across
 workers; all enabled estimators inside a trial share one channel realization
 and one noise realization (paired comparison): the trial's noise is drawn
 once per training length, so schedules of equal length share the draw.  A
-chunk runs its trials in the fewest groups of at most GROUP_SIZE, balanced
-to within one trial.  Each trial of a group draws its channels with its
+chunk runs its trials in the fewest groups of at most GROUP_SIZE (32),
+balanced to within one trial: a chunk of 50 as 2 groups of 25, one of 100
+as 4 of 25.  Each trial of a group draws its channels with its
 own draw_channels call; the group's channels are then stacked and each
 schedule's frames built in one synthesize call for all its trials, each
 from its own row, so a trial's channels, frames and hash are the ones it
@@ -64,10 +65,12 @@ _INIT_ORDINAL = {"two_stage": 0, "e_als": 1}
 _GEOMETRY_TAG = 104729  # entropy word marking the shared-geometry stream
 # most trials a chunk solves per stacked estimator call: larger groups spread
 # numpy's per-call overhead thinner but hold more frames and temporaries at
-# once.  It stays 16 for memory: one CLI call of 100 trials at two SNR points
-# with both ALS estimators peaked at 41.7 / 42.7 / 43.1 / 46.4 / 52.7 MB of
-# its own (VmHWM) at 16 / 24 / 32 / 50 / 100 (2-vCPU VM, one BLAS thread)
-GROUP_SIZE = 16
+# once.  One CLI call of 100 trials at two SNR points with both ALS
+# estimators peaked at 41.7 / 42.7 / 43.1 / 46.4 / 52.7 MB of its own
+# (VmHWM) at 16 / 24 / 32 / 50 / 100 (2-vCPU VM, one BLAS thread), and 32
+# against 16 took a stock call from 171.8 to 146.9 ms and that ALS-only one
+# from 251.8 to 220.1 ms (in-process medians, same VM)
+GROUP_SIZE = 32
 
 
 class ConfigError(ValueError):
@@ -415,7 +418,7 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
 def _run_chunk(cfg, snr_index, start, stop):
     system, schedules, ls_solver = _snr_setup(cfg, snr_index)
     # the fewest groups of at most GROUP_SIZE, balanced: 100 trials run as
-    # 7 groups of 14 or 15, not 6 x 16 and a straggler group of 4
+    # 4 groups of 25, not 3 x 32 and a straggler group of 4
     count = stop - start
     groups = math.ceil(count / GROUP_SIZE)
     records = []

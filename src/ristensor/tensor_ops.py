@@ -68,10 +68,11 @@ def unfold_mode2(t):
 def pinv_with_ratio(a):
     """SVD pseudoinverse of a matrix and its singular value ratio sigma_min/sigma_max.
 
-    An all-zero matrix has ratio 0 and no pseudoinverse (None).
+    A matrix with an exactly zero singular value, an all-zero one included,
+    has ratio 0 and no pseudoinverse (None).
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
+    if s[-1] == 0.0:
         return None, 0.0
     return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
 

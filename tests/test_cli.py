@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -499,3 +500,33 @@ def test_module_entry_point(tiny_yaml):
     )
     assert proc.returncode == 0
     assert "two_stage" in proc.stdout
+
+
+def test_a_huge_sweep_cap_costs_only_the_sweeps_run(tmp_path):
+    # the residual trace grows with the sweeps run, not with max_iters: a
+    # stock e_als run at 30 dB converges in a few sweeps, so a cap of 10^9
+    # sweeps fits in a 3 GB address space (a trace sized by the cap would
+    # ask for 14.9 GiB); the limit is set in the child alone
+    limit = 3 * 2**30
+    config = tmp_path / "cap.yaml"
+    config.write_text(
+        "estimator: {max_iters: 1000000000}\n"
+        "estimators: [e_als]\n"
+        "snr_grid_db: [30]\n"
+        "trials: 2\n"
+        "output: out.csv\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ristensor", "run", "--config", str(config)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(row["converged"] == "true" and row["failure_flag"] == "false" for row in rows)

@@ -402,19 +402,21 @@ def test_worker_count_does_not_change_records():
 
 
 def test_worker_count_does_not_change_records_across_group_makeups(monkeypatch):
-    # stock dimensions, 70 trials: workers 1, 2 and 3 cut each SNR point into
-    # chunks of 70, 35 + 35 and 24 + 24 + 22 trials, which run as 5, 3 and 2
-    # groups each, so the stacked calls see groups of 14 / 11 or 12 / 11 or 12
-    # frames; three usable CPUs keep the third makeup on a smaller machine
+    # stock dimensions, 2 GROUP_SIZE + 6 trials (70 at 32): workers 1, 2 and
+    # 3 cut each SNR point into one, two and three chunks, which run as 3, 2
+    # and 1 groups each, so the stacked calls see a different group makeup
+    # under each worker count; three usable CPUs keep the third makeup on a
+    # smaller machine
     monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: 3)
-    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=70, master_seed=11)
-    groups = [math.ceil(chunk / ristensor.harness.GROUP_SIZE) for chunk in (70, 35, 24)]
-    assert groups == [5, 3, 2]
+    trials = 2 * ristensor.harness.GROUP_SIZE + 6
+    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=trials, master_seed=11)
+    chunks = [math.ceil(trials / workers) for workers in (1, 2, 3)]
+    assert [math.ceil(chunk / ristensor.harness.GROUP_SIZE) for chunk in chunks] == [3, 2, 1]
     runs = [
         records_without_wall_time(run_experiment(dataclasses.replace(base, workers=workers)))
         for workers in (1, 2, 3)
     ]
-    assert len(runs[0]) == 2 * 70 * 3
+    assert len(runs[0]) == 2 * trials * 3
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -501,8 +503,11 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
 
 
 def test_chunk_runs_balanced_groups(monkeypatch):
-    # 34 trials run as three stacked calls of 11, 11 and 12 frames per
-    # estimator, not as 16, 16 and a straggler of 2
+    # GROUP_SIZE + 2 trials (34 at 32) run as two stacked calls of
+    # GROUP_SIZE / 2 + 1 frames per estimator, not as GROUP_SIZE and a
+    # straggler of 2
+    size = ristensor.harness.GROUP_SIZE
+    trials = size + 2
     sizes = {}
 
     def sized(name):
@@ -514,13 +519,26 @@ def test_chunk_runs_balanced_groups(monkeypatch):
 
         return wrapper
 
-    assert ristensor.harness.GROUP_SIZE == 16
+    assert size % 2 == 0
     estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
     for name in estimators:
         monkeypatch.setattr(ristensor.harness, name, sized(name))
-    records = ristensor.harness._run_chunk(tiny_config(trials=34), 0, 0, 34)
-    assert sizes == {name: [11, 11, 12] for name in estimators}
-    assert sorted({r.trial_index for r in records}) == list(range(34))
+    records = ristensor.harness._run_chunk(tiny_config(trials=trials), 0, 0, trials)
+    assert sizes == {name: [trials // 2] * 2 for name in estimators}
+    assert sorted({r.trial_index for r in records}) == list(range(trials))
+
+
+def test_group_size_does_not_change_records(monkeypatch):
+    # stock dimensions, 70 trials run as 70 groups of 1, 10 of 7, 3 of 23 or
+    # 24, and one of 70: every record but its wall time is the same
+    base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=70, master_seed=3)
+    runs = []
+    for size in (1, 7, 32, 70):
+        monkeypatch.setattr(ristensor.harness, "GROUP_SIZE", size)
+        runs.append(records_without_wall_time(run_experiment(base)))
+    assert len(runs[0]) == 2 * 70 * 3 and not any(r["failure_flag"] for r in runs[0])
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
 def test_group_records_equal_single_trial_records():
@@ -992,7 +1010,8 @@ def test_group_scores_equal_each_row_scored_alone(name, failed, dims, zero_colum
 
 def test_scoring_runs_once_per_estimator_and_group(monkeypatch):
     # the cost formula and the column fit run once per (ALS estimator,
-    # group), not once per record: 34 trials per SNR point run as 3 groups
+    # group), not once per record: GROUP_SIZE + 2 trials per SNR point run
+    # as 2 groups
     calls = Counter()
 
     def counted(name):
@@ -1006,9 +1025,10 @@ def test_scoring_runs_once_per_estimator_and_group(monkeypatch):
 
     for name in ("complexity_formula", "column_scales"):
         monkeypatch.setattr(ristensor.harness, name, counted(name))
-    records = run_experiment(tiny_config(snr_grid_db=(0.0, 10.0), trials=34))
-    assert len(records) == 2 * 34 * 3 and not any(r.failure_flag for r in records)
-    assert calls == {"complexity_formula": 2 * 3 * 2, "column_scales": 2 * 3 * 2}
+    trials = ristensor.harness.GROUP_SIZE + 2
+    records = run_experiment(tiny_config(snr_grid_db=(0.0, 10.0), trials=trials))
+    assert len(records) == 2 * trials * 3 and not any(r.failure_flag for r in records)
+    assert calls == {"complexity_formula": 2 * 2 * 2, "column_scales": 2 * 2 * 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1041,13 +1061,50 @@ def test_ls_monte_carlo_nmse_meets_its_exact_expectation():
     # before the test first ran
     cfg = ExperimentConfig(trials=200, master_seed=8, estimators_enabled=("ls",))
     for snr_index, snr_db in enumerate(cfg.snr_grid_db):
-        system = dataclasses.replace(cfg.system, snr_db=snr_db)
-        solver = StackedLsSolver(make_schedule(system, "e_als"), system.m_ap)
-        error = (system.noise_var * system.m_ap
-                 * np.linalg.norm(solver.p_phase) ** 2 * np.linalg.norm(solver.p_pilot) ** 2)
-        ratios = []
-        for trial in range(cfg.trials):
-            [record], _, ch = run_trial(cfg, snr_index, trial, details=True)
-            theta = stacked_parameter_vector(ch.h_ua, ch.h_ra, ch.h_ur)
-            ratios.append(record.nmse_aggregate * np.vdot(theta, theta).real / error)
-        assert abs(np.mean(ratios) - 1) < 0.01, (snr_db, np.mean(ratios))
+        ratio = _mean_nmse_over_expected_ls(cfg, snr_index)["ls"]
+        assert abs(ratio - 1) < 0.01, (snr_db, ratio)
+
+
+def _mean_nmse_over_expected_ls(cfg, snr_index):
+    # each enabled estimator's mean over cfg.trials of its NMSE over ls's
+    # expected NMSE on the trial's channels, sigma^2 M tr(P_phase P_phase^H)
+    # tr(P_pilot P_pilot^H) / ||theta||^2
+    system = dataclasses.replace(cfg.system, snr_db=cfg.snr_grid_db[snr_index])
+    solver = StackedLsSolver(make_schedule(system, "e_als"), system.m_ap)
+    error = (system.noise_var * system.m_ap
+             * np.linalg.norm(solver.p_phase) ** 2 * np.linalg.norm(solver.p_pilot) ** 2)
+    ratios = {name: [] for name in cfg.estimators_enabled}
+    for trial in range(cfg.trials):
+        records, _, ch = run_trial(cfg, snr_index, trial, details=True)
+        theta = stacked_parameter_vector(ch.h_ua, ch.h_ra, ch.h_ur)
+        for record in records:
+            ratios[record.estimator_name].append(
+                record.nmse_aggregate * np.vdot(theta, theta).real / error
+            )
+    return {name: np.mean(values) for name, values in ratios.items()}
+
+
+def test_als_monte_carlo_nmse_meets_its_high_snr_limit():
+    # at high SNR the ML fit keeps only the LS error's projection onto the
+    # model's tangent space, MK + MN + NK - N of ls's MK(N + 1) complex
+    # dimensions (-N for the column-scaling ambiguity), so e_als's NMSE tends
+    # to ls's expected NMSE times 307/832 at stock; two_stage's OFF stage sees
+    # one block of pilots, its direct-path error is N + 1 times ls's per entry
+    # and lands in the cascade's first column, where the tangent space keeps
+    # M + K - 1 dimensions of it: [MK + (MN + NK - N)/N + M + K - 1] / MK =
+    # 54/32.  The mean of 200 trials has a standard error near 0.4%, so 2% is
+    # about five; the seed was fixed before the test first ran
+    cfg = ExperimentConfig(
+        snr_grid_db=(20.0, 30.0), trials=200, master_seed=9,
+        estimators_enabled=("two_stage", "e_als"),
+    )
+    m, k, n = cfg.system.m_ap, cfg.system.k_users, cfg.system.n_ris
+    limits = {
+        "e_als": (m * k + m * n + n * k - n) / (m * k * (n + 1)),
+        "two_stage": (m * k + (m * n + n * k - n) / n + m + k - 1) / (m * k),
+    }
+    assert limits == {"e_als": 307 / 832, "two_stage": 54 / 32}
+    for snr_index, snr_db in enumerate(cfg.snr_grid_db):
+        ratios = _mean_nmse_over_expected_ls(cfg, snr_index)
+        for name, limit in limits.items():
+            assert abs(ratios[name] / limit - 1) < 0.02, (name, snr_db, ratios[name] / limit)

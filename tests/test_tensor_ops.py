@@ -126,6 +126,9 @@ def test_pinv_singularity_raises_with_dimensions():
         pinv_right(a)
     with pytest.raises(SingularMatrixError):
         pinv_left(np.zeros((4, 2)))
+    # an exactly zero singular value raises, with no divide-by-zero warning
+    with pytest.raises(SingularMatrixError):
+        pinv_left(np.diag([1.0, 0.0]))
 
 
 @settings(max_examples=50, deadline=None)
