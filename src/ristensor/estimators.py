@@ -10,23 +10,19 @@ Three approaches over the same training frame:
 * ls_baseline — one stacked linear LS solve for the vectorized direct and
   cascaded parameters, with no factor decoupling.
 
-Each alternating update's objective is within eps of its conditional LS
-minimum, so the frame-fit residual recorded in residual_trace is
-non-increasing sweep over sweep, up to rounding.  Where the known factor
-F = [1 | Psi] (Psi without a direct block) is square with F^H F = B I
-(tensor_ops.is_scaled_unitary), as the DFT schedules are, that residual is
-measured on the contracted frame Y F*, which no sweep rebuilds; any other
-schedule measures it on the model frame.  Each update's regressor is
-a Khatri-Rao product whose Gram is a Hadamard product of factor Grams, and
-the only sweep-invariant factor, the known schedule, bounds how far from
-diagonal any such Gram can be: certified once per call
-(tensor_ops.khatri_rao_coupling), each update is solved by dividing its
-right-hand side, from the frame contracted once with the phase schedule, by
-the Gram's diagonal from factor norms (tensor_ops.certified_gram_solves).
-No Gram is formed; the regressor itself is formed only for an update that
-is not certified, whose SVD solves it and decides singularity.  One filter
-(_finite_frames) makes every estimator report a frame holding NaN or inf as
-a failed row before any solve.
+The ALS estimators fit only orthogonal schedules, as make_schedule builds:
+the known factor F = [1 | Psi] (Psi without a direct block) square with
+F^H F = B I, and direct-block pilots with X_d X_d^H = c I.  They check this
+once per call and refuse any other schedule by failing every frame with the
+reason.  Under it every update's Khatri-Rao Gram is diagonal to rounding,
+so each update divides its right-hand side, from the frame contracted once
+with F, W = Y F*, by the Gram's diagonal from factor norms
+(tensor_ops.diagonal_solves); no Gram or regressor is formed, and a
+diagonal that does not clear fails its frame.  Each update's objective is
+within eps of its conditional LS minimum, so the frame-fit residual in
+residual_trace, ||W - B C||^2 / B, is non-increasing sweep over sweep, up
+to rounding.  One filter (_finite_frames) makes every estimator report a
+frame holding NaN or inf as a failed row before any solve.
 
 Every estimator takes a ReceiveTensor of one (M, L, B) frame, or of a stack
 of G frames along a leading axis, as synthesize builds a group's (the ALS
@@ -36,10 +32,11 @@ ChannelEstimate stacked along G; a single frame is a stack of one
 _alternating_fit, serves both ALS estimators on a stack of frames that
 share a schedule: each frame writes its row of the estimate and leaves the
 stack when it converges, fails or reaches max_iters.  ls_baseline solves
-its stack with one StackedLsSolver.solve.  Each call fits its own C-ordered
-copy of the stack, so its caller's arrays are never written; every product
-runs per slice on slices of that one layout, so each row is the estimate
-its frame gets alone, bit for bit, whatever else is in the stack.
+its stack with one StackedLsSolver.solve.  Each call works on its own
+C-ordered copy of the stack, so its caller's arrays are never written;
+every product runs per slice on slices of that one layout, so each row is
+the estimate its frame gets alone, bit for bit, whatever else is in the
+stack.
 """
 
 import dataclasses
@@ -49,17 +46,15 @@ import numpy as np
 
 from .tensor_ops import (
     SingularMatrixError,
-    certified_gram_solves,
     crandn_stacks,
+    diagonal_solves,
+    has_orthogonal_rows,
     is_scaled_unitary,
-    khatri_rao,
-    khatri_rao_coupling,
+    khatri_rao,  # unused here, but perfbench/spans.py wraps this name
     pinv_left,  # unused here, but perfbench/spans.py wraps this name
     pinv_right,
     pinv_with_ratio,
     sqnorms,
-    unfold_mode1,
-    unfold_mode2,
 )
 from .validation import check_field_types
 
@@ -138,27 +133,6 @@ def _contracted_residuals(w, h, z, bx_d, b, out):
     return sqnorms(out.reshape(slots, -1)) / b
 
 
-def _model_residuals(y, psi, h, z, x_d, out):
-    # squared frame-fit residual ||Y - model||^2 of each slot from the model
-    # frame, for any schedule: its RIS term is KR(H_ra, Z^T) Psi^T as
-    # (M*L, B), whose KR rows h_ra[:, n] z_n^T go to out (T, N, M, L); a Gram
-    # expansion would cancel
-    slots, m, l, b = y.shape
-    n, k_d = psi.shape[1], len(x_d)
-    ra_z = np.matmul(h[:, k_d:, :, None], z[:, :, None], out=out)
-    residual = (ra_z.reshape(slots, n, m * l).transpose(0, 2, 1) @ psi.T).reshape(slots, m, l, b)
-    np.subtract(y, residual, out=residual)
-    if k_d:
-        residual -= (h[:, :k_d].transpose(0, 2, 1) @ x_d)[..., None]
-    return sqnorms(residual.reshape(slots, -1))
-
-
-def _add_fallback_ops(ops, divided, excess):
-    # each slot whose Gram went to pinv_left pays its excess over the division
-    if not divided.all():
-        ops[~divided] += excess
-
-
 def _pinv_cost(short, long):
     # Gram-convention multiply-accumulate count for a pseudoinverse whose
     # short side is `short`: forming the Gram matrix plus inverting it
@@ -196,7 +170,7 @@ def _fail(est, rows, reason):
 def _as_stack(tensor, off_stage, rng):
     # one frame (M, L, B) with one generator is the stack of one; a stack
     # (G, M, L, B) takes G generators or None.  Returns the call's own
-    # C-ordered copy of the tensor stack (the ALS fit overwrites it), the
+    # C-ordered copy of the tensor stack (two_stage and ls write it), the
     # OFF stages, the generators, and whether one frame came
     single = np.ndim(tensor) == 3
     if single:
@@ -212,62 +186,52 @@ def _as_stack(tensor, off_stage, rng):
     return y, off_stage, rngs, single
 
 
+def _schedule_refusal(f, x_d):
+    # why _alternating_fit refuses a schedule, or "" for one that meets its
+    # premise (an empty direct block has orthogonal rows)
+    if not is_scaled_unitary(f):
+        return "refused schedule: its phase factor F is not square with F^H F = B I"
+    if not has_orthogonal_rows(x_d):
+        return "refused schedule: its direct pilots X_d do not have X_d X_d^H = c I"
+    return ""
+
+
 # a factor that overflows (as at a subnormal pilot power) goes on as inf or
 # NaN, without a warning, to the exit, and its estimate is scored as failed
 @np.errstate(over="ignore", invalid="ignore")
 def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
-    """Alternating LS over a C-ordered stack (G, M, L, B) of frames sharing one schedule.
+    """Alternating LS over a C-ordered stack (G, M, L, B) of frames sharing one orthogonal schedule.
 
     Returns the stack's ChannelEstimate, each row equal, bit for bit, to the
     fit of its frame alone in a stack of one: every product runs per slice,
     every norm is one BLAS dot per slot or row (sqnorms) or a sum over one
-    slot's row norms, and generator
-    rngs[t] (None: default_rng(init_seed)) draws frame t's initial H_ua,
-    H_ra and Z in one call, the values three crandn calls would give.
-    Per sweep and frame, with a direct block of pilots X_d: one solve
-    refits the direct and RIS->AP channels together against the stacked
-    regressor [direct block | RIS block], then one solve refits the
-    effective pilot-domain factor Z from the mode-2 unfolding with the
-    direct contribution removed.  Both regressors are Khatri-Rao products,
-    KR(A, B)^H KR(A, B) = (A^H A) o (B^H B), with the known factor
-    [1 .. 1 | Psi] (or Psi) in every sweep, so its coupling, computed once
-    per call (tensor_ops.khatri_rao_coupling), bounds the scaled
-    off-diagonal of every Gram either step can take.  Their right-hand sides
-    come from the frame contracted once with Psi^H along the blocks,
-    W[m, l, n] = sum_b conj(Psi[b, n]) Y[m, l, b] (the MTTKRP of CP-ALS,
-    since Psi is known), and their Gram diagonals from factor norms,
-    (Psi^H Psi)_nn ||z_n||^2 and (Psi^H Psi)_nn ||h_ra[:, n]||^2 (plus the
-    constant B ||x_d,k||^2 of the direct block).  Each step solves the whole
-    stack at once (tensor_ops.certified_gram_solves), routing each frame on
-    its own: under a certifying schedule, as the DFT schedules the harness
-    builds are, a frame whose diagonal clears is solved by one division, its
-    objective within eps of the conditional minimum, and any other forms its
-    regressor for pinv_left; a frame's op_count counts the diagonal,
-    right-hand side and division, or the regressor, pseudoinverse and apply
-    cost of the pinv_left, that ran.  The squared residual of each
-    sweep, ||Y - C F^T||^2 with F = [1 | Psi] (Psi without a direct block)
-    and C's rows H_ua X_d and h_ra[:, n] z_n^T, is, where F is square with
-    F^H F = B I (checked once per call, tensor_ops.is_scaled_unitary),
-    ||Y F* - B C||^2 / B: Y F* is W with the direct block's sum_b Y_b, both
-    formed at set-up, so a sweep forms only C's rows, scaled by B, in one
-    buffer.  Any other schedule forms the model frame, its RIS term
-    KR(H_ra, Z^T) Psi^T as one (M*L, B) product per frame.  Either way each
-    frame's residual is reduced on its own (sqnorms), and no stop test
-    reads it; residual_trace holds one column per sweep run.  A frame has
-    converged when each factor's squared change, one dot over its block, is
-    at most conv_threshold times its squared norm, the sum of the row norms
-    that the next step's diagonal reads.  Each frame writes its own row of
-    the estimate's C-ordered arrays.  A frame whose solve raises LinAlgError writes its failure
-    there, with the sweep and op count it reached, and its undefined update
-    takes back its previous iterate.  At the end of each sweep, a frame that
-    failed, converged or ran max_iters sweeps (converged=False, not an
-    error) leaves the stack; one that did not fail writes its factors, h_ur
-    recovered from Z by the pilots' right pseudoinverse.  The fit owns the
-    stack it is given and overwrites it as frames leave.  Pilots X that
-    pinv_right finds singular fail every frame at set-up, at iteration 0
-    with op_count 0, as a non-finite frame does.  A 0 x L X_d empties the
-    direct block: h_ua is then (G, M, 0), counts as converged, and the
-    sweep is the RIS-path fit, which forms no direct-block product.
+    slot's row norms, and generator rngs[t] (None: default_rng(init_seed))
+    draws frame t's initial H_ua, H_ra and Z in one call, the values three
+    crandn calls would give.  The premise, F = [1 | Psi] (Psi without a
+    direct block) square with F^H F = B I and direct pilots with
+    X_d X_d^H = c I, is checked once per call; a schedule that fails it, or
+    pilots X that pinv_right finds singular, fail every frame with the
+    reason at iteration 0 with op_count 0, as a non-finite frame does.
+
+    Per sweep and frame: one solve refits [H_ua | H_ra] against
+    KR([1 .. 1 | Psi], [X_d; Z]^T), then one refits Z = H_ur X against
+    KR(Psi, H_ra) with the direct term removed.  Each Khatri-Rao Gram is a
+    Hadamard product of factor Grams, diagonal to rounding under the
+    premise whatever Z and H_ra are, so each solve is one division
+    (tensor_ops.diagonal_solves): its right-hand side comes from W = Y F*,
+    formed once (W[n] = sum_b conj(Psi[b, n]) Y_b, the MTTKRP of CP-ALS, and
+    with a direct block sum_b Y_b), and its diagonal from factor norms,
+    (Psi^H Psi)_nn ||z_n||^2 or (Psi^H Psi)_nn ||h_ra[:, n]||^2 (and
+    B ||x_d,k||^2 for the direct block).  A frame whose diagonal does not
+    clear fails at that step with the sweep and op count it reached, its
+    update taking back its previous iterate.  Each sweep's squared residual
+    ||Y - C F^T||^2, C's rows H_ua X_d and h_ra[:, n] z_n^T, is
+    ||W - B C||^2 / B; no stop test reads it.  At the end of each sweep a
+    frame that failed, converged or ran max_iters sweeps (converged=False,
+    not an error) leaves the stack; one that did not fail writes its row,
+    h_ur recovered from Z by pinv_right(X).  A 0 x L X_d empties the direct
+    block: h_ua is then (G, M, 0), counts as converged, and no direct-block
+    product is formed.  The stack is never written.
     """
     g, m, l, b = stack.shape
     psi = sched.ris_phases
@@ -276,6 +240,7 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     k = x.shape[0]
     k_d = direct_pilots.shape[0]
     p = k_d + n
+    d = min(k_d, 1)
     tol, threshold = cfg.pinv_tol, cfg.conv_threshold
     finite = _finite_frames(stack)
     est = _stacked_estimate(
@@ -285,22 +250,20 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     idx = np.flatnonzero(finite)   # the frame index of each stack slot
     if not idx.size:
         return est
-    y = stack if idx.size == g else stack[idx]
     try:
         p_right = pinv_right(x, tol)   # recovers h_ur from Z at the exit
     except np.linalg.LinAlgError as err:
         _fail(est, idx, str(err))
         return est
+    refusal = _schedule_refusal(np.hstack([np.ones((b, d)), psi]), direct_pilots)
+    if refusal:
+        _fail(est, idx, refusal)
+        return est
 
-    # sweep-invariant: the frame contracted with the known factor
-    # F = [1 | Psi] (Psi without a direct block), Y F* as (D + N, M, L) per
-    # frame, its rows sum_b Y_b (D = 1 with a direct block) and
-    # W[n] = sum_b conj(Psi[b, n]) Y_b; the diagonal of Psi^H Psi, 1^T Psi,
-    # and the direct block's diagonal B ||x_d,k||^2 and right-hand side
-    # X_d* (sum_b Y_b)^T; and the certificate: every joint Gram is that of
-    # KR([1 .. 1 | Psi], [X_d; Z]^T) and every Z Gram its RIS block, so one
-    # coupling bound covers them all
-    d = min(k_d, 1)
+    # sweep-invariant: W = Y F* as (D + N, M, L) per frame, its rows sum_b
+    # Y_b (D = 1 with a direct block) and W[n] = sum_b conj(Psi[b, n]) Y_b;
+    # the diagonal of Psi^H Psi and 1^T Psi; and the direct block's constants
+    y = stack if idx.size == g else stack[idx]
     w = np.empty((len(y), d + n, m, l), dtype=complex)
     np.matmul(
         psi.conj().T, y.reshape(len(y), m * l, b).transpose(0, 2, 1),
@@ -308,15 +271,14 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     )
     psi_sq = _abs2(psi).sum(axis=0)
     psi_sum = psi.sum(axis=0)
-    known = np.hstack([np.ones((b, k_d)), psi])   # the joint step's known factor
-    coupling = khatri_rao_coupling(known, direct_pilots)
     diag = np.empty((len(y), p))
     diag[:, :k_d] = b * _abs2(direct_pilots).sum(axis=1)
     rhs = np.empty((len(y), p, m), dtype=complex)
-    # W, Psi's column norms and sums, the certificate (the Grams of
-    # [1 .. 1 | Psi] and X_d, and the scaled bound), the direct diagonal,
-    # and with a direct block sum_b Y_b and its right-hand side
-    ops = np.full(len(y), m * l * b * n + 2 * b * n + p * p * b + k_d * k_d * l + p * p + k_d * l)
+    bx_d = b * direct_pilots
+    # W, Psi's column norms and sums, the premise's Grams F^H F and
+    # X_d X_d^H, the direct diagonal and B X_d, and with a direct block
+    # sum_b Y_b and its right-hand side
+    ops = np.full(len(y), m * l * b * n + 2 * b * n + (d + n) ** 2 * b + k_d * k_d * l + 2 * k_d * l)
     # per-sweep cost of the Z step's direct term H_ra^H H_ua X_d scaled by 1^T Psi
     z_direct = 0
     if k_d:
@@ -324,37 +286,14 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         rhs[:, :k_d] = direct_pilots.conj() @ w[:, 0].transpose(0, 2, 1)
         ops += m * l * b + k_d * l * m
         z_direct = n * m * k_d + n * k_d * l + n * l
-    # per-frame cost of a pinv_left fallback in each step: its regressor
-    # (and the Z step's direct term), the pseudoinverse and its apply
-    joint_svd = b * l * p + _pinv_cost(p, b * l) + p * b * l * m
-    z_svd = b * m * n + b * m * k_d * l + _pinv_cost(n, b * m) + n * b * m * l
-    # the residual comes from Y F* where F, known's last D + N columns, is
-    # square with F^H F = B I, as the DFT schedules the harness builds are,
-    # and from the model frame otherwise
-    contracted = is_scaled_unitary(known[:, k_d - d:])
-    if contracted:
-        bx_d = b * direct_pilots
-        ops += k_d * l   # B X_d
-        # B H_ra, C's rows scaled by B, squared norm (the subtraction is no MAC)
-        residual_ops = m * n + m * l * n + m * k_d * l + m * l * (d + n)
-    else:
-        # KR(H_ra, Z^T), its product with Psi^T, direct term, squared norm
-        residual_ops = m * l * n + m * l * n * b + m * k_d * l + m * l * b
-    # every slot's cost of a sweep whose Grams were all divided, which ops
-    # leaves out: the joint step's diagonal, right-hand side and division,
-    # the Z step's diagonal, right-hand side, direct term and division, and
-    # the residual; a slot's pinv_left fallback adds its excess to ops
+    del stack, y   # no sweep reads the frame again
+    # every slot's cost of a sweep, which ops leaves out: the joint step's
+    # diagonal, right-hand side and division, the Z step's diagonal,
+    # right-hand side, direct term and division, and the residual's B H_ra,
+    # C's rows scaled by B and squared norm (the subtraction is no MAC)
     joint_step_ops = n * l + n + n * l * m + p * m
+    residual_ops = m * n + m * l * n + m * k_d * l + m * l * (d + n)
     sweep_ops = joint_step_ops + n * m + n + n * l * m + z_direct + n * l + residual_ops
-
-    def joint_regression(j):
-        # KR([1 .. 1 | Psi], [X_d; Z]^T) against the mode-1 unfolding
-        return khatri_rao(known, np.vstack([direct_pilots, z[j]]).T), unfold_mode1(y[j]).T
-
-    def z_regression(j):
-        # KR(Psi, H_ra) against the mode-2 unfolding less (1 (x) H_ua) X_d
-        direct = np.tile(joint[j, :k_d].T, (b, 1)) @ direct_pilots
-        return khatri_rao(psi, joint[j, k_d:].T), unfold_mode2(y[j]).T - direct
 
     # each frame's initial H_ua, H_ra and Z, as three crandn calls would draw
     # them, from one call of its generator
@@ -371,15 +310,16 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
     failed = np.zeros(len(idx), dtype=bool)   # whether each slot failed, as fail marks it
     trace = []   # each sweep's residuals over the G frames, NaN off the stack
 
-    def fail(it, errors, new, old, reached):
-        # the failure of each slot whose solve raised, at sweep it with op
-        # count ops[j] + reached, the fixed sweep cost before this step; its
-        # undefined row of new takes back the previous iterate, and the slot
-        # stays to the sweep's exit
-        for j, err in errors.items():
+    def fail(it, step, step_diag, refused, new, old, reached):
+        # the failure of each slot whose diagonal did not clear, at sweep it
+        # with op count ops[j] + reached, the fixed sweep cost before this
+        # step; its undefined row of new takes back the previous iterate, and
+        # the slot stays to the sweep's exit
+        for j in refused:
             if not failed[j]:
                 failed[j] = True
-                _fail(est, idx[j], str(err))
+                low, high = step_diag[j].min(), step_diag[j].max()
+                _fail(est, idx[j], f"singular {step} step: Gram diagonal from {low:.3e} to {high:.3e}")
                 est.iterations[idx[j]], est.op_count[idx[j]] = it, ops[j] + reached
             new[j] = old[j]
 
@@ -390,11 +330,8 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         # RIS rows of the right-hand side sum_l conj(z[n, l]) W[n, :, l]
         diag[:, k_d:] = psi_sq * z_sq
         rhs[:, k_d:] = (w[:, d:] @ z.conj()[..., None])[..., 0]
-        joint, divided, errors = certified_gram_solves(
-            diag, rhs, joint_regression, coupling, tol
-        )
-        fail(it, errors, joint, prev_joint, (it - 1) * sweep_ops)
-        _add_fallback_ops(ops, divided, joint_svd - p * m)
+        joint, refused = diagonal_solves(diag, rhs, tol)
+        fail(it, "joint", diag, refused, joint, prev_joint, (it - 1) * sweep_ops)
         prev_z = z
 
         # Z step against KR(Psi, H_ra): diagonal (Psi^H Psi)_nn ||h_ra[:, n]||^2,
@@ -406,20 +343,15 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         if k_d:
             h_ua = joint[:, :k_d].transpose(0, 2, 1)
             z_rhs -= psi_sum.conj()[:, None] * ((ra_h @ h_ua) @ direct_pilots)
-        z, divided, errors = certified_gram_solves(
-            psi_sq * joint_sq[:, k_d:], z_rhs, z_regression, coupling, tol
-        )
+        z_diag = psi_sq * joint_sq[:, k_d:]
+        z, refused = diagonal_solves(z_diag, z_rhs, tol)
         del ra_h, z_rhs   # before the residual's allocations
-        fail(it, errors, z, prev_z, (it - 1) * sweep_ops + joint_step_ops)
-        _add_fallback_ops(ops, divided, z_svd - n * l)
+        fail(it, "Z", z_diag, refused, z, prev_z, (it - 1) * sweep_ops + joint_step_ops)
         z_sq = sqnorms(z)
 
         # squared frame-fit residual, which no stop test reads
         residuals = np.full(g, np.nan)
-        if contracted:
-            residuals[idx] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
-        else:
-            residuals[idx] = _model_residuals(y, psi, joint, z, direct_pilots, c_buf[:, d:])
+        residuals[idx] = _contracted_residuals(w, joint, z, bx_d, b, c_buf)
         trace.append(residuals)
 
         # stop test: each factor's squared change at most conv_threshold
@@ -452,10 +384,10 @@ def _alternating_fit(stack, sched, direct_pilots, cfg, rngs):
         est.op_count[rows] = ops[fits] + (it * sweep_ops + _pinv_cost(k, l) + n * l * k)
         kept = len(idx) - np.count_nonzero(stop)
         holes, movers = np.flatnonzero(stop[:kept]), kept + np.flatnonzero(~stop[kept:])
-        stacks = [y, w, rhs, idx, ops, joint, z, z_sq, failed]
+        stacks = [w, rhs, idx, ops, joint, z, z_sq, failed]
         for a in stacks:
             a[holes] = a[movers]
-        y, w, rhs, idx, ops, joint, z, z_sq, failed = (a[:kept] for a in stacks)
+        w, rhs, idx, ops, joint, z, z_sq, failed = (a[:kept] for a in stacks)
         diag, c_buf = diag[:kept], c_buf[:kept]
         if not kept:
             break

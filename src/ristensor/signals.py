@@ -7,8 +7,9 @@ The noiseless (M, L, B) frame is [[H_ua, X^T, 1_B]] + [[H_ra, Z^T, Psi]] with
 Z = H_ur X: block b is (H_ua + H_ra * diag(psi_b) * H_ur) @ X.  The RIS
 term's mode-3 unfolding is Psi times the N Khatri-Rao rows h_ra[:, n] z_n^T,
 so synthesize forms it as one matrix product.  Psi (two_stage) and
-[1 | Psi] (e_als) are the square DFT(N) and DFT(N + 1), F^H F = B I, which
-lets the ALS sweep measure its residual without forming this model frame.
+[1 | Psi] (e_als) are the square DFT(N) and DFT(N + 1), F^H F = B I, and
+the pilots DFT rows, X X^H = L P I: the orthogonal schedules that the ALS
+estimators take as their premise and refuse any other.
 """
 
 import dataclasses

@@ -2,13 +2,12 @@
 
 Third-order arrays are numpy ndarrays of shape (M, L, B): B frontal slices,
 each M x L.  vec() is column-major everywhere, so unfoldings and stacking use
-Fortran-order reshapes.  Least-squares solves against Khatri-Rao regressors
-need only the diagonals of their Grams where the known factor certifies,
-once per call, that every Gram it can take is diagonal to rounding
-(khatri_rao_coupling): each such solve is one division, its objective
-within eps of the conditional LS minimum (certified_gram_solves).  Every
-other solve goes to the SVD pseudoinverse, the one place that decides
-singularity.
+Fortran-order reshapes.  On the orthogonal schedules (is_scaled_unitary,
+has_orthogonal_rows) every Gram of a Khatri-Rao regressor the ALS sweep
+takes is diagonal to rounding, so each of its least-squares solves is one
+division by the diagonal (diagonal_solves), which also decides whether the
+solve is singular.  pinv_right and pinv_left are SVD pseudoinverses: of the
+pilots, and of explicit regressors.
 """
 
 import math
@@ -77,50 +76,22 @@ def pinv_with_ratio(a):
     return (vh.conj().T / s) @ u.conj().T, s[-1] / s[0]
 
 
-# Floor on the diagonal ratio min(d) / max(d) of a Gram a^H a solved by
-# division: the diagonal must show twice this (plus tol**2).  The
-# division's objective excess, at most rho**2 (1 + rho) / (1 - rho)
-# ||a x*||^2, holds whatever the diagonal; its forward error, from
-# x - x* = S^-1 E S x*, is ||x - x*||_inf <= rho sqrt(max d / min d)
-# ||x*||_inf, which this floor caps at about 7e3 rho, against about
-# eps * cond(a) for the SVD.  Rounding lies far below it, so no case the
-# SVD would call singular can pass.
+# Floor on the diagonal ratio min(d) / max(d) of a Gram solved by division:
+# the diagonal must show twice this (plus tol**2).  On a Gram diagonal to
+# rounding, G = S (I + E) S with ||E||_2 = rho of order eps, the division's
+# forward error, from x - x* = S^-1 E S x*, is ||x - x*||_inf <= rho
+# sqrt(max d / min d) ||x*||_inf, which this floor caps at about 7e3 rho,
+# against about eps * cond(a) for the SVD.  Rounding lies far below it, so
+# no Gram the SVD would call singular can pass.
 _GRAM_MIN_RATIO = 1e-8
 
 
-# Largest coupling rho (see khatri_rao_coupling) of Grams solved by division:
-# the division's objective then exceeds the LS minimum by at most
-# rho**2 (1 + rho) / (1 - rho) <= about eps relative, the rounding of an LU
-# solve.
-_MAX_COUPLING = np.sqrt(np.finfo(float).eps)
-
-
-def _scaled_magnitudes(gram):
-    # |g_ij| / sqrt(g_ii g_jj)
-    d = gram.diagonal().real
-    return np.abs(gram) / np.sqrt(np.outer(d, d))
-
-
-def khatri_rao_coupling(left, known):
-    """Bound rho on the scaled off-diagonal of every Gram of a KR(left, V^T) regressor.
-
-    left (B, p) is the known factor; V (p, L) is unknown but for its leading
-    rows, known (k, L).  The Gram is G = C o F, C = left^H left and
-    F = V* V^T, so with S = diag(G)^1/2 it is G = S (I + E) S where
-    |E_ij| = |C_ij| / sqrt(C_ii C_jj) * |F_ij| / sqrt(F_ii F_jj).  F is PSD,
-    so by Cauchy-Schwarz its scaled entry is at most 1 whatever V is, and
-    between two known rows it is known exactly.  Returns the largest row
-    sum of that bound on |E|, which bounds ||E||_2; so one call covers every
-    Gram the regressor takes, of any V (or any sub-block of left's columns).
-    A zero or non-finite column of left, or a zero known row, gives NaN or
-    inf, which certifies nothing.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = _scaled_magnitudes(left.conj().T @ left)
-        k = len(known)
-        bound[:k, :k] *= _scaled_magnitudes(known.conj() @ known.T)
-    np.fill_diagonal(bound, 0.0)
-    return bound.sum(axis=1).max()
+def _is_scaled_identity(gram, c, length):
+    # whether gram / c is I within 2 length eps entrywise, length the inner
+    # dimension of the product that formed gram
+    gram = gram / c
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return bool(np.abs(gram).max(initial=0.0) <= 2.0 * length * np.finfo(float).eps)
 
 
 def is_scaled_unitary(f):
@@ -133,57 +104,51 @@ def is_scaled_unitary(f):
     2 B^2 eps (3e-11 at B = 257) shows.
     """
     b, n = f.shape
-    if b != n:
-        return False
-    gram = f.conj().T @ f / b
-    gram[np.diag_indices(n)] -= 1.0
-    return bool(np.abs(gram).max() <= 2.0 * b * np.finfo(float).eps)
+    return b == n and _is_scaled_identity(f.conj().T @ f, b, b)
 
 
-def certified_gram_solves(diag, a_h_rhs, regression, coupling, tol=1e-12):
-    """pinv_left(a_i, tol) @ rhs_i for each of a stack of Grams, by division where certified.
+def has_orthogonal_rows(x):
+    """Whether the rows of x (K, L) are orthogonal with one norm, x x^H = c I with c > 0.
 
-    diag (T, p) holds the real diagonals of T Grams G_i = a_i^H a_i and
-    a_h_rhs (T, p, r) their right-hand sides a_i^H rhs_i, built by the
-    caller from structure; coupling is a bound rho on every Gram's scaled
-    off-diagonal (khatri_rao_coupling), and regression(i) returns
-    (a_i, rhs_i), called only for a Gram not solved by division.  With
-    G = S (I + E) S and ||E||_2 <= rho, the division x = a_h_rhs / diag
-    leaves the objective ||a x - rhs||^2 above its minimum, at x*, by
-    ||a (x - x*)||^2 <= rho**2 (1 + rho) / (1 - rho) ||a x*||^2, about eps
-    ||a x*||^2 for rho <= sqrt(eps); and the eigenvalue ratio of G is at
-    least (1 - rho) / (1 + rho) times min(diag) / max(diag).  So a Gram is
-    solved by division when rho <= sqrt(eps) and min(diag) > 2 * (tol**2 +
-    _GRAM_MIN_RATIO) * max(diag), a margin far above rounding; every other
-    Gram, one with a zero or non-finite diagonal entry included, goes to
-    pinv_left on its regression, which raises SingularMatrixError when
-    sigma_min / sigma_max < tol, and solves.  Returns (x, divided, errors):
-    x (T, p, r) with solution i in x[i], a boolean array saying which Grams
-    were divided, and a dict from the index of each Gram that raised
-    np.linalg.LinAlgError to the error (its x[i] is undefined, for the
-    caller to overwrite).  Each solution, and each decision, is that of the
-    Gram in a stack of one.  A complex divided by a real is its product with
-    the real's reciprocal, bit for bit, so the division multiplies by one
-    reciprocal per diagonal entry, which needs no broadcast divisor.
+    The scaled Gram x x^H / c, c its mean diagonal, must be within 2 L eps
+    of I entrywise, as in is_scaled_unitary.  x is first divided by its
+    largest magnitude, so a pilot power near the ends of the float range
+    (1e-310, say) neither under- nor overflows and raises no warning; a
+    zero, NaN or inf entry fails.  No rows (K = 0) pass.
     """
-    # a NaN coupling or diagonal compares False
-    threshold = 2.0 * (tol * tol + _GRAM_MIN_RATIO)
-    certified = coupling <= _MAX_COUPLING
-    # when the stack's least diagonal entry clears its greatest, every Gram's does
-    if certified and diag.min(initial=np.inf) > threshold * diag.max(initial=0.0):
-        return a_h_rhs * (1.0 / diag)[..., None], np.ones(len(diag), dtype=bool), {}
-    divided = (diag.min(axis=-1) > threshold * diag.max(axis=-1)) & certified
-    errors = {}
-    x = np.empty(a_h_rhs.shape, dtype=np.result_type(diag, a_h_rhs))
-    if divided.any():
-        x[divided] = a_h_rhs[divided] * (1.0 / diag[divided])[..., None]
-    for i in np.flatnonzero(~divided):
-        a, rhs = regression(i)
-        try:
-            x[i] = pinv_left(a, tol) @ rhs
-        except np.linalg.LinAlgError as err:
-            errors[i] = err
-    return x, divided, errors
+    k, l = x.shape
+    if not k:
+        return True
+    top = np.abs(x).max()
+    if not 0.0 < top < np.inf:
+        return False
+    x = x / top
+    gram = x @ x.conj().T
+    return _is_scaled_identity(gram, gram.trace().real / k, l)
+
+
+def diagonal_solves(diag, a_h_rhs, tol=1e-12):
+    """Solutions of a stack of Grams diagonal to rounding, by division, and which are refused.
+
+    diag (T, p) holds the real diagonals of T Grams G_i = a_i^H a_i that the
+    caller knows to be diagonal to rounding, and a_h_rhs (T, p, r) their
+    right-hand sides a_i^H rhs_i.  Returns x (T, p, r), x[i] = a_h_rhs[i] /
+    diag[i], and the indices of the Grams whose diagonal does not show an
+    eigenvalue ratio min / max above 2 * (tol**2 + _GRAM_MIN_RATIO), as one
+    with a zero or non-finite entry never does; their x[i] is undefined,
+    and they raise no warning.  Each solution and decision is that of the
+    Gram in a stack of one.  A complex divided by a real is its product
+    with the real's reciprocal, bit for bit, so one reciprocal per diagonal
+    entry needs no broadcast divisor.
+    """
+    floor = 2.0 * (tol * tol + _GRAM_MIN_RATIO)
+    refused = ()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # when the stack's least entry clears its greatest, every Gram's
+        # does (a NaN compares False)
+        if not diag.min(initial=np.inf) > floor * diag.max(initial=0.0):
+            refused = np.flatnonzero(~(diag.min(axis=-1) > floor * diag.max(axis=-1)))
+        return a_h_rhs * (1.0 / diag)[..., None], refused
 
 
 def _svd_pinv(a, tol, side):

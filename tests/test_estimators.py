@@ -33,14 +33,20 @@ from ristensor.signals import (
 )
 from ristensor.tensor_ops import (
     SingularMatrixError,
-    certified_gram_solves,
     crandn,
+    diagonal_solves,
     dft_matrix,
     is_scaled_unitary,
+    khatri_rao,
+    pinv_left,
     pinv_right,
+    unfold_mode1,
+    unfold_mode2,
 )
 
 DIMS = (4, 8, 25)
+PSI_REFUSAL = "refused schedule: its phase factor F is not square with F^H F = B I"
+PILOT_REFUSAL = "refused schedule: its direct pilots X_d do not have X_d X_d^H = c I"
 
 
 def noiseless_setup(mode, seed=0, snr_db=20.0):
@@ -136,15 +142,16 @@ def test_als_monotone_residual():
 
 
 def test_als_structured_failure_on_singular_schedule():
-    # constant phase rows collapse the Khatri-Rao factor rank
+    # constant phase rows collapse the Khatri-Rao factor rank; such a Psi
+    # is not scaled unitary, so the fit refuses it before any sweep
     sched = TrainingSchedule(pilots=make_pilots(8, 8, 1.0), ris_phases=np.ones((25, 25)))
     q = np.zeros((4, 8, 25), dtype=complex)
     q[0, 0, 0] = 1.0
     est = als_ris(q, sched, EstimatorConfig(), np.random.default_rng(8))
     assert est.failed
-    assert est.iterations == 1
+    assert est.iterations == 0 and est.op_count == 0
     assert est.h_ra is None
-    assert "singular" in est.failure_reason
+    assert est.failure_reason == PSI_REFUSAL
 
 
 def test_two_stage_noiseless_composition():
@@ -259,9 +266,8 @@ def test_e_als_dimension_precondition():
     ids=["two_stage", "e_als"],
 )
 def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
-    # the DFT schedules certify every sweep Gram, so both steps solve by
-    # division and no Gram is formed, and their known factor F is square
-    # with F^H F = B I, so the residual comes from W.  two_stage (M=4, L=8,
+    # on the DFT schedules both steps solve by division, no Gram is
+    # formed, and the residual comes from W.  two_stage (M=4, L=8,
     # B=N=25, K_d=0, p=25): joint step N L + N + N L M + p M = 1,125, Z step
     # N M + N + N L M + N L = 1,125 (an empty direct block has no direct
     # term), residual M N + M L N + M L N = 1,700: 3,950.  e_als (B=26,
@@ -286,13 +292,24 @@ def test_sweep_op_count_is_the_gram_path_cost(mode, estimator, expected):
     residual = m * n + m * l * n + m * k_d * l + m * l * (d + n)
     per_sweep = joint + z_step + residual
     assert per_sweep == expected
+    # once per call: W, Psi's column norms and sums, the premise's Grams
+    # F^H F (F = [1 | Psi], or Psi) and X_d X_d^H, the direct diagonal and
+    # B X_d, and with a direct block sum_b Y_b and its right-hand side; at
+    # the exit h_ur = Z pinv_right(X); two_stage adds its OFF stage
+    once = m * l * b * n + 2 * b * n + (d + n) ** 2 * b + k_d * k_d * l + 2 * k_d * l
+    once += m * l * b + k_d * l * m if k_d else 0
+    once += k * k * l + k**3 + n * l * k
+    if mode == "two_stage":
+        l_off = sched.off_pilots.shape[1]
+        once += k * k * l_off + k**3 + m * l_off * k + m * k * l
+    assert once == {"two_stage": 41_035, "e_als": 44_028}[mode]
     ops = []
     for sweeps in (1, 2):
         est_cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
         est = estimator(recv, sched, est_cfg, np.random.default_rng(24))
         assert est.iterations == sweeps and not est.converged
         ops.append(est.op_count)
-    assert ops[1] - ops[0] == per_sweep
+    assert ops == [once + per_sweep, once + 2 * per_sweep]
 
 
 def model_frame_residuals(y, psi, h_ua, h_ra, z, x_d):
@@ -319,9 +336,8 @@ def test_residual_from_w_is_the_model_frame_residual(mode, m, k, extra_l, n, slo
     # random frames and factors on the DFT schedules: the residual from
     # W = Y F* equals ||Y - model||^2 from the model frame within 1e-12
     # relative, or an eps ||Y||^2 floor where the fit is (nearly) exact and
-    # the rounding of Y itself dominates, as does the model-frame helper;
-    # and each frame's residual in a stack equals its residual alone, bit
-    # for bit, in both helpers
+    # the rounding of Y itself dominates; and each frame's residual in a
+    # stack equals its residual alone, bit for bit
     rng = np.random.default_rng(seed)
     l = k + extra_l
     psi = make_phase_schedule(n, mode)
@@ -336,29 +352,25 @@ def test_residual_from_w_is_the_model_frame_residual(mode, m, k, extra_l, n, slo
     h = np.concatenate([h_ua, h_ra], axis=2).transpose(0, 2, 1).copy()
     want = model_frame_residuals(y, psi, h_ua, h_ra, z, x_d)
     contracted = ristensor.estimators._contracted_residuals
-    model = ristensor.estimators._model_residuals
 
     def from_w(rows):
         return contracted(w[rows], h[rows], z[rows], b * x_d, b, np.empty_like(w[rows]))
 
-    def from_model(rows):
-        return model(y[rows], psi, h[rows], z[rows], x_d, np.empty((len(z[rows]), n, m, l), complex))
-
     floor = np.finfo(float).eps * np.array([np.vdot(frame, frame).real for frame in y])
-    for helper in (from_w, from_model):
-        got = helper(slice(None))
-        assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
-        for t in range(slots):
-            assert helper(slice(t, t + 1))[0] == got[t]
+    got = from_w(slice(None))
+    assert np.all(np.abs(got - want) <= 1e-12 * want + floor)
+    for t in range(slots):
+        assert from_w(slice(t, t + 1))[0] == got[t]
 
 
 @pytest.mark.parametrize("schedule", ["dft", "random_psi", "tall"])
 @pytest.mark.parametrize("mode", ["two_stage", "e_als"])
 def test_residual_takes_the_model_frame_only_off_a_square_unitary_f(mode, schedule):
     # the DFT schedules' F (Psi, or [1 | Psi] with a direct block) is square
-    # with F^H F = B I, so the residual comes from W; a random unit-modulus
-    # Psi, and DFT columns with B > N + 1 rows (F^H F = B I, but F not
-    # square), take the model frame
+    # with F^H F = B I, so every sweep's residual comes from W; a random
+    # unit-modulus Psi, and DFT columns with B > N + 1 rows (F^H F = B I,
+    # but F not square), are refused: every frame fails before any sweep,
+    # and no residual of any kind is formed
     system = SystemConfig(m_ap=2, k_users=2, n_ris=4, pilot_len=2, off_stage_len=2)
     rng = np.random.default_rng(64)
     n, d = system.n_ris, 1 if mode == "e_als" else 0
@@ -375,22 +387,21 @@ def test_residual_takes_the_model_frame_only_off_a_square_unitary_f(mode, schedu
     ch = ChannelSet(h_ua=crandn(rng, (2, 2)), h_ra=crandn(rng, (2, n)), h_ur=crandn(rng, (n, 2)))
     recv = synthesize(ch, sched, system, rng)
     estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
-    helpers = {
-        name: mock.Mock(wraps=getattr(ristensor.estimators, name))
-        for name in ("_contracted_residuals", "_model_residuals")
-    }
-    with mock.patch.multiple(ristensor.estimators, **helpers):
+    contracted = mock.Mock(wraps=ristensor.estimators._contracted_residuals)
+    with mock.patch.object(ristensor.estimators, "_contracted_residuals", contracted):
         est = estimator(recv, sched, EstimatorConfig(max_iters=3), rng)
-    assert not est.failed
-    assert helpers["_model_residuals"].call_count == (0 if schedule == "dft" else est.iterations)
-    assert helpers["_contracted_residuals"].call_count == (est.iterations if schedule == "dft" else 0)
+    if schedule == "dft":
+        assert not est.failed and contracted.call_count == est.iterations > 0
+    else:
+        assert est.failed and est.failure_reason == PSI_REFUSAL
+        assert est.iterations == 0 and contracted.call_count == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 25, 256])
 def test_scaled_unitary_check_passes_dft_and_fails_a_moved_entry(n):
-    # the exact DFT(N) and DFT(N+1) of the two schedules pass; a copy of
-    # Psi with one entry moved by 1e-10 fails, so the fit takes the model
-    # frame, whose traces still never rise (criterion 5)
+    # the exact DFT(N) and DFT(N+1) of the two schedules pass, and the fit
+    # runs; a copy of Psi with one entry moved by 1e-10 fails, and the fit
+    # refuses it: every frame fails before any sweep
     system = SystemConfig(m_ap=4, k_users=2, n_ris=n, pilot_len=2, off_stage_len=2, snr_db=10.0)
     rng = np.random.default_rng(65 + n)
     ch = ChannelSet(h_ua=crandn(rng, (4, 2)), h_ra=crandn(rng, (4, n)), h_ur=crandn(rng, (n, 2)))
@@ -402,14 +413,14 @@ def test_scaled_unitary_check_passes_dft_and_fails_a_moved_entry(n):
         moved = psi.copy()
         moved[b // 2, -1] += 1e-10
         assert not is_scaled_unitary(np.hstack([np.ones((b, d)), moved]))
-        sched = dataclasses.replace(sched, ris_phases=moved)
         recv = synthesize(ch, sched, system, rng)
-        model = mock.Mock(wraps=ristensor.estimators._model_residuals)
-        with mock.patch.object(ristensor.estimators, "_model_residuals", model):
-            est = estimator(recv, sched, EstimatorConfig(), rng)
-        assert not est.failed and model.call_count == est.iterations
+        est = estimator(recv, sched, EstimatorConfig(), rng)
+        assert not est.failed and est.iterations > 0
         trace = est.residual_trace
         assert all(later <= earlier * (1 + 1e-9) for earlier, later in zip(trace, trace[1:]))
+        sched = dataclasses.replace(sched, ris_phases=moved)
+        est = estimator(synthesize(ch, sched, system, rng), sched, EstimatorConfig(), rng)
+        assert est.failed and est.failure_reason == PSI_REFUSAL and est.iterations == 0
 
 
 def test_ls_baseline_noiseless_exact():
@@ -649,15 +660,16 @@ TRAFFIC_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(TRAFFIC_CONFIGS))
 def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
     # make_schedule builds only DFT Psi and DFT pilots, so the schedule of
-    # every config the CLI runs certifies every sweep Gram: each update is
-    # solved by division from a (T, p) diagonal, no p x p Gram and no
-    # Khatri-Rao regressor is formed, and pinv_left never runs
+    # every config the CLI runs meets the fit's premise: each update is
+    # solved by division from a (T, p) diagonal, every diagonal clears, no
+    # p x p Gram and no Khatri-Rao regressor is formed, and pinv_left never
+    # runs
     calls = []
 
-    def solves(diag, a_h_rhs, regression, coupling, tol):
-        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
-        calls.append((diag.shape, a_h_rhs.shape, divided))
-        return x, divided, errors
+    def solves(diag, a_h_rhs, tol):
+        x, refused = diagonal_solves(diag, a_h_rhs, tol)
+        calls.append((diag.shape, a_h_rhs.shape, refused))
+        return x, refused
 
     cfg = ExperimentConfig(
         snr_grid_db=tuple(range(-30, 41, 10)), trials=20, master_seed=40,
@@ -665,60 +677,91 @@ def test_stock_sweeps_compute_no_eigenvalues_and_no_khatri_rao(name):
     )
     khatri_rao = mock.Mock(wraps=ristensor.estimators.khatri_rao)
     pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
+    with mock.patch.object(ristensor.estimators, "diagonal_solves", solves), \
             mock.patch.object(ristensor.estimators, "khatri_rao", khatri_rao), \
             mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
         records = run_experiment(cfg)
     assert len(records) == 2 * 8 * 20 and not any(r.failure_flag for r in records)
-    assert calls and all(divided.all() for *_, divided in calls)
+    assert calls and not any(len(refused) for *_, refused in calls)
     assert all(len(diag) == 2 and diag == rhs[:2] for diag, rhs, _ in calls)
     assert khatri_rao.call_count == 0 and pinv_left.call_count == 0
+
+
+# the ALS updates as the paper writes them, from explicit Khatri-Rao
+# regressors and the SVD pseudoinverse, for any schedule: the fit must
+# match them on the orthogonal ones
+
+
+def explicit_joint_update(y, psi, x_d, z):
+    # pinv_left(KR([1 .. 1 | Psi], [X_d; Z]^T)) against the mode-1
+    # unfolding: [H_ua | H_ra]^T as (K_d + N, M)
+    known = np.hstack([np.ones((len(psi), len(x_d))), psi])
+    return pinv_left(khatri_rao(known, np.vstack([x_d, z]).T)) @ unfold_mode1(y).T
+
+
+def explicit_z_update(y, psi, x_d, joint):
+    # pinv_left(KR(Psi, H_ra)) against the mode-2 unfolding less the direct
+    # term (1 (x) H_ua) X_d: Z as (N, L)
+    k_d = len(x_d)
+    direct = np.tile(joint[:k_d].T, (len(psi), 1)) @ x_d
+    return pinv_left(khatri_rao(psi, joint[k_d:].T)) @ (unfold_mode2(y).T - direct)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 4),
-    n=st.integers(1, 5),
+    n=st.integers(1, 8),
     k=st.integers(1, 3),
     extra_l=st.integers(0, 2),
-    extra_b=st.integers(0, 3),
+    snr_db=st.floats(-5.0, 30.0),
     joint=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, extra_b, joint, seed):
-    # random non-DFT Psi and pilots, a random frame, and the sweep's own Z,
-    # H_ra and H_ua: every Gram diagonal and contracted right-hand side a
-    # sweep passes equals the diagonal of a^H a and a^H rhs of the
-    # regressor its fallback forms, and the scaled off-diagonal of a^H a is
-    # within the call's coupling, with (e_als) and without (als_ris,
-    # K_d = 0) a direct block
+@example(m=4, n=25, k=8, extra_l=0, snr_db=10.0, joint=True, seed=0)    # e_als at stock dims
+@example(m=4, n=25, k=8, extra_l=0, snr_db=10.0, joint=False, seed=0)   # two_stage's fit
+def test_sweep_solves_match_the_explicit_regressors(m, n, k, extra_l, snr_db, joint, seed):
+    # the reference for the division: on the DFT schedules of both modes
+    # (e_als, and als_ris, two_stage's fit, with no direct block), a noisy
+    # synthesized frame, each sweep's joint and Z updates equal the
+    # explicit-regressor update from the fit's own previous iterate within
+    # rounding, 1e-9 relative, sweep by sweep
     rng = np.random.default_rng(seed)
-    l, b = k + extra_l, n + k + extra_b
-    sched = TrainingSchedule(pilots=crandn(rng, (k, l)), ris_phases=crandn(rng, (b, n)))
-    recv = ReceiveTensor(tensor=crandn(rng, (m, l, b)))
-    seen = []
+    l = k + extra_l
+    mode = "e_als" if joint else "two_stage"
+    system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=snr_db)
+    sched = TrainingSchedule(
+        pilots=make_pilots(k, l, system.power), ris_phases=make_phase_schedule(n, mode)
+    )
+    ch = ChannelSet(h_ua=crandn(rng, (m, k)) if joint else np.zeros((m, k)),
+                    h_ra=crandn(rng, (m, n)), h_ur=crandn(rng, (n, k)))
+    y = synthesize(ch, sched, system, rng).tensor
+    x_d = sched.pilots if joint else np.empty((0, l))
+    updates = []
 
-    def checked(diag, a_h_rhs, regression, coupling, tol=1e-12):
-        for i, d in enumerate(diag):
-            a, rhs = regression(i)
-            gram = a.conj().T @ a
-            for got, want in ((a_h_rhs[i], a.conj().T @ rhs), (d, gram.diagonal().real)):
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            scaled = np.abs(gram) / np.sqrt(np.outer(d, d))
-            np.fill_diagonal(scaled, 0.0)
-            assert scaled.sum(axis=1).max() <= coupling * (1 + 1e-12) + 1e-12
-            seen.append(a.shape[1])
-        return certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
+    def recorded(diag, a_h_rhs, tol):
+        x, refused = diagonal_solves(diag, a_h_rhs, tol)
+        updates.append(x[0].copy())
+        return x, refused
 
-    cfg = EstimatorConfig(max_iters=3, conv_threshold=1e-300)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", checked):
+    init_seed = int(rng.integers(2**32))
+    cfg = EstimatorConfig(max_iters=4, conv_threshold=1e-300)
+    with mock.patch.object(ristensor.estimators, "diagonal_solves", recorded):
         if joint:
-            est = e_als_estimate(recv, sched, cfg, rng)
+            est = e_als_estimate(ReceiveTensor(tensor=y), sched, cfg, np.random.default_rng(init_seed))
         else:
-            est = als_ris(recv.tensor, sched, cfg, rng)
-    k_d = k if joint else 0
-    assert seen[:2] == [k_d + n, n]
-    assert len(seen) == 2 * est.iterations or est.failed
+            est = als_ris(y, sched, cfg, np.random.default_rng(init_seed))
+    assert not est.failed and len(updates) == 2 * est.iterations > 0
+    # the fit's initial Z, as it draws it
+    init = np.random.default_rng(init_seed)
+    crandn(init, (m, len(x_d)))
+    crandn(init, (m, n))
+    z = crandn(init, (n, k)) @ sched.pilots
+    for joint_fit, z_fit in zip(updates[::2], updates[1::2]):
+        joint_ref = explicit_joint_update(y, sched.ris_phases, x_d, z)
+        assert np.linalg.norm(joint_fit - joint_ref) <= 1e-9 * np.linalg.norm(joint_ref)
+        z_ref = explicit_z_update(y, sched.ris_phases, x_d, joint_fit)
+        assert np.linalg.norm(z_fit - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
+        z = z_fit
 
 
 STACK_KINDS = ("synthesized", "f_ordered", "zero", "one_nan", "scaled_up", "scaled_down")
@@ -918,135 +961,115 @@ def test_singular_pilots_fail_every_frame_before_any_sweep(mode):
         assert est.h_ua is None and est.h_ur is None and est.h_ra is None
 
 
-def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
-    # a random unit-modulus Psi certifies no sweep Gram, so every step forms
-    # its regressor for pinv_left, and fails the F^H F = B I check, so the
-    # residual comes from the model frame.  Per e_als sweep (M=4, L=8, B=26,
-    # N=25, K_d=8, p=33) that is the stock steps' 4,882 less the two
-    # divisions, p M = 132 and N L = 200, plus the model-frame residual
-    # M L N + M L N B + M K_d L + M L B = 22,688, the joint fallback
-    # B L p + (p^2 B L + p^3) + p B L M = 296,769 and the Z-step fallback
-    # B M N + B M K_d L + (N^2 B M + N^3) + N B M L = 110,681: 434,688
-    _, ch, _, _ = noisy_setup("e_als", seed=51)
-    system = SystemConfig(snr_db=10.0)
-    rng = np.random.default_rng(52)
-    sched = TrainingSchedule(
-        pilots=make_pilots(8, 8, system.power),
-        ris_phases=np.exp(2j * np.pi * rng.random((26, 25))),
-    )
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 8),
+    extra_l=st.integers(0, 8),
+    n=st.integers(1, 64),
+    mode=st.sampled_from(["two_stage", "e_als"]),
+    snr_db=st.floats(-3100.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=4, k=8, extra_l=0, n=25, mode="e_als", snr_db=-3100.0, seed=0)
+@example(m=4, k=8, extra_l=0, n=25, mode="two_stage", snr_db=-3100.0, seed=0)
+def test_every_schedule_the_cli_builds_meets_the_premise(m, k, extra_l, n, mode, snr_db, seed):
+    # make_schedule's schedules for any system the CLI accepts (K <= L, N
+    # up to 64, down to a subnormal pilot power) pass the fit's check
+    # without a warning, and the fit runs a sweep rather than refusing them
+    l = k + extra_l
+    system = SystemConfig(m_ap=m, k_users=k, n_ris=n, pilot_len=l, off_stage_len=l, snr_db=snr_db)
+    try:
+        sched = make_schedule(system, mode)
+    except ValueError:   # two_stage's M L B >= N (M + L), which the CLI checks too
+        assume(False)
+    rng = np.random.default_rng(seed)
+    ch = ChannelSet(h_ua=crandn(rng, (m, k)), h_ra=crandn(rng, (m, n)), h_ur=crandn(rng, (n, k)))
     recv = synthesize(ch, sched, system, rng)
-    ops = []
-    for sweeps in (1, 2):
-        cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
-        pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-        with mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
-            est = e_als_estimate(recv, sched, cfg, np.random.default_rng(53))
-        assert not est.failed and est.iterations == sweeps
-        assert pinv_left.call_count == 2 * sweeps
-        ops.append(est.op_count)
-    assert ops[1] - ops[0] == 434_688
+    estimator = two_stage_estimate if mode == "two_stage" else e_als_estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimator(recv, sched, EstimatorConfig(max_iters=1), rng)
+    assert not est.failure_reason.startswith("refused schedule") and est.iterations == 1
 
 
-def test_sweep_op_count_adds_the_pinv_fallback():
-    # a Psi column scaled by 1e-6 leaves the schedule certified (its
-    # coupling is scale-free) but puts the joint Gram's diagonal ratio near
-    # 1e-12, below the division's 1e-8 but above pinv_tol's square, so
-    # pinv_left solves the joint step from its regressor (the Z step's H_ra
-    # column grows to match, and its diagonal stays clear: the division);
-    # the scaled column fails the F^H F = B I check, so the residual comes
-    # from the model frame.  The tally is the stock e_als steps' 4,882 less
-    # the joint division, p M = 132 (p=33), plus the model-frame residual
-    # M L N + M L N B + M K_d L + M L B = 22,688, that is 27,438, plus the
-    # regressor, pseudoinverse and apply of each pinv_left
-    _, ch, _, _ = noisy_setup("e_als", seed=54)
-    system = SystemConfig(snr_db=10.0)
-    rng = np.random.default_rng(55)
-    psi = make_phase_schedule(25, "e_als").copy()
-    psi[:, 1] *= 1e-6
-    sched = TrainingSchedule(pilots=make_pilots(8, 8, system.power), ris_phases=psi)
-    recv = synthesize(ch, sched, system, rng)
-    m, l, b, n, k = 4, 8, 26, 25, 8
-    ops, extra = [], []
-    for sweeps in (1, 2):
-        cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
-        pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-        with mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
-            est = e_als_estimate(recv, sched, cfg, np.random.default_rng(56))
-        assert not est.failed and est.iterations == sweeps
-        cost = 0
-        for call in pinv_left.call_args_list:
-            rows, cols = call.args[0].shape
-            if cols == n:   # Z step: KR(Psi, H_ra), its direct term, pinv, apply
-                cost += b * m * n + b * m * k * l + cols * cols * rows + cols**3 + cols * rows * l
-            else:           # joint step: [KR(1, X^T) | KR(Psi, Z^T)], pinv, apply
-                cost += rows * cols + cols * cols * rows + cols**3 + cols * rows * m
-        assert pinv_left.call_count >= sweeps
-        ops.append(est.op_count)
-        extra.append(cost)
-    assert ops[1] - ops[0] == 27_438 + extra[1] - extra[0]
+def _refused_schedule(kind, sched, rng):
+    # the e_als schedule (pilots X and [1 | Psi] = DFT(26) at stock) made to
+    # miss the fit's premise one way, and the reason it is refused for
+    psi, pilots = sched.ris_phases.copy(), sched.pilots.copy()
+    if kind == "random":      # random unit-modulus Psi
+        psi = np.exp(2j * np.pi * rng.random(psi.shape))
+    elif kind == "constant":  # all ones: rank one
+        psi = np.ones_like(psi)
+    elif kind == "tall":      # DFT columns, B > N + 1 rows
+        psi = dft_matrix(len(psi) + 3)[:, 1 : psi.shape[1] + 1]
+    elif kind == "moved":     # one entry moved by 1e-10
+        psi[len(psi) // 2, -1] += 1e-10
+    elif kind == "scaled_column":   # orthogonal, but one column's norm is not B
+        psi[:, 1] *= 1e-6
+    elif kind == "pilots":    # random pilots: X X^H is no multiple of I
+        pilots = crandn(rng, pilots.shape)
+    else:                     # orthogonal pilot rows of unequal norms
+        pilots[-1] *= 2.0
+    reason = PILOT_REFUSAL if kind in ("pilots", "unequal_pilots") else PSI_REFUSAL
+    return TrainingSchedule(pilots=pilots, ris_phases=psi), reason
 
 
-def _recording_solves(calls):
-    # certified_gram_solves that records each call's coupling and routes
-    def solves(diag, a_h_rhs, regression, coupling, tol):
-        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
-        calls.append((coupling, divided))
-        return x, divided, errors
-
-    return solves
-
-
-@pytest.mark.parametrize("kind", ["random", "constant"])
-def test_an_uncertified_schedule_sends_every_frame_to_pinv_left(kind):
-    # a random unit-modulus Psi, or a constant one (each scaled entry of its
-    # Gram is 1), has a coupling above sqrt(eps): every update of every
-    # frame in the stack goes to pinv_left, which solves the random one and
-    # finds the constant one singular
-    _, ch, _, _ = noisy_setup("e_als", seed=58)
-    system = SystemConfig(snr_db=10.0)
+@pytest.mark.parametrize(
+    "kind", ["random", "constant", "tall", "moved", "scaled_column", "pilots", "unequal_pilots"]
+)
+def test_a_non_orthogonal_schedule_fails_every_frame(kind):
+    # a schedule that is not the orthogonal kind make_schedule builds is
+    # refused once per call, not solved another way: every frame of the
+    # stack fails with the reason, at iteration 0 with op_count 0 and no
+    # trace, without a warning, and no update, regressor or pseudoinverse
+    # of the sweep is computed
+    _, ch, sched, _ = noisy_setup("e_als", seed=58)
     rng = np.random.default_rng(59)
-    psi = np.exp(2j * np.pi * rng.random((26, 25))) if kind == "random" else np.ones((26, 25))
-    sched = TrainingSchedule(pilots=make_pilots(8, 8, system.power), ris_phases=psi)
+    sched, reason = _refused_schedule(kind, sched, rng)
+    system = SystemConfig(snr_db=10.0)
     frames = stack_of([synthesize(ch, sched, system, rng) for _ in range(3)])
-    calls = []
-    pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-    cfg = EstimatorConfig(max_iters=2, conv_threshold=1e-300)
-    solves = _recording_solves(calls)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
-            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
-        ests = e_als_estimate(frames, sched, cfg, [np.random.default_rng(i) for i in range(3)])
-    assert calls and all(c > np.sqrt(np.finfo(float).eps) for c, _ in calls)
-    assert not any(divided.any() for _, divided in calls)
-    assert pinv_left.call_count == sum(len(divided) for _, divided in calls)
-    if kind == "random":
-        assert not ests.failed.any() and len(calls) == 4
-    else:
-        assert ests.failed.all() and all("singular" in r for r in ests.failure_reason)
+    solves = mock.Mock(wraps=diagonal_solves)
+    pinv = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+    with warnings.catch_warnings(), \
+            mock.patch.object(ristensor.estimators, "diagonal_solves", solves), \
+            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv):
+        warnings.simplefilter("error")
+        ests = e_als_estimate(frames, sched, EstimatorConfig(), [np.random.default_rng(i) for i in range(3)])
+    assert solves.call_count == 0 and pinv.call_count == 0
+    for est in map(ests.row, range(3)):
+        assert est.failed and est.failure_reason == reason
+        assert est.iterations == 0 and est.op_count == 0 and est.residual_trace == ()
+        assert est.h_ua is None and est.h_ra is None and est.h_ur is None
 
 
 def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
     # a zero frame fits H_ra = 0 in its first joint step, so the diagonal of
-    # its Z step is zero: that frame alone goes to pinv_left, which finds it
-    # singular, while the frames around it stay divided
+    # its Z step is zero: that frame alone is refused there and fails, with
+    # the Z step's reason, while the frames around it stay divided
     _, _, sched, recv = noisy_setup("e_als", seed=60)
     frames = stack_of([recv, ReceiveTensor(tensor=np.zeros_like(recv.tensor)), recv])
     calls = []
-    pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
-    solves = _recording_solves(calls)
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves), \
-            mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+
+    def solves(diag, a_h_rhs, tol):
+        x, refused = diagonal_solves(diag, a_h_rhs, tol)
+        calls.append(list(refused))
+        return x, refused
+
+    with mock.patch.object(ristensor.estimators, "diagonal_solves", solves):
         ests = e_als_estimate(frames, sched, EstimatorConfig(), [np.random.default_rng(61)] * 3)
-    assert [list(divided) for _, divided in calls[:2]] == [[True] * 3, [True, False, True]]
-    assert all(divided.all() for _, divided in calls[2:]) and pinv_left.call_count == 1
-    assert ests.failed.tolist() == [False, True, False] and "singular" in ests.failure_reason[1]
+    assert calls[:2] == [[], [1]] and not any(calls[2:])
+    assert ests.failed.tolist() == [False, True, False]
+    assert ests.failure_reason[1] == "singular Z step: Gram diagonal from 0.000e+00 to 0.000e+00"
+    assert ests.iterations[1] == 1
 
 
 @pytest.mark.parametrize("estimator", [two_stage_estimate, e_als_estimate])
 def test_a_solve_that_raises_fails_its_frame_alone(estimator):
-    # the second joint step reports slot 1's solve as raised and leaves its
-    # row NaN: that frame fails in sweep 2 with its first sweep's trace,
-    # its previous iterate, put back, keeps the NaN out of every later solve,
-    # and the frames around it keep the estimates of the unmocked call
+    # the second joint step reports slot 1's diagonal as not clearing and
+    # leaves its row NaN: that frame fails in sweep 2 with its first sweep's
+    # trace, its previous iterate, put back, keeps the NaN out of every later
+    # solve, and the frames around it keep the estimates of the unmocked call
     mode = "two_stage" if estimator is two_stage_estimate else "e_als"
     system, ch, sched, _ = noisy_setup(mode, seed=64, snr_db=0.0)
     frames = stack_of([synthesize(ch, sched, system, np.random.default_rng(s)) for s in range(3)])
@@ -1057,22 +1080,22 @@ def test_a_solve_that_raises_fails_its_frame_alone(estimator):
 
     calls = []
 
-    def solves(diag, a_h_rhs, regression, coupling, tol):
+    def solves(diag, a_h_rhs, tol):
         assert np.isfinite(diag).all() and np.isfinite(a_h_rhs).all()
-        x, divided, errors = certified_gram_solves(diag, a_h_rhs, regression, coupling, tol)
+        x, refused = diagonal_solves(diag, a_h_rhs, tol)
         calls.append(len(diag))
         if len(calls) == 3:   # joint, Z, then the second sweep's joint step
             x[1] = np.nan
-            errors = {1: SingularMatrixError("forced")}
-        return x, divided, errors
+            refused = [1]
+        return x, refused
 
     want = fit()
     assert (want.iterations > 2).all()
-    with mock.patch.object(ristensor.estimators, "certified_gram_solves", solves):
+    with mock.patch.object(ristensor.estimators, "diagonal_solves", solves):
         got = fit()
     assert calls[:3] == [3, 3, 3]
     failed = got.row(1)
-    assert failed.failed and failed.failure_reason == "forced"
+    assert failed.failed and failed.failure_reason.startswith("singular joint step: Gram diagonal from")
     assert failed.iterations == 2
     assert failed.residual_trace == want.row(1).residual_trace[:1]
     assert failed.h_ua is None and failed.h_ur is None and failed.h_ra is None
