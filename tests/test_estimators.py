@@ -1043,6 +1043,58 @@ def test_a_non_orthogonal_schedule_fails_every_frame(kind):
         assert est.h_ua is None and est.h_ra is None and est.h_ur is None
 
 
+@pytest.mark.parametrize("kind", ["random"])
+def test_an_uncertified_schedule_sends_every_frame_to_pinv_left(kind):
+    # a random unit-modulus Psi certifies no sweep Gram: the joint Gram of
+    # its regressor KR([1 | Psi], [X_d; Z]^T) is far from diagonal, so a
+    # division by its diagonal is not its solution.  Such a schedule is
+    # left to pinv_left, the paper's explicit update, which solves the joint
+    # and Z steps of every frame; the fit itself refuses it, failing every
+    # frame with the reason
+    _, ch, sched, _ = noisy_setup("e_als", seed=58)
+    rng = np.random.default_rng(59)
+    sched, reason = _refused_schedule(kind, sched, rng)
+    psi, x_d = sched.ris_phases, sched.pilots
+    frames = [synthesize(ch, sched, SystemConfig(snr_db=10.0), rng) for _ in range(3)]
+    z = crandn(rng, (psi.shape[1], len(x_d))) @ x_d
+    a = khatri_rao(np.hstack([np.ones((len(psi), len(x_d))), psi]), np.vstack([x_d, z]).T)
+    gram = a.conj().T @ a
+    scale = np.sqrt(gram.diagonal().real)
+    coupling = np.abs(gram) / np.outer(scale, scale)
+    np.fill_diagonal(coupling, 0.0)
+    assert coupling.sum(axis=1).max() > 1.0
+    for frame in frames:
+        joint = explicit_joint_update(frame.tensor, psi, x_d, z)
+        divided = a.conj().T @ unfold_mode1(frame.tensor).T / scale[:, None] ** 2
+        assert np.linalg.norm(divided - joint) > 0.1 * np.linalg.norm(joint)
+        assert np.isfinite(explicit_z_update(frame.tensor, psi, x_d, joint)).all()
+    ests = e_als_estimate(stack_of(frames), sched, EstimatorConfig(), [np.random.default_rng(i) for i in range(3)])
+    assert ests.failed.all() and all(r == reason for r in ests.failure_reason)
+
+
+def test_sweep_op_count_adds_the_svd_fallback_of_every_gram():
+    # the SVD fallback that ran on every Gram of a random unit-modulus Psi
+    # (434,688 ops per e_als sweep at stock sizes) is deleted: that schedule
+    # is refused before any sweep, so its count stays 0 however many sweeps
+    # are allowed and pinv_left never runs, while the stock DFT schedule's
+    # count adds the division path's 6,870 per sweep and no fallback
+    _, ch, dft_sched, _ = noisy_setup("e_als", seed=51)
+    system = SystemConfig(snr_db=10.0)
+    rng = np.random.default_rng(52)
+    random_sched, _ = _refused_schedule("random", dft_sched, rng)
+    for sched, per_sweep in ((random_sched, 0), (dft_sched, 6_870)):
+        recv = synthesize(ch, sched, system, rng)
+        ops = []
+        for sweeps in (1, 2):
+            cfg = EstimatorConfig(max_iters=sweeps, conv_threshold=1e-300)
+            pinv_left = mock.Mock(wraps=ristensor.tensor_ops.pinv_left)
+            with mock.patch.object(ristensor.tensor_ops, "pinv_left", pinv_left):
+                est = e_als_estimate(recv, sched, cfg, np.random.default_rng(53))
+            assert est.failed == (per_sweep == 0) and pinv_left.call_count == 0
+            ops.append(est.op_count)
+        assert ops[1] - ops[0] == per_sweep and (ops[0] == 0) == (per_sweep == 0)
+
+
 def test_only_the_frame_with_a_zero_factor_column_leaves_the_division():
     # a zero frame fits H_ra = 0 in its first joint step, so the diagonal of
     # its Z step is zero: that frame alone is refused there and fails, with

@@ -523,6 +523,40 @@ def test_bad_diagonals_never_take_the_division(name):
     assert np.array_equal(x[1], [[1.0], [0.5]])
 
 
+def test_gram_solve_falls_back_on_a_non_finite_or_zero_gram():
+    # a zero or NaN regressor: the division refuses its Gram without a
+    # warning, and pinv_left, the explicit update a refused Gram would fall
+    # back on, cannot solve it either, so refusing loses no solution
+    a = np.zeros((4, 2), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, solvable = _solve_via_gram(a, np.ones((4, 1)))
+    assert not solvable
+    with pytest.raises(SingularMatrixError, match="pinv_left of 4x2"):
+        pinv_left(a)
+    a = np.full((4, 2), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, solvable = _solve_via_gram(a, np.ones((4, 1)))
+    assert not solvable
+    with pytest.raises(np.linalg.LinAlgError):
+        pinv_left(a)
+
+
+def test_an_inf_gram_goes_to_the_regression_without_a_warning():
+    # an inf on the diagonal fails min > floor * max before any division:
+    # the Gram of a regressor with an inf column is refused, raising no
+    # warning, while a finite Gram beside it is divided; its regression
+    # is left to pinv_left, which gives it no finite solution either
+    a = np.array([[np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    diag = np.stack([_col_sqnorms(a), [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, refused = diagonal_solves(diag, np.ones((2, 2, 1)))
+    assert list(refused) == [0] and np.array_equal(x[1], [[1.0], [0.5]])
+    assert not np.isfinite(pinv_left(a)).any()
+
+
 @pytest.mark.parametrize("n", [1, 2, 25, 26, 257, 1024, 1025])
 def test_is_scaled_unitary_passes_the_dft(n):
     # the DFT of every size the schedules use, and of a large RIS
