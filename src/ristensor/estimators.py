@@ -25,7 +25,7 @@ to rounding.  One filter (_finite_frames) makes every estimator report a
 frame holding NaN or inf as a failed row before any solve.
 
 Every estimator takes a ReceiveTensor of one (M, L, B) frame, or of a stack
-of G frames along a leading axis, as synthesize builds a group's (the ALS
+of G frames along a leading axis, as synthesize builds a chunk's (the ALS
 estimators then take G generators, or None), and returns one
 ChannelEstimate stacked along G; a single frame is a stack of one
 (_as_stack), whose call returns row(0).  One sweep implementation,

@@ -4,22 +4,22 @@ Every (snr, trial) pair derives its own RNG substreams from the master seed,
 so the record set is bit-identical no matter how trials are chunked across
 workers; all enabled estimators inside a trial share one channel realization
 and one noise realization (paired comparison): the trial's noise is drawn
-once per training length, so schedules of equal length share the draw.  A
-chunk runs its trials in the fewest groups of at most GROUP_SIZE (32),
-balanced to within one trial: a chunk of 50 as 2 groups of 25, one of 100
-as 4 of 25.  Each trial of a group draws its channels with its
-own draw_channels call; the group's channels are then stacked and each
-schedule's frames built in one synthesize call for all its trials, each
-from its own row, so a trial's channels, frames and hash are the ones it
-gets alone.  Each enabled estimator then takes its schedule's stack of
-frames, as synthesize built it, in one call, whose one stacked estimate
-holds the per-trial estimates as rows, bit for bit, so the grouping, like
-the chunking, leaves the records unchanged; each record's wall_time_seconds
-is its group's call time divided by the group size.  Scoring reads that
-estimate's arrays: the truth's terms are formed once per group, and each
-row is reduced on its own, so a record's scores do not depend on the rest
-of its group either.  The pool gets no more workers than usable CPUs or
-chunks.
+once per training length, so schedules of equal length share the draw.
+run_experiment cuts each SNR point into the fewest chunks of at most
+MAX_STACK (128) trials, but no fewer than the usable workers and no more
+than the trials, balanced to within one trial, and the pool gets no more
+workers than usable CPUs or chunks.  A chunk is one stacked pass: each of
+its trials draws its channels with its own draw_channels call; the chunk's
+channels are then stacked and each schedule's frames built in one
+synthesize call for all its trials, each from its own row, so a trial's
+channels, frames and hash are the ones it gets alone.  Each enabled
+estimator then takes its schedule's stack of frames, as synthesize built
+it, in one call, whose one stacked estimate holds the per-trial estimates
+as rows, bit for bit, so the chunking leaves the records unchanged; each
+record's wall_time_seconds is its chunk's call time divided by the chunk
+size.  Scoring reads that estimate's arrays: the truth's terms are formed
+once per chunk, and each row is reduced on its own, so a record's scores
+do not depend on the rest of its chunk either.
 """
 
 import csv
@@ -63,14 +63,17 @@ _SCHEDULE_OF = {"two_stage": "two_stage", "e_als": "e_als", "ls": "e_als"}
 # fixed ordinals keep per-estimator init streams stable under any enabled subset
 _INIT_ORDINAL = {"two_stage": 0, "e_als": 1}
 _GEOMETRY_TAG = 104729  # entropy word marking the shared-geometry stream
-# most trials a chunk solves per stacked estimator call: larger groups spread
-# numpy's per-call overhead thinner but hold more frames and temporaries at
-# once.  One CLI call of 100 trials at two SNR points with both ALS
-# estimators peaked at 41.7 / 42.7 / 43.1 / 46.4 / 52.7 MB of its own
-# (VmHWM) at 16 / 24 / 32 / 50 / 100 (2-vCPU VM, one BLAS thread), and 32
-# against 16 took a stock call from 171.8 to 146.9 ms and that ALS-only one
-# from 251.8 to 220.1 ms (in-process medians, same VM)
-GROUP_SIZE = 32
+# most trials one chunk stacks into each estimator call: a larger stack
+# spreads numpy's per-call overhead thinner but holds more frames and
+# temporaries at once, about 0.12 MB per trial.  At a cap of 32 / 64 / 100 /
+# 128 / 200 / 400, about 400 trials per SNR point (whole chunks) peaked at
+# 43.0 / 47.2 / 51.6 / 54.9 / 62.7 / 85.7 MB of the process's own (VmHWM,
+# median of 5 cold runs) with the two ALS estimators at -5 and 0 dB, and
+# 44.4 / 48.8 / 52.7 / 57.8 / 64.3 / 87.3 MB at the stock config; warm, with
+# one BLAS thread, they ran 1231 / 1385 / 1478 / 1589 / 1616 / 1656 and
+# 1440 / 1618 / 1769 / 1858 / 1963 / 1952 (trial, SNR) pairs/s (2-vCPU VM,
+# best of 3 runs, mean of 2 passes): the gain flattens past 128
+MAX_STACK = 128
 
 
 class ConfigError(ValueError):
@@ -267,13 +270,14 @@ def _score_group(name, est, truth, system, snr_db, trials, wall, hashes):
     Each score is one row-wise NMSE over the estimate's arrays
     (metrics.row_nmse) against the group's truth terms (_truth_terms), ALS
     estimates after one column fit (column_scales) of the stack; each row's
-    score is the one it gets alone, and a failed row's is dropped.  A row
-    whose reference norm is 0 or not finite, or whose score is not finite,
-    is a failed record, kept out of the aggregate means.
-    complexity_formula runs once per call.
+    score is the one it gets alone.  A row the estimator failed, or whose
+    reference norm is 0 or not finite, or whose score is not finite, is a
+    failed record: every score of it is dropped, and it is kept out of the
+    aggregate means, while its iterations, converged and op counts stay as
+    the estimator reported them.  complexity_formula runs once per call.
     """
     failed, flagged = est.failed.tolist(), est.failed.copy()
-    columns = {}
+    scores = {}
     if not all(failed):   # a call whose every row failed may hold no factors
         if name == "ls":
             # no decoupled factors: only the stacked parameter vector is scored
@@ -289,9 +293,13 @@ def _score_group(name, est, truth, system, snr_db, trials, wall, hashes):
             }
         for column, (stack, key) in scored.items():
             term, den = truth[key]
-            scores = row_nmse(stack, term, den)
-            flagged |= ~((den > 0) & np.isfinite(den) & np.isfinite(scores))
-            columns[column] = [None if f else v for f, v in zip(failed, scores.tolist())]
+            scores[column] = row_nmse(stack, term, den)
+            flagged |= ~((den > 0) & np.isfinite(den) & np.isfinite(scores[column]))
+    dropped = flagged.tolist()
+    columns = {
+        column: [None if f else v for f, v in zip(dropped, values.tolist())]
+        for column, values in scores.items()
+    }
     tally = None if name == "ls" else complexity_formula(name, system)
     iterations = est.iterations.tolist()
     # per-row values as Python scalars, as the CSV and JSON writers take them
@@ -303,7 +311,7 @@ def _score_group(name, est, truth, system, snr_db, trials, wall, hashes):
             None if tally is None or f else tally.total(i) for i, f in zip(iterations, failed)
         ],
         empirical_ops=est.op_count.tolist(),
-        failure_flag=flagged.tolist(),
+        failure_flag=dropped,
         channel_hash=hashes,
     )
     shared = dict(snr_db=snr_db, estimator_name=name, wall_time_seconds=wall)
@@ -417,15 +425,7 @@ def _run_group(cfg, system, schedules, ls_solver, snr_index, trials):
 
 def _run_chunk(cfg, snr_index, start, stop):
     system, schedules, ls_solver = _snr_setup(cfg, snr_index)
-    # the fewest groups of at most GROUP_SIZE, balanced: 100 trials run as
-    # 4 groups of 25, not 3 x 32 and a straggler group of 4
-    count = stop - start
-    groups = math.ceil(count / GROUP_SIZE)
-    records = []
-    for g in range(groups):
-        group = range(start + count * g // groups, start + count * (g + 1) // groups)
-        records += _run_group(cfg, system, schedules, ls_solver, snr_index, group)[0]
-    return records
+    return _run_group(cfg, system, schedules, ls_solver, snr_index, range(start, stop))[0]
 
 
 def _usable_cpus():
@@ -437,15 +437,14 @@ def _usable_cpus():
 
 def run_experiment(cfg):
     """All (snr, trial) pairs for every enabled estimator, sorted deterministically."""
-    # no more workers than usable CPUs, capped before chunking so that chunks
-    # stay as large as they can: one chunk per SNR point per worker, so each
-    # chunk's set-up is shared by as many trials as possible
+    # workers capped at the usable CPUs; per SNR point, 100 trials run as one
+    # chunk serially and as two of 50 on two workers, 200 as two of 100
     workers = min(cfg.workers, _usable_cpus())
-    chunk = math.ceil(cfg.trials / workers)
+    chunks = min(cfg.trials, max(workers, math.ceil(cfg.trials / MAX_STACK)))
     tasks = [
-        (snr_index, start, min(start + chunk, cfg.trials))
+        (snr_index, cfg.trials * c // chunks, cfg.trials * (c + 1) // chunks)
         for snr_index in range(len(cfg.snr_grid_db))
-        for start in range(0, cfg.trials, chunk)
+        for c in range(chunks)
     ]
     # a forked pool starts every worker at its first submit: none beyond the chunks
     workers = min(workers, len(tasks))

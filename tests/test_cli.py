@@ -252,6 +252,10 @@ def test_run_with_a_vanishing_or_overflowing_ris_path_completes(tmp_path, capsys
     rows = _csv_rows(out)
     assert sum(row["failure_flag"] == "true" for row in rows) == failures
     assert all(row["failure_flag"] == "true" for row in rows if row["estimator_name"] != "ls")
+    # a failed record carries no scores, whether its estimator or its scorer failed it
+    nmse_columns = [column for column in rows[0] if column.startswith("nmse_")]
+    assert len(nmse_columns) == 5
+    assert all(row[column] == "" for row in rows if row["failure_flag"] == "true" for column in nmse_columns)
 
 
 def test_run_at_a_subnormal_pilot_power_fails_its_records_silently(tmp_path):

@@ -402,16 +402,15 @@ def test_worker_count_does_not_change_records():
 
 
 def test_worker_count_does_not_change_records_across_group_makeups(monkeypatch):
-    # stock dimensions, 2 GROUP_SIZE + 6 trials (70 at 32): workers 1, 2 and
-    # 3 cut each SNR point into one, two and three chunks, which run as 3, 2
-    # and 1 groups each, so the stacked calls see a different group makeup
-    # under each worker count; three usable CPUs keep the third makeup on a
-    # smaller machine
+    # stock dimensions, MAX_STACK / 2 + 6 trials (70 at 128): workers 1, 2
+    # and 3 cut each SNR point into one chunk of 70, two of 35 and three of
+    # 23 or 24, so the stacked calls see a different makeup under each
+    # worker count; three usable CPUs keep the third makeup on a smaller
+    # machine
     monkeypatch.setattr(ristensor.harness, "_usable_cpus", lambda: 3)
-    trials = 2 * ristensor.harness.GROUP_SIZE + 6
+    trials = ristensor.harness.MAX_STACK // 2 + 6
     base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=trials, master_seed=11)
-    chunks = [math.ceil(trials / workers) for workers in (1, 2, 3)]
-    assert [math.ceil(chunk / ristensor.harness.GROUP_SIZE) for chunk in chunks] == [3, 2, 1]
+    assert math.ceil(trials / ristensor.harness.MAX_STACK) == 1 and trials >= 3
     runs = [
         records_without_wall_time(run_experiment(dataclasses.replace(base, workers=workers)))
         for workers in (1, 2, 3)
@@ -503,10 +502,10 @@ def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
 
 
 def test_chunk_runs_balanced_groups(monkeypatch):
-    # GROUP_SIZE + 2 trials (34 at 32) run as two stacked calls of
-    # GROUP_SIZE / 2 + 1 frames per estimator, not as GROUP_SIZE and a
-    # straggler of 2
-    size = ristensor.harness.GROUP_SIZE
+    # MAX_STACK + 2 trials (130 at 128) of one SNR point run serially as two
+    # stacked calls of MAX_STACK / 2 + 1 frames per estimator, not as
+    # MAX_STACK and a straggler of 2
+    size = ristensor.harness.MAX_STACK
     trials = size + 2
     sizes = {}
 
@@ -523,18 +522,18 @@ def test_chunk_runs_balanced_groups(monkeypatch):
     estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
     for name in estimators:
         monkeypatch.setattr(ristensor.harness, name, sized(name))
-    records = ristensor.harness._run_chunk(tiny_config(trials=trials), 0, 0, trials)
+    records = run_experiment(tiny_config(trials=trials))
     assert sizes == {name: [trials // 2] * 2 for name in estimators}
     assert sorted({r.trial_index for r in records}) == list(range(trials))
 
 
 def test_group_size_does_not_change_records(monkeypatch):
-    # stock dimensions, 70 trials run as 70 groups of 1, 10 of 7, 3 of 23 or
+    # stock dimensions, 70 trials run as 70 stacks of 1, 10 of 7, 3 of 23 or
     # 24, and one of 70: every record but its wall time is the same
     base = ExperimentConfig(snr_grid_db=(0.0, 20.0), trials=70, master_seed=3)
     runs = []
     for size in (1, 7, 32, 70):
-        monkeypatch.setattr(ristensor.harness, "GROUP_SIZE", size)
+        monkeypatch.setattr(ristensor.harness, "MAX_STACK", size)
         runs.append(records_without_wall_time(run_experiment(base)))
     assert len(runs[0]) == 2 * 70 * 3 and not any(r["failure_flag"] for r in runs[0])
     for run in runs[1:]:
@@ -578,6 +577,38 @@ def test_serial_run_sets_up_once_per_snr_point(monkeypatch):
         "StackedLsSolver": 3, "make_schedule": 6, "draw_channels": 24, "synthesize": 6,
         **dict.fromkeys(estimators, 3),
     }
+
+
+def test_max_stack_trials_run_as_one_chunk_and_one_more_as_two(monkeypatch):
+    # serially, MAX_STACK trials per SNR point are one chunk: one set-up and
+    # one stacked call per estimator; MAX_STACK + 1 are two balanced chunks
+    calls = Counter()
+    chunks = []
+
+    def counted(name):
+        original = getattr(ristensor.harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "_run_chunk":
+                chunks.append(args[1:])
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    estimators = ("two_stage_estimate", "e_als_estimate", "ls_baseline")
+    for name in ("_snr_setup", "_run_chunk", *estimators):
+        monkeypatch.setattr(ristensor.harness, name, counted(name))
+    size = ristensor.harness.MAX_STACK
+    records = run_experiment(tiny_config(snr_grid_db=(0.0, 10.0), trials=size))
+    assert len(records) == 2 * size * 3
+    assert calls == {"_snr_setup": 2, "_run_chunk": 2, **dict.fromkeys(estimators, 2)}
+    assert chunks == [(0, 0, size), (1, 0, size)]
+    calls.clear()
+    chunks.clear()
+    run_experiment(tiny_config(trials=size + 1))
+    assert calls == {"_snr_setup": 2, "_run_chunk": 2, **dict.fromkeys(estimators, 2)}
+    assert chunks == [(0, 0, size // 2), (0, size // 2, size + 1)]
 
 
 def test_estimator_subset_runs_alone():
@@ -632,12 +663,12 @@ def _assert_same_bits(a, b):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    size=st.integers(1, ristensor.harness.GROUP_SIZE),
+    size=st.integers(1, ristensor.harness.MAX_STACK),
     where=st.sampled_from(["first", "middle", "last"]),
     fixed_geometry=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-@example(size=ristensor.harness.GROUP_SIZE, where="middle", fixed_geometry=False, seed=0)
+@example(size=ristensor.harness.MAX_STACK, where="middle", fixed_geometry=False, seed=0)
 @example(size=13, where="last", fixed_geometry=True, seed=1)
 def test_trial_realized_in_a_group_equals_the_trial_alone(size, where, fixed_geometry, seed):
     # channels, frames and channel_hash of a trial are the same bits whatever
@@ -918,7 +949,7 @@ def test_score_flags_a_non_finite_nmse():
         "ls", est, _group_truth(channels), cfg.system, 10.0, [0], 0.0, [""]
     )
     assert record.failure_flag
-    assert not math.isfinite(record.nmse_aggregate)
+    assert record.nmse_aggregate is None
 
 
 def _random_stack(rng, name, m, k, n, failed):
@@ -1010,8 +1041,8 @@ def test_group_scores_equal_each_row_scored_alone(name, failed, dims, zero_colum
 
 def test_scoring_runs_once_per_estimator_and_group(monkeypatch):
     # the cost formula and the column fit run once per (ALS estimator,
-    # group), not once per record: GROUP_SIZE + 2 trials per SNR point run
-    # as 2 groups
+    # chunk), not once per record: MAX_STACK + 2 trials per SNR point run
+    # as 2 chunks
     calls = Counter()
 
     def counted(name):
@@ -1025,7 +1056,7 @@ def test_scoring_runs_once_per_estimator_and_group(monkeypatch):
 
     for name in ("complexity_formula", "column_scales"):
         monkeypatch.setattr(ristensor.harness, name, counted(name))
-    trials = ristensor.harness.GROUP_SIZE + 2
+    trials = ristensor.harness.MAX_STACK + 2
     records = run_experiment(tiny_config(snr_grid_db=(0.0, 10.0), trials=trials))
     assert len(records) == 2 * trials * 3 and not any(r.failure_flag for r in records)
     assert calls == {"complexity_formula": 2 * 2 * 2, "column_scales": 2 * 2 * 2}

@@ -6,12 +6,15 @@ Each run is a fresh interpreter that imports `ristensor.cli` from the
 checkout's `src/` and then times one `main(["run", "--config", ...])` call
 on the benchmark's generated config (`perfbench/run.py`'s `WORKLOADS` and
 `config_text`, read from this checkout), by CPU time of the process and by
-wall time. The import is not timed. Runs alternate between the checkouts,
+wall time. The import is not timed. Each run also reports its memory: the
+process's own peak resident size after `main` (VmHWM, from
+`/proc/self/status`, so Linux only) and the minor page faults `main` took
+(`ru_minflt` before and after it). Runs alternate between the checkouts,
 and which one goes first alternates from round to round. One untimed run
 per checkout first writes its bytecode. The environment is passed on as it
 is, BLAS thread settings included. Prints each side's median and quartiles
-in ms, the change in the medians, and how many rounds the second checkout
-won.
+of every measure, the change in the medians, and in how many rounds the
+second checkout read lower; the last line is the same as one JSON object.
 """
 
 import argparse
@@ -29,21 +32,28 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS, config_text  # noqa: E402
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import ristensor.cli
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 cpu, wall = time.process_time(), time.perf_counter()
 status = ristensor.cli.main(["run", "--config", "config.yaml"])
 cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 if status:
     sys.exit(status)
-print(json.dumps({"cpu_ms": cpu * 1e3, "wall_ms": wall * 1e3}))
+with open("/proc/self/status") as fh:
+    hwm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"cpu_ms": cpu * 1e3, "wall_ms": wall * 1e3,
+                  "vmhwm_mb": hwm_kib / 1024, "minflt": faults}))
 """
+# each measure and its unit, in print order
+MEASURES = {"cpu_ms": "ms", "wall_ms": "ms", "vmhwm_mb": "MB", "minflt": "faults"}
 
 
 def timed_call(root, work):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(Path(root) / "src")],
+        [sys.executable, "-c", CHILD, str(Path(root).resolve() / "src")],
         cwd=work, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -61,7 +71,7 @@ def main(argv=None):
         parser.error("--runs must be at least 2")
 
     sides = {"parent": args.parent, "change": args.change}
-    times = {side: [] for side in sides}
+    measured = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as work:
         (Path(work) / "config.yaml").write_text(config_text(WORKLOADS[args.workload], args.seed))
         for root in sides.values():
@@ -69,20 +79,25 @@ def main(argv=None):
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                times[side].append(timed_call(sides[side], work))
+                measured[side].append(timed_call(sides[side], work))
 
     print(f"workload {args.workload}  seed {args.seed}  {args.runs} runs per side, interleaved")
-    for key in ("cpu_ms", "wall_ms"):
-        medians = {}
+    summary = {"workload": args.workload, "seed": args.seed, "runs": args.runs}
+    for key, unit in MEASURES.items():
+        quartiles = {}
         for side in sides:
-            values = [t[key] for t in times[side]]
-            q1, medians[side], q3 = statistics.quantiles(values, n=4, method="inclusive")
-            print(f"  {key:7s} {side:6s} median {medians[side]:8.1f}  "
-                  f"quartiles {q1:8.1f} {q3:8.1f}")
-        won = sum(c[key] < p[key] for p, c in zip(times["parent"], times["change"]))
-        gain = medians["parent"] / medians["change"] - 1
-        print(f"  {key:7s} change is {100 * gain:+.1f}% faster by medians, "
-              f"won {won} of {args.runs} rounds")
+            values = [t[key] for t in measured[side]]
+            quartiles[side] = statistics.quantiles(values, n=4, method="inclusive")
+            q1, median, q3 = quartiles[side]
+            print(f"  {key:8s} {side:6s} median {median:9.1f}  "
+                  f"quartiles {q1:9.1f} {q3:9.1f} {unit}")
+        lower = sum(c[key] < p[key] for p, c in zip(measured["parent"], measured["change"]))
+        change = quartiles["change"][1] / quartiles["parent"][1] - 1
+        print(f"  {key:8s} change {100 * change:+.1f}% by medians, "
+              f"lower in {lower} of {args.runs} rounds")
+        summary[key] = {**{f"{side}_q1_median_q3": q for side, q in quartiles.items()},
+                        "change_lower_rounds": lower}
+    print(json.dumps(summary))
     return 0
 
 

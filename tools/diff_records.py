@@ -44,7 +44,7 @@ def _range_list(text):
 def run_records(root, config, work):
     """Run the CLI of the checkout at root on config in directory work; return its output's text."""
     (Path(work) / "config.yaml").write_text(config)
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "ristensor", "run", "--config", "config.yaml"],
         cwd=work, env=env, capture_output=True, text=True,
